@@ -84,6 +84,12 @@ def _parse_witness(pairs):
     return witness
 
 
+def _input_error(message: str) -> int:
+    """Report malformed input on one stderr line; exit status 2."""
+    print(message, file=sys.stderr)
+    return 2
+
+
 def _emit(doc: dict, args) -> None:
     """Print the report; also write it when an output directory is set."""
     if args.format == "json":
@@ -177,7 +183,7 @@ def cmd_normal_form(args) -> int:
     try:
         el = parse_expression(args.expression, alg)
     except ExprParseError as exc:
-        raise SystemExit(f"parse error: {exc}")
+        return _input_error(f"parse error: {exc}")
     print(format_element(el))
     return 0
 
@@ -219,7 +225,7 @@ def cmd_identity(args) -> int:
         lhs = parse_expression(args.lhs, alg)
         rhs = parse_expression(args.rhs, alg)
     except ExprParseError as exc:
-        raise SystemExit(f"parse error: {exc}")
+        return _input_error(f"parse error: {exc}")
     residual = lhs - rhs
     passed = residual.is_zero()
     doc = {

@@ -2,10 +2,12 @@
 
 Coefficients are sparse polynomials over the rationals in a fixed, ordered set
 of named commuting parameters (a ``ParamContext``).  A polynomial maps
-exponent tuples to ``fractions.Fraction`` values; zero coefficients are never
-stored.  One parameter may be designated the *contraction parameter* (``eps``
-by convention): it is the only slot where negative exponents are allowed,
-giving Laurent behaviour for Inonu--Wigner style limits.
+exponent tuples to exact rationals: ``int`` when the value is integral,
+``fractions.Fraction`` otherwise, so the common integer case avoids
+``Fraction`` arithmetic.  Zero coefficients are never stored and floats are
+refused.  One parameter may be designated the *contraction parameter*
+(``eps`` by convention): it is the only slot where negative exponents are
+allowed, giving Laurent behaviour for Inonu--Wigner style limits.
 
 Terms are ordered graded-lexicographically on exponent vectors, which fixes a
 canonical serialisation (see :func:`format_poly` / :func:`parse_poly`).
@@ -46,7 +48,7 @@ class ParamContext:
     negative exponents (or None).
     """
 
-    __slots__ = ("names", "index", "laurent", "_laurent_idx")
+    __slots__ = ("names", "index", "laurent", "zero", "_laurent_idx")
 
     def __init__(self, names: Iterable[str], laurent: str | None = None):
         self.names = tuple(names)
@@ -57,6 +59,8 @@ class ParamContext:
             raise ValueError(f"laurent parameter {laurent!r} not declared")
         self.laurent = laurent
         self._laurent_idx = self.index[laurent] if laurent is not None else -1
+        # one shared all-zero exponent tuple: the key of every constant term
+        self.zero = (0,) * len(self.names)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -75,7 +79,7 @@ class ParamContext:
         return f"ParamContext({self.names!r}, laurent={self.laurent!r})"
 
     def zero_exps(self) -> Exponents:
-        return (0,) * len(self.names)
+        return self.zero
 
 
 # Parameters used throughout the kinematical computations: expansion constants
@@ -92,23 +96,41 @@ def grlex_key(exps: Exponents):
     return (sum(exps), exps)
 
 
+def _exact(value: ScalarLike):
+    """``value`` as an exact rational: ``int`` if integral, else Fraction."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"coefficient {value!r} is a float, not an exact rational")
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _fold(value):
+    """Store an integral Fraction as ``int`` (arithmetic results)."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
+
+
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    ``terms`` maps exponent tuples to nonzero Fractions.  Use the
-    constructors :meth:`const`, :meth:`var` and the operators; the raw
-    constructor normalises (drops zeros, coerces to Fraction) and validates
-    the negative-exponent rule.
+    ``terms`` maps exponent tuples to nonzero exact rationals, ``int`` when
+    integral and ``Fraction`` otherwise.  Use the constructors :meth:`const`,
+    :meth:`var` and the operators; the raw constructor normalises (drops
+    zeros, stores integral values as ``int``) and validates the
+    negative-exponent rule.
     """
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: ParamContext, terms: Mapping[Exponents, ScalarLike] = ()):
         self.ctx = ctx
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict = {}
         n = len(ctx)
         for exps, coeff in dict(terms).items():
-            c = Fraction(coeff)
+            c = _exact(coeff)
             if c == 0:
                 continue
             exps = tuple(exps)
@@ -119,20 +141,21 @@ class Poly:
                     raise ValueError(
                         f"negative exponent for parameter {ctx.names[i]!r}"
                     )
-            clean[exps] = c
+            clean[ctx.zero if exps == ctx.zero else exps] = c
         self.terms = clean
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def const(cls, ctx: ParamContext, value: ScalarLike) -> "Poly":
-        return cls(ctx, {ctx.zero_exps(): Fraction(value)})
+        c = _exact(value)
+        return cls._raw(ctx, {ctx.zero: c} if c else {})
 
     @classmethod
     def var(cls, ctx: ParamContext, name: str, power: int = 1) -> "Poly":
         exps = [0] * len(ctx)
         exps[ctx.index[name]] = power
-        return cls(ctx, {tuple(exps): Fraction(1)})
+        return cls(ctx, {tuple(exps): 1})
 
     # -- predicates -------------------------------------------------------
 
@@ -140,7 +163,7 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.ctx.zero_exps() in self.terms)
+        return not self.terms or (len(self.terms) == 1 and self.ctx.zero in self.terms)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (raises if non-constant)."""
@@ -148,7 +171,7 @@ class Poly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.terms[self.ctx.zero_exps()]
+        return Fraction(self.terms[self.ctx.zero])
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -160,18 +183,22 @@ class Poly:
     # -- arithmetic -------------------------------------------------------
 
     def _check(self, other: "Poly") -> None:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError("polynomials from different parameter contexts")
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for exps, c in other.terms.items():
             s = out.get(exps, 0) + c
             if s:
-                out[exps] = s
+                out[exps] = _fold(s)
             else:
-                out.pop(exps, None)
+                del out[exps]
         return Poly._raw(self.ctx, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
@@ -181,17 +208,38 @@ class Poly:
         return Poly._raw(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+        ctx = self.ctx
+        if ctx is not other.ctx and ctx != other.ctx:
+            raise ContextMismatchError("polynomials from different parameter contexts")
+        st, ot = self.terms, other.terms
+        if len(st) == 1 and len(ot) == 1:
+            # single term times single term: nearly every product the
+            # normal-ordering kernel and the closure checks make
+            ((e1, c1),) = st.items()
+            ((e2, c2),) = ot.items()
+            c = c1 * c2
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
+            zero = ctx.zero
+            if e1 is zero:
+                return Poly._raw(ctx, {e2: c})
+            if e2 is zero:
+                return Poly._raw(ctx, {e1: c})
+            e = tuple([a + b for a, b in zip(e1, e2)])
+            return Poly._raw(ctx, {zero if e == zero else e: c})
+        out: dict = {}
+        for e1, c1 in st.items():
+            for e2, c2 in ot.items():
+                e = tuple([a + b for a, b in zip(e1, e2)])
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
-                    out.pop(e, None)
-        return Poly._raw(self.ctx, out)
+                    del out[e]
+        zero = ctx.zero
+        return Poly._raw(
+            ctx, {zero if e == zero else e: _fold(c) for e, c in out.items()}
+        )
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -206,10 +254,10 @@ class Poly:
         return result
 
     def scale(self, value: ScalarLike) -> "Poly":
-        v = Fraction(value)
+        v = _exact(value)
         if v == 0:
             return Poly._raw(self.ctx, {})
-        return Poly._raw(self.ctx, {e: c * v for e, c in self.terms.items()})
+        return Poly._raw(self.ctx, {e: _fold(c * v) for e, c in self.terms.items()})
 
     @classmethod
     def _raw(cls, ctx: ParamContext, terms: dict) -> "Poly":
@@ -224,7 +272,8 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        same_ctx = self.ctx is other.ctx or self.ctx == other.ctx
+        return same_ctx and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash((self.ctx, frozenset(self.terms.items())))
@@ -242,9 +291,8 @@ class Poly:
 
         A ring homomorphism: acts term by term, multiplying out the assigned
         values at each term's exponent.  Unassigned parameters are kept.
-        Assigning the laurent parameter requires all its exponents to be
-        non-negative unless the value is invertible-free (rationals only,
-        nonzero, handled via Fraction powers).
+        A negative power of the laurent parameter can only take a nonzero
+        rational, raised exactly as a ``Fraction``.
         """
         if not assignment:
             return self
@@ -276,10 +324,10 @@ class Poly:
                             "substituting 0 into a negative power of "
                             f"{ctx.names[i]!r}"
                         )
-                    factor = factor.scale(v ** e)
+                    factor = factor.scale(Fraction(v) ** e)
                 else:
                     factor = factor * value ** e
-            out = out + factor * Poly._raw(ctx, {tuple(rest): Fraction(1)})
+            out = out + factor * Poly(ctx, {tuple(rest): 1})
         return out
 
     def substitute_power(self, name: str, power: int, value: ScalarLike) -> "Poly":
@@ -293,7 +341,7 @@ class Poly:
             raise ValueError("power must be positive")
         i = self.ctx.index[name]
         v = Fraction(value)
-        out: dict[Exponents, Fraction] = {}
+        out: dict = {}
         for exps, coeff in self.terms.items():
             q, r = divmod(exps[i], power)
             if q:
@@ -305,7 +353,10 @@ class Poly:
                     out[exps] = s
                 else:
                     out.pop(exps, None)
-        return Poly._raw(self.ctx, out)
+        zero = self.ctx.zero
+        return Poly._raw(
+            self.ctx, {zero if e == zero else e: _fold(c) for e, c in out.items()}
+        )
 
     def limit_contraction(self) -> "Poly":
         """Send the contraction parameter to zero.

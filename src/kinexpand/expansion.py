@@ -224,7 +224,7 @@ def _analyze_constraints(constraints, witness) -> list:
                     f"open constraint {format_poly(r)} = 0 is not of the form "
                     "a*x^n + b"
                 )
-        reductions.append(PowerReduction(name, lead[0], -const / lead[1]))
+        reductions.append(PowerReduction(name, lead[0], Fraction(-const, lead[1])))
     return reductions
 
 

@@ -4,7 +4,7 @@ Grammar::
 
     expr    := term (('+' | '-') term)*
     term    := ['-'] factor ('*' factor)*
-    factor  := primary ['^' integer]
+    factor  := primary ['^' integer]        (integer <= MAX_EXPONENT)
     primary := rational | parameter | generator | '<' KEY '>'
              | '[' expr ',' expr ']' | '(' expr ')'
 
@@ -20,6 +20,12 @@ from fractions import Fraction
 from .coeffring import Poly
 from .liealg import LieAlgebra
 from .uea import UEAElement, named_element
+
+
+# Largest exponent ``^`` accepts.  The degree of a power grows with its
+# exponent and the size of its normal form with the degree, so an unbounded
+# exponent lets one short expression exhaust time and memory.
+MAX_EXPONENT = 16
 
 
 class ExprParseError(ValueError):
@@ -106,8 +112,12 @@ class _Parser:
         el = self.primary()
         if self.peek()[0] == "^":
             self.advance()
-            power = int(self.expect("int")[1])
-            el = el ** power
+            tok = self.expect("int")
+            if len(tok[1]) > len(str(MAX_EXPONENT)) or int(tok[1]) > MAX_EXPONENT:
+                raise ExprParseError(
+                    f"exponent exceeds the maximum of {MAX_EXPONENT}", tok[2]
+                )
+            el = el ** int(tok[1])
         return el
 
     def primary(self) -> UEAElement:

@@ -35,8 +35,9 @@ class LieAlgebra:
     """Lie algebra over exact polynomial coefficients.
 
     ``brackets`` maps (i, j) with i < j to {k: Poly}; lookups with i > j
-    negate.  Instances are immutable after construction; the normal-ordering
-    kernel attaches a rewrite cache (see :mod:`kinexpand.uea`).
+    negate.  Instances are immutable after construction.  The
+    normal-ordering kernel keeps its tables outside the instance, held
+    weakly per algebra (see :mod:`kinexpand.uea`).
     """
 
     def __init__(
@@ -63,8 +64,6 @@ class LieAlgebra:
             if clean:
                 self.brackets[(i, j)] = clean
         self.metadata = dict(metadata or {})
-        self._nf_cache: dict = {}  # used by the UEA normal-ordering kernel
-        self._pair_rules: dict = {}
 
     @property
     def dim(self) -> int:

@@ -2,19 +2,29 @@
 
 Elements are finite linear combinations of PBW monomials, i.e. exponent
 vectors over the algebra's ordered generator basis, with polynomial
-coefficients.  Arbitrary words in generators are brought to normal form by
-repeatedly rewriting the leftmost out-of-order adjacent pair x_b x_a
-(b after a in basis order) into x_a x_b + [x_b, x_a]; every step lowers the
-pair (word length, inversion count), so the rewriting terminates and by the
-PBW theorem the result is the canonical representative.
+coefficients.  The kernel has one primitive, the product of a PBW monomial
+``m`` with a generator ``x_g`` from the right (the monomial-level
+multiplication of algebras of solvable type, after Kandri-Rody and
+Weispfenning).  Write ``m = m'*x_k`` with ``x_k`` the last generator present
+in ``m``.  If ``k <= g`` the product is the monomial with the exponent of
+``g`` raised by one.  Otherwise::
 
-Normal forms of whole words are memoised on the algebra instance, which makes
-repeated high-degree products (the expansion closure checks go up to degree
-eight) tractable.
+    m*x_g = (m'*x_g)*x_k + sum_l c_l (m'*x_l),   [x_k, x_g] = sum_l c_l x_l
+
+Every call on the right has a monomial of lower degree, or is a bump, so
+the recursion terminates, and by the PBW theorem the result is the
+canonical representative.  A word is normal-ordered by folding its letters
+into the monomial of its sorted prefix.
+
+Per algebra the kernel memoises the primitive, keyed by (monomial,
+generator), and the normal forms of the words callers request; the words it
+passes through on the way are not stored.  The tables belong to the kernel,
+held weakly per algebra, and :func:`kernel_stats` reports their sizes.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple, Union
 
@@ -45,71 +55,109 @@ def monomial_to_word(mono: Monomial) -> WordLetters:
     return tuple(out)
 
 
-def _pair_rule(alg: LieAlgebra, b: int, a: int):
-    """Rewrite fragments for the inverted pair (b, a), b > a in basis order.
+class _Tables:
+    """Normal-ordering tables of one algebra.
 
-    Returns a list of (fragment, Poly) with x_b x_a = sum fragment * coeff.
+    Holds no reference to the algebra, so that the weak table below can
+    drop them together with it.
     """
-    rules = alg._pair_rules
-    key = (b, a)
-    if key not in rules:
-        frags = [((a, b), Poly.const(alg.ctx, 1))]
-        for k, c in alg.bracket_pair(b, a).items():
-            frags.append(((k,), c))
-        rules[key] = frags
-    return rules[key]
+
+    __slots__ = ("dim", "one", "brackets", "products", "words")
+
+    def __init__(self, alg: LieAlgebra):
+        self.dim = alg.dim
+        self.one = Poly.const(alg.ctx, 1)
+        # [x_k, x_g] for k > g as a list of (l, coefficient)
+        self.brackets = {
+            (k, g): list(alg.bracket_pair(k, g).items())
+            for k in range(alg.dim)
+            for g in range(k)
+        }
+        self.products: dict = {}  # (monomial, g) -> normal form of m*x_g
+        self.words: dict = {}  # requested word -> its normal form
 
 
-def _first_inversion(word: WordLetters) -> int:
-    for i in range(len(word) - 1):
-        if word[i] > word[i + 1]:
-            return i
-    return -1
+_TABLES: "weakref.WeakKeyDictionary[LieAlgebra, _Tables]" = weakref.WeakKeyDictionary()
+
+
+def _tables(alg: LieAlgebra) -> _Tables:
+    tables = _TABLES.get(alg)
+    if tables is None:
+        tables = _TABLES[alg] = _Tables(alg)
+    return tables
+
+
+def kernel_stats(alg: LieAlgebra) -> dict:
+    """Entry counts of the algebra's kernel tables (a fresh dict)."""
+    tables = _TABLES.get(alg)
+    if tables is None:
+        return {"products": 0, "words": 0}
+    return {"products": len(tables.products), "words": len(tables.words)}
+
+
+def _accumulate(out: dict, mono: Monomial, p: Poly) -> None:
+    s = out.get(mono)
+    if s is None:
+        out[mono] = p
+    else:
+        s = s + p
+        if s.is_zero():
+            del out[mono]
+        else:
+            out[mono] = s
+
+
+def _times_generator(tables: _Tables, mono: Monomial, g: int) -> dict:
+    """Normal form of mono * x_g as {monomial: Poly}.
+
+    Bumps are computed on the spot; every other product is memoised.
+    """
+    k = tables.dim - 1
+    while k > g and not mono[k]:
+        k -= 1
+    if k <= g:
+        return {mono[:g] + (mono[g] + 1,) + mono[g + 1 :]: tables.one}
+    key = (mono, g)
+    out = tables.products.get(key)
+    if out is not None:
+        return out
+    one = tables.one
+    lower = mono[:k] + (mono[k] - 1,) + mono[k + 1 :]
+    out = {}
+    for m2, c2 in _times_generator(tables, lower, g).items():
+        for m3, c3 in _times_generator(tables, m2, k).items():
+            _accumulate(out, m3, c3 if c2 is one else c2 if c3 is one else c2 * c3)
+    for l, c in tables.brackets[k, g]:
+        for m2, c2 in _times_generator(tables, lower, l).items():
+            _accumulate(out, m2, c if c2 is one else c * c2)
+    tables.products[key] = out
+    return out
 
 
 def normal_form_word(alg: LieAlgebra, word: WordLetters) -> dict:
     """Normal form of a single word as {monomial: Poly}, memoised.
 
-    Iterative memoised DFS over the rewrite DAG: a word whose children are
-    all resolved combines their normal forms; unresolved children are pushed
-    first.  The DAG is acyclic because swaps keep length and strictly reduce
-    inversions while bracket corrections shorten the word.
+    The letters after the word's sorted prefix are multiplied one at a time
+    into the prefix's monomial.  The returned dict is shared: do not mutate.
     """
-    cache = alg._nf_cache
-    if word in cache:
-        return cache[word]
-    stack = [word]
-    while stack:
-        w = stack[-1]
-        if w in cache:
-            stack.pop()
-            continue
-        pos = _first_inversion(w)
-        if pos < 0:
-            cache[w] = {word_to_monomial(alg, w): Poly.const(alg.ctx, 1)}
-            stack.pop()
-            continue
-        prefix, suffix = w[:pos], w[pos + 2 :]
-        children = [
-            (prefix + frag + suffix, coeff)
-            for frag, coeff in _pair_rule(alg, w[pos], w[pos + 1])
-        ]
-        missing = [cw for cw, _ in children if cw not in cache]
-        if missing:
-            stack.extend(missing)
-            continue
-        combined: dict = {}
-        for cw, coeff in children:
-            for mono, c in cache[cw].items():
-                s = combined.get(mono)
-                s = coeff * c if s is None else s + coeff * c
-                if s.is_zero():
-                    combined.pop(mono, None)
-                else:
-                    combined[mono] = s
-        cache[w] = combined
-        stack.pop()
-    return cache[word]
+    tables = _tables(alg)
+    out = tables.words.get(word)
+    if out is not None:
+        return out
+    n = len(word)
+    i = 1
+    while i < n and word[i - 1] <= word[i]:
+        i += 1
+    one = tables.one
+    out = {word_to_monomial(alg, word[:i]): one}
+    for g in word[i:]:
+        acc: dict = {}
+        for mono, c in out.items():
+            for m2, c2 in _times_generator(tables, mono, g).items():
+                _accumulate(acc, m2, c2 if c is one else c if c2 is one else c * c2)
+        out = acc
+    tables.words[word] = out
+    return out
 
 
 class UEAElement:
@@ -164,16 +212,17 @@ class UEAElement:
     def degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
 
+    def _same_algebra(self, other: "UEAElement") -> bool:
+        return self.alg is other.alg or self.alg.same_structure(other.alg)
+
     def _check(self, other: "UEAElement") -> None:
-        if self.alg is not other.alg and not (
-            self.alg.same_structure(other.alg)
-        ):
+        if not self._same_algebra(other):
             raise ValueError("elements from different algebras")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UEAElement):
             return NotImplemented
-        return self.alg.name == other.alg.name and self.terms == other.terms
+        return self._same_algebra(other) and self.terms == other.terms
 
     def __hash__(self):
         raise TypeError("UEAElement is not hashable")

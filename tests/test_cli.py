@@ -49,6 +49,14 @@ class TestExitContract:
         assert doc["report"]["passed"] is False
         assert doc["report"]["mismatches"]
 
+    def test_unbounded_exponent_exits_2_with_one_line(self, capsys):
+        code = main(["normal-form", "poincare", "H^100000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "exponent" in captured.err
+
     def test_bad_witness_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit):
             main(["expand", "poincare", "--witness", "omega=5"])

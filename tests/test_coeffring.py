@@ -53,6 +53,21 @@ class TestArithmetic:
             "kappa"
         )
 
+    def test_integral_coefficients_are_stored_as_int(self):
+        for p in (
+            const(Fraction(1, 2)) * const(4),
+            const(Fraction(3, 2)) + const(Fraction(1, 2)),
+            var("m").scale(Fraction(4, 2)),
+            Poly(CTX, {CTX.zero_exps(): Fraction(6, 3)}),
+        ):
+            assert all(type(c) is int for c in p.terms.values()), p.terms
+
+    def test_float_coefficients_are_refused(self):
+        with pytest.raises(TypeError, match="float"):
+            const(0.5)
+        with pytest.raises(TypeError, match="float"):
+            var("m").scale(0.25)
+
     def test_context_mismatch(self):
         other = ParamContext(("x", "y"))
         with pytest.raises(ContextMismatchError):

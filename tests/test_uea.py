@@ -1,8 +1,12 @@
 """Enveloping algebra: normal ordering, named elements, identity corpus."""
 
+from pathlib import Path
+
 import pytest
 
+from kinexpand.algfile import parse_algebra_file, parse_algebra_text
 from kinexpand.checks import casimir_centrality, identity_corpus
+from kinexpand.exprparse import MAX_EXPONENT, ExprParseError, parse_expression
 from kinexpand.liealg import catalog
 from kinexpand.properties import (
     check_associativity,
@@ -17,6 +21,9 @@ from kinexpand.uea import (
     named_element,
     verify_identity,
 )
+
+
+DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "kinexpand" / "data"
 
 
 def gen(alg, name):
@@ -59,6 +66,37 @@ class TestNormalOrdering:
         g = catalog("galilei")
         el = gen(g, "H") * gen(g, "P1") + gen(g, "K1")
         assert el.degree() == 2
+
+
+class TestAlgebraIdentity:
+    def test_equality_needs_the_same_structure_not_the_same_name(self):
+        text = (DATA_DIR / "galilei.alg").read_text(encoding="utf-8")
+        renamed = parse_algebra_text(text.replace("name galilei", "name poincare", 1))
+        assert renamed.name == "poincare"
+        h_galilei, h_poincare = gen(renamed, "H"), gen(catalog("poincare"), "H")
+        assert h_galilei != h_poincare
+        with pytest.raises(ValueError, match="different algebras"):
+            h_galilei + h_poincare
+
+    def test_equal_structure_from_a_file_compares_equal(self):
+        loaded = parse_algebra_file(DATA_DIR / "poincare.alg")
+        assert loaded is not catalog("poincare")
+        assert gen(loaded, "H") == gen(catalog("poincare"), "H")
+
+
+class TestExpressionBounds:
+    def test_exponent_at_the_bound_parses(self):
+        g = catalog("galilei")
+        assert parse_expression(f"H^{MAX_EXPONENT}", g) == gen(g, "H") ** MAX_EXPONENT
+
+    @pytest.mark.parametrize(
+        "exponent",
+        [str(MAX_EXPONENT + 1), "100000", "9" * 5000],
+        ids=["bound+1", "100000", "5000-digits"],
+    )
+    def test_exponent_above_the_bound_is_rejected(self, exponent):
+        with pytest.raises(ExprParseError, match="exponent"):
+            parse_expression(f"H^{exponent}", catalog("galilei"))
 
 
 class TestNamedElements:
