@@ -15,7 +15,6 @@ from .coeffring import (
     Poly,
     PolyParseError,
     format_poly,
-    limit_eps_zero,
     parse_poly,
 )
 from .liealg import (
@@ -39,12 +38,10 @@ from .liealg import (
 from .uea import (
     NAMED_ELEMENT_KEYS,
     UEAElement,
-    commutator,
     format_element,
     is_central,
     named_element,
     normal_form,
-    verify_identity,
 )
 from .expansion import (
     ConstraintViolationError,
@@ -79,7 +76,6 @@ __all__ = [
     "Poly",
     "PolyParseError",
     "format_poly",
-    "limit_eps_zero",
     "parse_poly",
     "Decomposition",
     "JacobiViolation",
@@ -99,12 +95,10 @@ __all__ = [
     "worldline_split",
     "NAMED_ELEMENT_KEYS",
     "UEAElement",
-    "commutator",
     "format_element",
     "is_central",
     "named_element",
     "normal_form",
-    "verify_identity",
     "ConstraintViolationError",
     "DRIVERS",
     "ExpansionRun",

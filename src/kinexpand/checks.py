@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .liealg import (
+    _CYCLIC,
+    _EPSILON,
     LieAlgebra,
     automorphism_check,
     catalog,
@@ -27,13 +29,6 @@ from .liealg import (
 )
 from .uea import UEAElement, format_element, is_central, named_element
 
-_CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
-
-_EPSILON = {
-    (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
-    (2, 1, 3): -1, (3, 2, 1): -1, (1, 3, 2): -1,
-}
-
 
 @dataclass
 class CheckResult:
@@ -45,7 +40,8 @@ class CheckResult:
         return {"label": self.label, "passed": self.passed, "detail": self.detail}
 
 
-def _identity(label: str, lhs: UEAElement, rhs: UEAElement) -> CheckResult:
+def identity_check(label: str, lhs: UEAElement, rhs: UEAElement) -> CheckResult:
+    """Exact PBW equality ``lhs = rhs``; a failure carries the residual."""
     residual = lhs - rhs
     return CheckResult(
         label, residual.is_zero(), "" if residual.is_zero() else format_element(residual)
@@ -77,8 +73,8 @@ def identity_corpus(alg: LieAlgebra | None = None) -> list:
     add = results.append
 
     # scalar identities P.W = 0 and K.W = 0
-    add(_identity("A1: P.W = 0", sum((P[i] * W[i] for i in (1, 2, 3)), zero), zero))
-    add(_identity("A1: K.W = 0", sum((K[i] * W[i] for i in (1, 2, 3)), zero), zero))
+    add(identity_check("A1: P.W = 0", sum((P[i] * W[i] for i in (1, 2, 3)), zero), zero))
+    add(identity_check("A1: K.W = 0", sum((K[i] * W[i] for i in (1, 2, 3)), zero), zero))
 
     # squared consequences, for X in {P, K}
     for tag, X in (("P", P), ("K", K)):
@@ -87,7 +83,7 @@ def identity_corpus(alg: LieAlgebra | None = None) -> list:
             zero,
         )
         rhs = sum((X[i] * X[i] * W[i] * W[i] for i in (1, 2, 3)), zero)
-        add(_identity(f"A2({tag}): cross terms", lhs, rhs))
+        add(identity_check(f"A2({tag}): cross terms", lhs, rhs))
         for i, a, b in _CYCLIC:
             lhs = (
                 X[i] * X[i] * W[i] * W[i]
@@ -95,33 +91,33 @@ def identity_corpus(alg: LieAlgebra | None = None) -> list:
                 - X[b] * X[b] * W[b] * W[b]
                 - (X[a] * X[b] * W[a] * W[b]).smul(2)
             )
-            add(_identity(f"A3({tag}): component {i}", lhs, zero))
+            add(identity_check(f"A3({tag}): component {i}", lhs, zero))
 
     # bracket table for the W components
     for i in (1, 2, 3):
-        add(_identity(f"A4: [W{i},H] = 0", W[i].commutator(H), zero))
+        add(identity_check(f"A4: [W{i},H] = 0", W[i].commutator(H), zero))
         for j in (1, 2, 3):
             if i != j:
                 k = 6 - i - j
                 sign = _EPSILON[(i, j, k)]
                 add(
-                    _identity(
+                    identity_check(
                         f"A4: [W{i},J{j}]", W[i].commutator(J[j]), W[k].smul(sign)
                     )
                 )
-            add(_identity(f"A4: [W{i},P{j}] = 0", W[i].commutator(P[j]), zero))
-            add(_identity(f"A4: [W{i},K{j}] = 0", W[i].commutator(K[j]), zero))
+            add(identity_check(f"A4: [W{i},P{j}] = 0", W[i].commutator(P[j]), zero))
+            add(identity_check(f"A4: [W{i},K{j}] = 0", W[i].commutator(K[j]), zero))
         for j in range(i + 1, 4):
-            add(_identity(f"A4: [W{i},W{j}] = 0", W[i].commutator(W[j]), zero))
+            add(identity_check(f"A4: [W{i},W{j}] = 0", W[i].commutator(W[j]), zero))
 
     # bracket table for J.P
-    add(_identity("A5: [J.P,H] = 0", JP.commutator(H), zero))
+    add(identity_check("A5: [J.P,H] = 0", JP.commutator(H), zero))
     for i, a, b in _CYCLIC:
-        add(_identity(f"A5: [J.P,J{i}] = 0", JP.commutator(J[i]), zero))
-        add(_identity(f"A5: [J.P,P{i}] = 0", JP.commutator(P[i]), zero))
-        add(_identity(f"A5: [J.P,K{i}] = W{i}", JP.commutator(K[i]), W[i]))
+        add(identity_check(f"A5: [J.P,J{i}] = 0", JP.commutator(J[i]), zero))
+        add(identity_check(f"A5: [J.P,P{i}] = 0", JP.commutator(P[i]), zero))
+        add(identity_check(f"A5: [J.P,K{i}] = W{i}", JP.commutator(K[i]), W[i]))
         add(
-            _identity(
+            identity_check(
                 f"A5: [J.P,W{i}]",
                 JP.commutator(W[i]),
                 -(P[a] * W[b] - P[b] * W[a]),
@@ -129,17 +125,17 @@ def identity_corpus(alg: LieAlgebra | None = None) -> list:
         )
 
     # bracket table for J.W
-    add(_identity("A6: [J.W,H] = 0", JW.commutator(H), zero))
+    add(identity_check("A6: [J.W,H] = 0", JW.commutator(H), zero))
     for i, a, b in _CYCLIC:
-        add(_identity(f"A6: [J.W,J{i}] = 0", JW.commutator(J[i]), zero))
-        add(_identity(f"A6: [J.W,W{i}] = 0", JW.commutator(W[i]), zero))
+        add(identity_check(f"A6: [J.W,J{i}] = 0", JW.commutator(J[i]), zero))
+        add(identity_check(f"A6: [J.W,W{i}] = 0", JW.commutator(W[i]), zero))
         add(
-            _identity(
+            identity_check(
                 f"A6: [J.W,P{i}]", JW.commutator(P[i]), P[a] * W[b] - P[b] * W[a]
             )
         )
         add(
-            _identity(
+            identity_check(
                 f"A6: [J.W,K{i}]", JW.commutator(K[i]), K[a] * W[b] - K[b] * W[a]
             )
         )
@@ -147,28 +143,28 @@ def identity_corpus(alg: LieAlgebra | None = None) -> list:
     # Casimir-producing commutators
     for i, a, b in _CYCLIC:
         add(
-            _identity(
+            identity_check(
                 f"A7: [J.P, P{a}W{b}-P{b}W{a}] = C1*W{i}",
                 JP.commutator(P[a] * W[b] - P[b] * W[a]),
                 C1 * W[i],
             )
         )
         add(
-            _identity(
+            identity_check(
                 f"A7: [J.P, K{a}W{b}-K{b}W{a}] = K.P*W{i}",
                 JP.commutator(K[a] * W[b] - K[b] * W[a]),
                 KP * W[i],
             )
         )
         add(
-            _identity(
+            identity_check(
                 f"A8: [J.W, P{a}W{b}-P{b}W{a}] = -C2*P{i}",
                 JW.commutator(P[a] * W[b] - P[b] * W[a]),
                 -(C2 * P[i]),
             )
         )
         add(
-            _identity(
+            identity_check(
                 f"A8: [J.W, K{a}W{b}-K{b}W{a}] = -C2*K{i}",
                 JW.commutator(K[a] * W[b] - K[b] * W[a]),
                 -(C2 * K[i]),
@@ -179,33 +175,42 @@ def identity_corpus(alg: LieAlgebra | None = None) -> list:
     rhs = sum(
         (J[i] * (P[a] * W[b] - P[b] * W[a]) for i, a, b in _CYCLIC), zero
     )
-    add(_identity("A9: [J.W, J.P]", JW.commutator(JP), rhs))
+    add(identity_check("A9: [J.W, J.P]", JW.commutator(JP), rhs))
+    return results
+
+
+def centrality_check(alg: LieAlgebra) -> list:
+    """Centrality in one algebra: of its central generator Xi when it has
+    one, else of the Casimirs C1 and C2.
+
+    Raises ``KeyError`` when the algebra has neither Xi nor a family of
+    named elements.
+    """
+    if "Xi" in alg.gen_index:
+        elements = [("Xi", UEAElement.generator(alg, "Xi"))]
+    else:
+        elements = [(key, named_element(alg, key)) for key in ("C1", "C2")]
+    results = []
+    for key, element in elements:
+        ok, witness = is_central(alg, element)
+        results.append(
+            CheckResult(
+                f"centrality: {key} in {alg.name}",
+                ok,
+                "" if ok else f"fails against {witness}",
+            )
+        )
     return results
 
 
 def casimir_centrality() -> list:
     """Centrality of C1, C2 in each catalog algebra, and of the central
     generator in the extended algebra."""
-    results = []
-    for name in ("galilei", "poincare", "newton_hooke"):
-        alg = catalog(name)
-        for key in ("C1", "C2"):
-            ok, witness = is_central(alg, named_element(alg, key))
-            results.append(
-                CheckResult(
-                    f"centrality: {key} in {name}",
-                    ok,
-                    "" if ok else f"fails against {witness}",
-                )
-            )
-    ge = catalog("galilei_ext")
-    ok, witness = is_central(ge, UEAElement.generator(ge, "Xi"))
-    results.append(
-        CheckResult(
-            "centrality: Xi in galilei_ext", ok, "" if ok else f"fails against {witness}"
-        )
-    )
-    return results
+    return [
+        result
+        for name in ("galilei", "poincare", "newton_hooke", "galilei_ext")
+        for result in centrality_check(catalog(name))
+    ]
 
 
 def structural_suite() -> list:

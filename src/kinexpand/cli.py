@@ -5,7 +5,7 @@ Subcommands::
     check-jacobi ALGEBRA            Jacobi identity on a catalog or file algebra
     bracket ALGEBRA GEN GEN         one structure-constant lookup
     normal-form ALGEBRA EXPR        normal-order an expression
-    casimir-check ALGEBRA           centrality of C1 and C2
+    casimir-check ALGEBRA           centrality of C1 and C2, or of Xi
     identity ALGEBRA LHS RHS        exact identity check
     expand TARGET                   run an expansion driver
     contract ALGEBRA                contraction round-trips
@@ -16,7 +16,9 @@ Subcommands::
 euclid4) or a path to an algebra definition file.  Reports are emitted as
 text or JSON (``--format``); JSON reports carry a ``schema_version`` field.
 Exit status is 0 exactly when every expected verdict holds, including the
-expected closure *failure* of the ``negative-nh`` driver.
+expected closure *failure* of the ``negative-nh`` driver.  Malformed input
+(an algebra file or name, an expression, a witness, a generator or parameter
+name) ends with one line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -30,13 +32,16 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .algfile import JacobiViolationError, parse_algebra_file
+from .algfile import AlgebraFileError, JacobiViolationError, parse_algebra_file
 from .checks import (
     casimir_centrality,
+    centrality_check,
     contraction_suite,
+    identity_check,
     identity_corpus,
     structural_suite,
 )
+from .coeffring import KINEMATIC_CONTEXT, ParseError
 from .expansion import (
     DRIVERS,
     EUCLID_WITNESS,
@@ -44,7 +49,7 @@ from .expansion import (
     THEOREM2_WITNESS,
     ConstraintViolationError,
 )
-from .exprparse import ExprParseError, parse_expression
+from .exprparse import parse_expression
 from .liealg import (
     catalog,
     catalog_names,
@@ -58,17 +63,34 @@ from .properties import (
     check_ring_axioms,
     check_uea_jacobi,
 )
-from .uea import format_element, is_central, named_element
+from .uea import format_element
 
 SCHEMA_VERSION = 1
 
 OUTPUT_DIR_ENV = "KINEXPAND_OUTPUT_DIR"
 
 
+class InputError(ValueError):
+    """Malformed command-line input: an algebra, a name or a witness."""
+
+
+# The errors that mean the input was malformed.  :func:`main` reports each on
+# one stderr line and returns 2; any other exception is a fault of the program.
+_INPUT_ERRORS = (InputError, ParseError, ConstraintViolationError)
+
+
 def _load_algebra(ref: str, allow_non_lie: bool = False):
     if ref in catalog_names():
         return catalog(ref)
-    return parse_algebra_file(ref, allow_non_lie=allow_non_lie)
+    try:
+        return parse_algebra_file(ref, allow_non_lie=allow_non_lie)
+    except OSError as exc:
+        raise InputError(
+            f"{ref!r} is neither a catalog algebra ({', '.join(catalog_names())}) "
+            f"nor a readable file: {exc.strerror}"
+        ) from None
+    except (AlgebraFileError, JacobiViolationError, UnicodeDecodeError) as exc:
+        raise InputError(f"{ref!r}: {exc}") from None
 
 
 def _parse_witness(pairs):
@@ -76,18 +98,14 @@ def _parse_witness(pairs):
     for item in pairs or ():
         name, eq, value = item.partition("=")
         if not eq:
-            raise SystemExit(f"bad witness override {item!r}: expected name=rational")
+            raise InputError(f"bad witness override {item!r}: expected name=rational")
+        if name not in KINEMATIC_CONTEXT.index:
+            raise InputError(f"unknown witness parameter {name!r}")
         try:
             witness[name] = Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise SystemExit(f"bad rational {value!r} in witness override")
+            raise InputError(f"bad rational {value!r} in witness override") from None
     return witness
-
-
-def _input_error(message: str) -> int:
-    """Report malformed input on one stderr line; exit status 2."""
-    print(message, file=sys.stderr)
-    return 2
 
 
 def _emit(doc: dict, args) -> None:
@@ -143,11 +161,7 @@ def _check_section(results):
 
 
 def cmd_check_jacobi(args) -> int:
-    try:
-        alg = _load_algebra(args.algebra, allow_non_lie=True)
-    except JacobiViolationError as exc:
-        print(f"load error: {exc}")
-        return 1
+    alg = _load_algebra(args.algebra, allow_non_lie=True)
     violations = jacobi_check(alg)
     doc = {
         "command": "check-jacobi",
@@ -168,75 +182,50 @@ def cmd_check_jacobi(args) -> int:
 
 def cmd_bracket(args) -> int:
     alg = _load_algebra(args.algebra, allow_non_lie=args.allow_non_lie)
-    try:
-        i = alg.gen_index[args.left]
-        j = alg.gen_index[args.right]
-    except KeyError as exc:
-        raise SystemExit(f"unknown generator {exc.args[0]!r}")
-    result = alg.bracket_pair(i, j)
+    for name in (args.left, args.right):
+        if name not in alg.gen_index:
+            raise InputError(f"unknown generator {name!r} in {alg.name}")
+    result = alg.bracket_pair(alg.gen_index[args.left], alg.gen_index[args.right])
     print(format_vector(alg, result))
     return 0
 
 
 def cmd_normal_form(args) -> int:
     alg = _load_algebra(args.algebra, allow_non_lie=args.allow_non_lie)
-    try:
-        el = parse_expression(args.expression, alg)
-    except ExprParseError as exc:
-        return _input_error(f"parse error: {exc}")
-    print(format_element(el))
+    print(format_element(parse_expression(args.expression, alg)))
     return 0
 
 
 def cmd_casimir_check(args) -> int:
     alg = _load_algebra(args.algebra)
-    checks = []
-    ok_all = True
-    for key in ("C1", "C2"):
-        ok, witness = is_central(alg, named_element(alg, key))
-        ok_all &= ok
-        checks.append(
-            {
-                "label": f"{key} central in {alg.name}",
-                "passed": ok,
-                "detail": "" if ok else f"fails against {witness}",
-            }
-        )
-    if "Xi" in alg.gen_index:
-        from .uea import UEAElement
-
-        ok, witness = is_central(alg, UEAElement.generator(alg, "Xi"))
-        ok_all &= ok
-        checks.append({"label": f"Xi central in {alg.name}", "passed": ok, "detail": ""})
+    try:
+        section = _check_section(centrality_check(alg))
+    except KeyError as exc:
+        raise InputError(exc.args[0]) from None
     doc = {
         "command": "casimir-check",
         "schema_version": SCHEMA_VERSION,
         "algebra": alg.name,
-        "passed": ok_all,
-        "checks": checks,
+        **section,
     }
     _emit(doc, args)
-    return 0 if ok_all else 1
+    return 0 if section["passed"] else 1
 
 
 def cmd_identity(args) -> int:
     alg = _load_algebra(args.algebra, allow_non_lie=args.allow_non_lie)
-    try:
-        lhs = parse_expression(args.lhs, alg)
-        rhs = parse_expression(args.rhs, alg)
-    except ExprParseError as exc:
-        return _input_error(f"parse error: {exc}")
-    residual = lhs - rhs
-    passed = residual.is_zero()
+    lhs = parse_expression(args.lhs, alg)
+    rhs = parse_expression(args.rhs, alg)
+    result = identity_check(f"{args.lhs} = {args.rhs}", lhs, rhs)
     doc = {
         "command": "identity",
         "schema_version": SCHEMA_VERSION,
         "algebra": alg.name,
-        "passed": passed,
-        "residual": format_element(residual),
+        "passed": result.passed,
+        "residual": result.detail or "0",
     }
     _emit(doc, args)
-    return 0 if passed else 1
+    return 0 if result.passed else 1
 
 
 def cmd_expand(args) -> int:
@@ -247,13 +236,10 @@ def cmd_expand(args) -> int:
         "euclid4": EUCLID_WITNESS,
         "newton_hooke": THEOREM2_WITNESS,
     }
-    try:
-        if overrides and args.target in defaults:
-            run = driver({**defaults[args.target], **overrides})
-        else:
-            run = driver()
-    except ConstraintViolationError as exc:
-        raise SystemExit(f"witness rejected: {exc}")
+    if overrides and args.target in defaults:
+        run = driver({**defaults[args.target], **overrides})
+    else:
+        run = driver()
     doc = {"command": "expand", "schema_version": SCHEMA_VERSION, **run.to_dict()}
     _emit(doc, args)
     return 0 if run.ok else 1
@@ -264,6 +250,8 @@ def cmd_contract(args) -> int:
     galilei = catalog("galilei")
     results = []
     if args.param:
+        if args.param not in alg.ctx.index:
+            raise InputError(f"unknown parameter {args.param!r} in {alg.name}")
         contracted = parameter_contract(alg, args.param)
         ok = contracted.same_structure(galilei)
         results.append(
@@ -418,7 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _INPUT_ERRORS as exc:
+        print(f"kinexpand {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

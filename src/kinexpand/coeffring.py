@@ -19,7 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-Rational = Fraction
 Exponents = tuple  # one int per context parameter
 
 ScalarLike = Union[int, Fraction]
@@ -77,9 +76,6 @@ class ParamContext:
 
     def __repr__(self) -> str:
         return f"ParamContext({self.names!r}, laurent={self.laurent!r})"
-
-    def zero_exps(self) -> Exponents:
-        return self.zero
 
 
 # Parameters used throughout the kinematical computations: expansion constants
@@ -376,24 +372,6 @@ class Poly:
         return Poly._raw(ctx, out)
 
 
-# Operation-style aliases used by callers that prefer free functions.
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    return a + b
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
-def substitute(p: Poly, assignment: Mapping[str, Union[ScalarLike, Poly]]) -> Poly:
-    return p.substitute(assignment)
-
-
-def limit_eps_zero(p: Poly) -> Poly:
-    return p.limit_contraction()
-
-
 # ---------------------------------------------------------------------------
 # Text grammar
 #
@@ -407,21 +385,31 @@ def limit_eps_zero(p: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-class PolyParseError(ValueError):
+class ParseError(ValueError):
+    """Malformed text; ``position`` is the offset of the offending token."""
+
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
 
-def _tokenize(text: str):
+class PolyParseError(ParseError):
+    """A polynomial that does not parse."""
+
+
+def _tokenize(text: str, symbols: str, error: type) -> list:
+    """Split ``text`` into (kind, text, position) tokens.
+
+    Kinds are ``int`` (a run of digits), ``ident``, each character of
+    ``symbols``, and a final ``end``.  Anything else raises ``error``.
+    """
     tokens = []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
-            continue
-        if ch.isdigit():
+        elif ch.isdigit():
             j = i
             while j < n and text[j].isdigit():
                 j += 1
@@ -433,86 +421,124 @@ def _tokenize(text: str):
                 j += 1
             tokens.append(("ident", text[i:j], i))
             i = j
-        elif ch in "+-*/^()":
+        elif ch in symbols:
             tokens.append((ch, ch, i))
             i += 1
         else:
-            raise PolyParseError(f"unexpected character {ch!r}", i)
+            raise error(f"unexpected character {ch!r}", i)
     tokens.append(("end", "", n))
     return tokens
 
 
-class _PolyParser:
-    def __init__(self, text: str, ctx: ParamContext):
-        self.tokens = _tokenize(text)
+class _TokenStream:
+    """Recursive-descent base shared by the polynomial and expression parsers.
+
+    Parses the common sum and product levels::
+
+        expr := term (('+' | '-') term)*
+        term := ('+' | '-')* factor ('*' factor)*
+
+    Subclasses supply ``factor`` and the token set; values only need ``+``,
+    ``-``, ``*`` and unary minus.
+    """
+
+    symbols = ""
+    error = ParseError
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text, self.symbols, self.error)
         self.pos = 0
-        self.ctx = ctx
 
     def peek(self):
         return self.tokens[self.pos]
 
-    def next(self):
+    def advance(self):
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def expect(self, kind: str):
-        tok = self.next()
+        tok = self.advance()
         if tok[0] != kind:
-            raise PolyParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            raise self.error(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
-    def parse(self) -> Poly:
-        p = self.parse_poly()
+    def parse(self):
+        """The whole text as one ``expr``; trailing tokens are an error."""
+        value = self.expr()
         tok = self.peek()
         if tok[0] != "end":
-            raise PolyParseError(f"trailing input {tok[1]!r}", tok[2])
-        return p
+            raise self.error(f"trailing input {tok[1]!r}", tok[2])
+        return value
 
-    def parse_poly(self) -> Poly:
-        p = self.parse_term()
+    def expr(self):
+        value = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            q = self.parse_term()
-            p = p + q if op == "+" else p - q
-        return p
+            op = self.advance()[0]
+            rhs = self.term()
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
-    def parse_term(self) -> Poly:
+    def term(self):
         sign = 1
         while self.peek()[0] in ("+", "-"):
-            if self.next()[0] == "-":
+            if self.advance()[0] == "-":
                 sign = -sign
-        p = self.parse_factor()
+        value = self.factor()
         while self.peek()[0] == "*":
-            self.next()
-            p = p * self.parse_factor()
-        return p.scale(sign)
+            self.advance()
+            value = value * self.factor()
+        return value if sign == 1 else -value
 
-    def parse_factor(self) -> Poly:
-        tok = self.next()
+    def integer(self, tok) -> int:
+        """The value of an ``int`` token."""
+        try:
+            return int(tok[1])
+        except ValueError:
+            # beyond int()'s digit limit, or a digit int() rejects ('²')
+            raise self.error("integer literal too long or malformed", tok[2]) from None
+
+    def rational(self, tok):
+        """The ``int`` token's value, or a fraction when ``'/' int`` follows."""
+        num = self.integer(tok)
+        if self.peek()[0] != "/":
+            return num
+        self.advance()
+        tok = self.expect("int")
+        den = self.integer(tok)
+        if not den:
+            raise self.error("division by zero", tok[2])
+        return Fraction(num, den)
+
+
+class _PolyParser(_TokenStream):
+    symbols = "+-*/^()"
+    error = PolyParseError
+
+    def __init__(self, text: str, ctx: ParamContext):
+        super().__init__(text)
+        self.ctx = ctx
+
+    def factor(self) -> Poly:
+        tok = self.advance()
         if tok[0] == "int":
-            num = int(tok[1])
-            if self.peek()[0] == "/":
-                self.next()
-                den = int(self.expect("int")[1])
-                return Poly.const(self.ctx, Fraction(num, den))
-            return Poly.const(self.ctx, num)
+            return Poly.const(self.ctx, self.rational(tok))
         if tok[0] == "ident":
             if tok[1] not in self.ctx.index:
                 raise PolyParseError(f"unknown parameter {tok[1]!r}", tok[2])
             power = 1
             if self.peek()[0] == "^":
-                self.next()
+                self.advance()
                 neg = False
                 if self.peek()[0] == "-":
-                    self.next()
+                    self.advance()
                     neg = True
-                power = int(self.expect("int")[1])
+                power = self.integer(self.expect("int"))
                 if neg:
                     power = -power
             return Poly.var(self.ctx, tok[1], power)
         if tok[0] == "(":
-            p = self.parse_poly()
+            p = self.expr()
             self.expect(")")
             return p
         raise PolyParseError(f"unexpected token {tok[1]!r}", tok[2])

@@ -22,12 +22,12 @@ becomes a power-substitution rule applied during comparison.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .coeffring import Poly, format_poly
-from .liealg import LieAlgebra, catalog
+from .liealg import _CYCLIC, LieAlgebra, catalog
 from .uea import UEAElement, format_element, named_element
 
 
@@ -91,27 +91,15 @@ class Seed:
         return self.element.is_zero()
 
 
-def build_seed(
-    decomps: Sequence[CasimirDecomposition],
-    alphas: Sequence[str],
-    quadratic_params: Sequence[str] | None = None,
-) -> Seed:
-    """Sum alpha_l * linear_l; optionally add beta_l * quadratic_l terms.
-
-    The quadratic extension is experimental only; no closure result depends
-    on it.
-    """
+def build_seed(decomps: Sequence[CasimirDecomposition], alphas: Sequence[str]) -> Seed:
+    """Sum alpha_l * linear_l over the decompositions."""
     if len(decomps) != len(alphas):
         raise ValueError("one alpha parameter per decomposition required")
-    if quadratic_params is not None and len(quadratic_params) != len(decomps):
-        raise ValueError("one quadratic parameter per decomposition required")
     alg = decomps[0].base.alg
     ctx = alg.ctx
     element = UEAElement.zero(alg)
-    for i, d in enumerate(decomps):
-        element = element + d.linear.smul(Poly.var(ctx, alphas[i]))
-        if quadratic_params is not None:
-            element = element + d.quadratic.smul(Poly.var(ctx, quadratic_params[i]))
+    for d, alpha in zip(decomps, alphas):
+        element = element + d.linear.smul(Poly.var(ctx, alpha))
     return Seed(element=element, alphas=tuple(alphas))
 
 
@@ -408,9 +396,6 @@ def verify_closure(
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
-
-_CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
-
 
 @dataclass
 class ExpansionRun:

@@ -15,9 +15,7 @@ parameter context.  ``<W1>``, ``<C2>`` etc. are the named composite elements;
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .coeffring import Poly
+from .coeffring import ParseError, Poly, _TokenStream
 from .liealg import LieAlgebra
 from .uea import UEAElement, named_element
 
@@ -28,92 +26,25 @@ from .uea import UEAElement, named_element
 MAX_EXPONENT = 16
 
 
-class ExprParseError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
+class ExprParseError(ParseError):
+    """An enveloping-algebra expression that does not parse."""
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-        elif ch in "+-*/^()[]<>,":
-            tokens.append((ch, ch, i))
-            i += 1
-        else:
-            raise ExprParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
+class _Parser(_TokenStream):
+    symbols = "+-*/^()[]<>,"
+    error = ExprParseError
 
-
-class _Parser:
     def __init__(self, text: str, alg: LieAlgebra):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        super().__init__(text)
         self.alg = alg
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ExprParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def parse(self) -> UEAElement:
-        el = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ExprParseError(f"trailing input {tok[1]!r}", tok[2])
-        return el
-
-    def expr(self) -> UEAElement:
-        el = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            el = el + rhs if op == "+" else el - rhs
-        return el
-
-    def term(self) -> UEAElement:
-        sign = 1
-        while self.peek()[0] in ("+", "-"):
-            if self.advance()[0] == "-":
-                sign = -sign
-        el = self.factor()
-        while self.peek()[0] == "*":
-            self.advance()
-            el = el * self.factor()
-        return el if sign == 1 else -el
 
     def factor(self) -> UEAElement:
         el = self.primary()
         if self.peek()[0] == "^":
             self.advance()
             tok = self.expect("int")
-            if len(tok[1]) > len(str(MAX_EXPONENT)) or int(tok[1]) > MAX_EXPONENT:
+            too_long = len(tok[1]) > len(str(MAX_EXPONENT))
+            if too_long or self.integer(tok) > MAX_EXPONENT:
                 raise ExprParseError(
                     f"exponent exceeds the maximum of {MAX_EXPONENT}", tok[2]
                 )
@@ -124,12 +55,7 @@ class _Parser:
         alg = self.alg
         tok = self.advance()
         if tok[0] == "int":
-            num = int(tok[1])
-            if self.peek()[0] == "/":
-                self.advance()
-                den = int(self.expect("int")[1])
-                return UEAElement.scalar(alg, Fraction(num, den))
-            return UEAElement.scalar(alg, num)
+            return UEAElement.scalar(alg, self.rational(tok))
         if tok[0] == "ident":
             if tok[1] in alg.gen_index:
                 return UEAElement.generator(alg, tok[1])

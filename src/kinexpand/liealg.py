@@ -9,16 +9,10 @@ parameter contraction and the catalog of kinematical algebras live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .coeffring import (
-    KINEMATIC_CONTEXT,
-    DivergenceError,
-    ParamContext,
-    Poly,
-)
+from .coeffring import KINEMATIC_CONTEXT, ParamContext, Poly
 
 
 @dataclass(frozen=True)
@@ -176,40 +170,21 @@ def jacobi_check(alg: LieAlgebra) -> list:
 
 
 class LinearMap:
-    """Square matrix of Poly entries over the generator basis."""
+    """Diagonal linear map: generator ``i`` is multiplied by ``scales[i]``."""
 
-    def __init__(self, alg: LieAlgebra, matrix: Sequence[Sequence[Poly]]):
+    def __init__(self, alg: LieAlgebra, scales: Sequence[int]):
+        if len(scales) != alg.dim:
+            raise ValueError("one scale per generator required")
         self.alg = alg
-        n = alg.dim
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise ValueError("matrix does not match algebra dimension")
-        self.matrix = tuple(tuple(row) for row in matrix)
+        self.scales = tuple(scales)
 
     @classmethod
     def diagonal(cls, alg: LieAlgebra, signs: Mapping[str, int]) -> "LinearMap":
-        """Diagonal map from generator name -> +1/-1 (default +1)."""
-        n = alg.dim
-        zero = alg.zero_poly()
-        rows = []
-        for i in range(n):
-            row = [zero] * n
-            row[i] = Poly.const(alg.ctx, signs.get(alg.generators[i].name, 1))
-            rows.append(row)
-        return cls(alg, rows)
+        """Map from generator name -> integer scale (default +1)."""
+        return cls(alg, [signs.get(g.name, 1) for g in alg.generators])
 
     def apply(self, v: Vector) -> Vector:
-        out: Vector = {}
-        for j, c in v.items():
-            for i in range(self.alg.dim):
-                entry = self.matrix[i][j]
-                if entry.is_zero():
-                    continue
-                s = out.get(i, self.alg.zero_poly()) + entry * c
-                if s.is_zero():
-                    out.pop(i, None)
-                else:
-                    out[i] = s
-        return out
+        return {i: c.scale(self.scales[i]) for i, c in v.items() if self.scales[i]}
 
 
 def automorphism_check(alg: LieAlgebra, f: LinearMap):
@@ -340,22 +315,7 @@ def iw_contract(alg: LieAlgebra, d: Decomposition) -> LieAlgebra:
 
 def parameter_contract(alg: LieAlgebra, param: str) -> LieAlgebra:
     """Set a curvature parameter to zero in all structure constants."""
-    new_brackets: dict = {}
-    for (i, j), comps in alg.brackets.items():
-        out = {}
-        for k, coeff in comps.items():
-            c = coeff.substitute({param: 0})
-            if not c.is_zero():
-                out[k] = c
-        if out:
-            new_brackets[(i, j)] = out
-    return LieAlgebra(
-        name=f"{alg.name}_at_{param}0",
-        generator_names=[g.name for g in alg.generators],
-        ctx=alg.ctx,
-        brackets=new_brackets,
-        metadata={**alg.metadata, "contracted_from": alg.name, "param": param},
-    )
+    return substitute_algebra(alg, {param: 0})
 
 
 def substitute_algebra(alg: LieAlgebra, assignment) -> LieAlgebra:
@@ -386,10 +346,12 @@ def substitute_algebra(alg: LieAlgebra, assignment) -> LieAlgebra:
 # translations P, boosts K, rotations J.
 # ---------------------------------------------------------------------------
 
+# Levi-Civita symbol on index triples, and the cyclic triples (i, a, b).
 _EPSILON = {
     (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
     (2, 1, 3): -1, (3, 2, 1): -1, (1, 3, 2): -1,
 }
+_CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 KINEMATIC_GENERATORS = ("H", "P1", "P2", "P3", "K1", "K2", "K3", "J1", "J2", "J3")
 

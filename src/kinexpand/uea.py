@@ -327,14 +327,6 @@ def normal_form(alg: LieAlgebra, words: Iterable[tuple]) -> UEAElement:
     return UEAElement._raw(alg, out)
 
 
-def product(a: UEAElement, b: UEAElement) -> UEAElement:
-    return a * b
-
-
-def commutator(a: UEAElement, b: UEAElement) -> UEAElement:
-    return a * b - b * a
-
-
 def is_central(alg: LieAlgebra, x: UEAElement):
     """True iff x commutes with every basis generator.
 
@@ -465,8 +457,3 @@ def named_element(alg: LieAlgebra, key: str) -> UEAElement:
 
 NAMED_ELEMENT_KEYS = ("W1", "W2", "W3", "JP", "JW", "KP", "K2", "C1", "C2")
 
-
-def verify_identity(alg: LieAlgebra, lhs: UEAElement, rhs: UEAElement):
-    """Exact PBW equality check; returns (passed, residual)."""
-    residual = lhs - rhs
-    return residual.is_zero(), residual

@@ -79,6 +79,13 @@ class TestParsing:
         with pytest.raises(AlgebraFileError):
             parse_algebra_text("name toy\ngenerators A B\nbracket A Q = 1*A\n")
 
+    def test_over_long_coefficient(self):
+        with pytest.raises(AlgebraFileError) as exc:
+            parse_algebra_text(
+                "name toy\ngenerators A B\nbracket A B = " + "9" * 5000 + "*A\n"
+            )
+        assert exc.value.line == 3
+
     def test_missing_equals(self):
         with pytest.raises(AlgebraFileError):
             parse_algebra_text("name toy\ngenerators A B\nbracket A B 1*A\n")

@@ -1,10 +1,19 @@
 """Command-line interface: exit-status contract and output formats."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from kinexpand.cli import main
+
+DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "kinexpand" / "data"
+
+# .alg files that are malformed, or that casimir-check cannot use
+BAD_FILES = {
+    "unknown_generator": "name toy\ngenerators A B C\nbracket A B = 1*Q\n",
+    "no_family": "name toy\ngenerators A B C\nbracket A B = 1*C\n",
+}
 
 
 def run_cli(capsys, *argv):
@@ -58,8 +67,36 @@ class TestExitContract:
         assert "exponent" in captured.err
 
     def test_bad_witness_exits_nonzero(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["expand", "poincare", "--witness", "omega=5"])
+        assert main(["expand", "poincare", "--witness", "omega=5"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "poincare", "--witness", "foo=1"],
+            ["expand", "poincare", "--witness", "omega=5"],
+            ["expand", "poincare", "--witness", "omega"],
+            ["contract", "poincare", "--param", "zzz"],
+            ["bracket", "nosuch", "H", "P1"],
+            ["bracket", "poincare", "H", "Q1"],
+            ["check-jacobi", "{unknown_generator}"],
+            ["casimir-check", "{no_family}"],
+            ["normal-form", "poincare", "9" * 5000],
+            ["identity", "poincare", "H", "1/0"],
+        ],
+        ids=lambda argv: " ".join(
+            a if len(a) <= 20 else f"{len(a)}x{a[0]}" for a in argv
+        ),
+    )
+    def test_malformed_input_exits_2_with_one_line(self, capsys, tmp_path, argv):
+        paths = {name: tmp_path / f"{name}.alg" for name in BAD_FILES}
+        for name, path in paths.items():
+            path.write_text(BAD_FILES[name])
+        argv = [a.format(**paths) for a in argv]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
 
     def test_contract_param(self, capsys):
         code, out = run_cli(capsys, "contract", "poincare", "--param", "omega")
@@ -88,6 +125,22 @@ class TestOutput:
         doc = json.loads(out)
         assert doc["schema_version"] == 1
         assert doc["passed"] is True
+
+    @pytest.mark.parametrize(
+        "algebra,labels",
+        [
+            ("poincare", ["centrality: C1 in poincare", "centrality: C2 in poincare"]),
+            ("galilei_ext", ["centrality: Xi in galilei_ext"]),
+            (str(DATA_DIR / "galilei_ext.alg"), ["centrality: Xi in galilei_ext"]),
+        ],
+        ids=["poincare", "galilei_ext", "galilei_ext.alg"],
+    )
+    def test_casimir_check_labels(self, capsys, algebra, labels):
+        code, out = run_cli(capsys, "--format", "json", "casimir-check", algebra)
+        assert code == 0
+        doc = json.loads(out)
+        assert [c["label"] for c in doc["checks"]] == labels
+        assert all(c["passed"] for c in doc["checks"])
 
     def test_json_is_deterministic(self, capsys):
         _, first = run_cli(capsys, "--format", "json", "corpus")

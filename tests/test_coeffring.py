@@ -12,7 +12,6 @@ from kinexpand.coeffring import (
     Poly,
     PolyParseError,
     format_poly,
-    limit_eps_zero,
     parse_poly,
 )
 from kinexpand.properties import check_ring_axioms, check_substitution_homomorphism
@@ -58,7 +57,7 @@ class TestArithmetic:
             const(Fraction(1, 2)) * const(4),
             const(Fraction(3, 2)) + const(Fraction(1, 2)),
             var("m").scale(Fraction(4, 2)),
-            Poly(CTX, {CTX.zero_exps(): Fraction(6, 3)}),
+            Poly(CTX, {CTX.zero: Fraction(6, 3)}),
         ):
             assert all(type(c) is int for c in p.terms.values()), p.terms
 
@@ -87,12 +86,12 @@ class TestLaurent:
 
     def test_limit_drops_positive_powers(self):
         p = var("eps") * var("m") + var("kappa")
-        assert limit_eps_zero(p) == var("kappa")
+        assert p.limit_contraction() == var("kappa")
 
     def test_limit_diverges_on_negative_powers(self):
         inv = Poly(CTX, {tuple(-2 if n == "eps" else 0 for n in CTX.names): 1})
         with pytest.raises(DivergenceError) as exc:
-            limit_eps_zero(inv)
+            inv.limit_contraction()
         assert exc.value.power == -2
 
 
@@ -158,6 +157,15 @@ class TestGrammar:
             parse_poly("q7", CTX)
         with pytest.raises(PolyParseError):
             parse_poly("a1^", CTX)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["9" * 5000, "a1^" + "9" * 5000, "1/0"],
+        ids=["5000-digit-constant", "5000-digit-exponent", "zero-denominator"],
+    )
+    def test_unreadable_number_is_a_parse_error(self, text):
+        with pytest.raises(PolyParseError):
+            parse_poly(text, CTX)
 
 
 class TestRingAxioms:

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from kinexpand.algfile import parse_algebra_file, parse_algebra_text
-from kinexpand.checks import casimir_centrality, identity_corpus
+from kinexpand.checks import casimir_centrality, identity_check, identity_corpus
 from kinexpand.exprparse import MAX_EXPONENT, ExprParseError, parse_expression
 from kinexpand.liealg import catalog
 from kinexpand.properties import (
@@ -19,7 +19,6 @@ from kinexpand.uea import (
     format_element,
     is_central,
     named_element,
-    verify_identity,
 )
 
 
@@ -165,12 +164,12 @@ class TestIdentityCorpus:
     def test_corpus_is_substantial(self):
         assert len(identity_corpus()) > 60
 
-    def test_verify_identity_reports_residual(self):
+    def test_identity_check_reports_residual(self):
         g = catalog("galilei")
-        ok, residual = verify_identity(g, gen(g, "H"), gen(g, "H"))
-        assert ok and residual.is_zero()
-        ok, residual = verify_identity(g, gen(g, "H"), gen(g, "P1"))
-        assert not ok and not residual.is_zero()
+        result = identity_check("H = H", gen(g, "H"), gen(g, "H"))
+        assert result.passed and result.detail == ""
+        result = identity_check("H = P1", gen(g, "H"), gen(g, "P1"))
+        assert not result.passed and result.detail == "H - P1"
 
 
 class TestProperties:
