@@ -58,10 +58,21 @@ def _split_terms(text: str, line: int):
     return [p.strip() for p in parts if p.strip()]
 
 
+def _names(text: str, what: str, line: int) -> list:
+    """Whitespace-separated names, each at most once."""
+    names = text.split()
+    seen = set()
+    for n in names:
+        if n in seen:
+            raise AlgebraFileError(f"duplicate {what} name {n!r}", line)
+        seen.add(n)
+    return names
+
+
 def parse_algebra_text(text: str, allow_non_lie: bool = False) -> LieAlgebra:
     name = None
-    params: list | None = None
-    laurent = None
+    params: list = []
+    laurent = laurent_line = None
     generators: list | None = None
     bracket_lines = []
     metadata = {}
@@ -74,11 +85,11 @@ def parse_algebra_text(text: str, allow_non_lie: bool = False) -> LieAlgebra:
         if key == "name":
             name = rest
         elif key == "parameters":
-            params = rest.split()
+            params = _names(rest, "parameter", lineno)
         elif key == "laurent":
-            laurent = rest
+            laurent, laurent_line = rest, lineno
         elif key == "generators":
-            generators = rest.split()
+            generators = _names(rest, "generator", lineno)
         elif key == "bracket":
             bracket_lines.append((lineno, rest))
         elif key == "metadata":
@@ -90,7 +101,12 @@ def parse_algebra_text(text: str, allow_non_lie: bool = False) -> LieAlgebra:
         raise AlgebraFileError("missing 'name'", 1)
     if generators is None:
         raise AlgebraFileError("missing 'generators'", 1)
-    ctx = ParamContext(params or (), laurent=laurent)
+    if laurent is not None and laurent not in params:
+        raise AlgebraFileError(
+            f"laurent parameter {laurent!r} not declared in 'parameters'",
+            laurent_line,
+        )
+    ctx = ParamContext(params, laurent=laurent)
     gen_index = {g: i for i, g in enumerate(generators)}
 
     brackets: dict = {}

@@ -533,9 +533,14 @@ class _PolyParser(_TokenStream):
                 if self.peek()[0] == "-":
                     self.advance()
                     neg = True
-                power = self.integer(self.expect("int"))
+                tok_power = self.expect("int")
+                power = self.integer(tok_power)
                 if neg:
                     power = -power
+                if power < 0 and tok[1] != self.ctx.laurent:
+                    raise PolyParseError(
+                        f"negative exponent for parameter {tok[1]!r}", tok_power[2]
+                    )
             return Poly.var(self.ctx, tok[1], power)
         if tok[0] == "(":
             p = self.expr()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .coeffring import KINEMATIC_CONTEXT, ParamContext, Poly
+from .coeffring import KINEMATIC_CONTEXT, DivergenceError, ParamContext, Poly
 
 
 @dataclass(frozen=True)
@@ -314,7 +314,16 @@ def iw_contract(alg: LieAlgebra, d: Decomposition) -> LieAlgebra:
 
 
 def parameter_contract(alg: LieAlgebra, param: str) -> LieAlgebra:
-    """Set a curvature parameter to zero in all structure constants."""
+    """Set a curvature parameter to zero in all structure constants.
+
+    Raises :class:`DivergenceError` when a structure constant has a negative
+    power of the parameter.
+    """
+    i = alg.ctx.index[param]
+    coeffs = [c for comps in alg.brackets.values() for c in comps.values()]
+    worst = min((e[i] for c in coeffs for e in c.terms), default=0)
+    if worst < 0:
+        raise DivergenceError(worst)
     return substitute_algebra(alg, {param: 0})
 
 

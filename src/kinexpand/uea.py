@@ -19,7 +19,14 @@ into the monomial of its sorted prefix.
 Per algebra the kernel memoises the primitive, keyed by (monomial,
 generator), and the normal forms of the words callers request; the words it
 passes through on the way are not stored.  The tables belong to the kernel,
-held weakly per algebra, and :func:`kernel_stats` reports their sizes.
+held weakly per algebra, and :func:`kernel_stats` reports their sizes.  With
+them the kernel keeps the algebra's Lie generating set
+(:func:`lie_generating_set`), on which :func:`is_central` certifies
+centrality: ``[x, -]`` is a derivation, the coefficient ring is a domain and
+the enveloping algebra is free over it (PBW), so an element that commutes
+with a generating set commutes with everything.  A failure names the first
+basis generator, in basis order, that the element does not commute with,
+the witness a scan of the whole basis gives.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ class _Tables:
     drop them together with it.
     """
 
-    __slots__ = ("dim", "one", "brackets", "products", "words")
+    __slots__ = ("dim", "one", "brackets", "products", "words", "generating")
 
     def __init__(self, alg: LieAlgebra):
         self.dim = alg.dim
@@ -75,6 +82,7 @@ class _Tables:
         }
         self.products: dict = {}  # (monomial, g) -> normal form of m*x_g
         self.words: dict = {}  # requested word -> its normal form
+        self.generating = lie_generating_set(alg)
 
 
 _TABLES: "weakref.WeakKeyDictionary[LieAlgebra, _Tables]" = weakref.WeakKeyDictionary()
@@ -327,15 +335,70 @@ def normal_form(alg: LieAlgebra, words: Iterable[tuple]) -> UEAElement:
     return UEAElement._raw(alg, out)
 
 
-def is_central(alg: LieAlgebra, x: UEAElement):
-    """True iff x commutes with every basis generator.
+def lie_generating_set(alg: LieAlgebra) -> Tuple[str, ...]:
+    """Names of basis generators that generate the algebra, by closure.
 
-    Returns (True, None) or (False, first-witness-generator-name).
+    A generator is *reached* when every element commuting with the set
+    commutes with it.  A generator with an all-zero bracket row is reached
+    from the start.  When ``[a, b] = sum_l c_l x_l`` has ``a`` and ``b``
+    reached and exactly one ``x_l`` with a nonzero coefficient unreached,
+    that ``x_l`` is reached: ``c_l [x, x_l]`` is then a combination of zero
+    commutators, and ``c_l`` is not a zero divisor.  While a generator is
+    unreached, the unreached generator whose addition reaches the most is
+    added, ties going to basis order.  The result is in basis order.
     """
-    for g in alg.generators:
-        if not x.commutator(UEAElement.generator(alg, g.name)).is_zero():
-            return False, g.name
-    return True, None
+    dim = alg.dim
+    pairs = [((i, j), tuple(comps)) for (i, j), comps in alg.brackets.items()]
+
+    def closure(reached: set) -> set:
+        grown = True
+        while grown:
+            grown = False
+            for (i, j), comps in pairs:
+                if i in reached and j in reached:
+                    new = [l for l in comps if l not in reached]
+                    if len(new) == 1:
+                        reached.add(new[0])
+                        grown = True
+        return reached
+
+    in_brackets = {g for pair, _ in pairs for g in pair}
+    reached = closure({g for g in range(dim) if g not in in_brackets})
+    chosen = []
+    while len(reached) < dim:
+        best = None
+        for g in range(dim):
+            if g not in reached:
+                grown = closure(reached | {g})
+                if best is None or len(grown) > len(best[1]):
+                    best = (g, grown)
+        chosen.append(best[0])
+        reached = best[1]
+    return tuple(alg.generators[g].name for g in sorted(chosen))
+
+
+def is_central(alg: LieAlgebra, x: UEAElement):
+    """Whether x commutes with every basis generator.
+
+    Returns (True, None) or (False, name of the first basis generator, in
+    basis order, that x does not commute with).  ``True`` is certified on
+    the algebra's Lie generating set alone (see :func:`lie_generating_set`).
+    On a failure the basis is scanned in order for the witness, reusing the
+    commutators already computed, so the witness is the one a full scan
+    gives.
+    """
+    known: dict = {}
+
+    def commutes(name: str) -> bool:
+        ok = known.get(name)
+        if ok is None:
+            gen = UEAElement.generator(alg, name)
+            ok = known[name] = x.commutator(gen).is_zero()
+        return ok
+
+    if all(commutes(name) for name in _tables(alg).generating):
+        return True, None
+    return False, next(g.name for g in alg.generators if not commutes(g.name))
 
 
 def format_element(el: UEAElement) -> str:

@@ -86,6 +86,22 @@ class TestParsing:
             )
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("name toy\nparameters t t\ngenerators A B\n", 2),
+            ("name toy\ngenerators A B A\n", 2),
+            ("name toy\nlaurent eps\nparameters t\ngenerators A B\n", 2),
+            ("name toy\nparameters t\ngenerators A B\nbracket A B = t^-1*A\n", 4),
+        ],
+        ids=["duplicate-parameter", "duplicate-generator", "undeclared-laurent",
+             "negative-power"],
+    )
+    def test_malformed_declarations(self, text, line):
+        with pytest.raises(AlgebraFileError) as exc:
+            parse_algebra_text(text)
+        assert exc.value.line == line
+
     def test_missing_equals(self):
         with pytest.raises(AlgebraFileError):
             parse_algebra_text("name toy\ngenerators A B\nbracket A B 1*A\n")

@@ -13,6 +13,13 @@ DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "kinexpand" / "data"
 BAD_FILES = {
     "unknown_generator": "name toy\ngenerators A B C\nbracket A B = 1*Q\n",
     "no_family": "name toy\ngenerators A B C\nbracket A B = 1*C\n",
+    "duplicate_parameter": "name toy\nparameters t t\ngenerators A B C\n",
+    "duplicate_generator": "name toy\ngenerators A B A\n",
+    "undeclared_laurent": "name toy\nparameters t\nlaurent eps\ngenerators A B C\n",
+    "negative_power": "name toy\nparameters t\ngenerators A B C\nbracket A B = t^-1*C\n",
+    # contracting eps diverges: the structure constant has eps^-1
+    "eps_inverse": "name toy\nparameters eps\nlaurent eps\n"
+    "generators A B C\nbracket A B = eps^-1*C\n",
 }
 
 
@@ -82,6 +89,11 @@ class TestExitContract:
             ["casimir-check", "{no_family}"],
             ["normal-form", "poincare", "9" * 5000],
             ["identity", "poincare", "H", "1/0"],
+            ["check-jacobi", "{duplicate_parameter}"],
+            ["check-jacobi", "{duplicate_generator}"],
+            ["check-jacobi", "{undeclared_laurent}"],
+            ["check-jacobi", "{negative_power}"],
+            ["expand", "negative-nh", "--witness", "kappa=5"],
         ],
         ids=lambda argv: " ".join(
             a if len(a) <= 20 else f"{len(a)}x{a[0]}" for a in argv
@@ -101,7 +113,25 @@ class TestExitContract:
     def test_contract_param(self, capsys):
         code, out = run_cli(capsys, "contract", "poincare", "--param", "omega")
         assert code == 0
-        assert "true" in out
+        assert "poincare at omega->0 equals catalog galilei: True" in out
+        code, out = run_cli(
+            capsys, "--format", "json", "contract", "poincare", "--param", "omega"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["passed"] is True
+        assert [c["passed"] for c in doc["checks"]] == [True]
+
+    def test_contract_param_divergence_is_a_failed_check(self, capsys, tmp_path):
+        path = tmp_path / "eps_inverse.alg"
+        path.write_text(BAD_FILES["eps_inverse"])
+        code = main(["--format", "json", "contract", str(path), "--param", "eps"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        (check,) = json.loads(captured.out)["checks"]
+        assert check["passed"] is False
+        assert check["detail"] == "divergent term with contraction-parameter power -1"
 
     def test_contract_suite(self, capsys):
         code, _ = run_cli(capsys, "contract", "poincare")

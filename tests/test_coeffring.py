@@ -157,6 +157,9 @@ class TestGrammar:
             parse_poly("q7", CTX)
         with pytest.raises(PolyParseError):
             parse_poly("a1^", CTX)
+        with pytest.raises(PolyParseError):
+            parse_poly("a1^-1", CTX)
+        assert parse_poly("eps^-1", CTX) * var("eps") == const(1)
 
     @pytest.mark.parametrize(
         "text",

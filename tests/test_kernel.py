@@ -1,20 +1,26 @@
 """Normal-ordering kernel: differential check against the word-rewriting
-oracle, and the Casimir-power path on an algebra loaded from a file."""
+oracle, the Casimir-power path on an algebra loaded from a file, and the
+centrality certificate on a Lie generating set."""
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import oracle_kernel
-from kinexpand.algfile import parse_algebra_file
+from kinexpand.algfile import parse_algebra_file, parse_algebra_text
+from kinexpand.coeffring import Poly
 from kinexpand.exprparse import parse_expression
 from kinexpand.liealg import catalog, catalog_names
 from kinexpand.uea import (
     UEAElement,
     is_central,
+    NAMED_ELEMENT_KEYS,
     kernel_stats,
+    lie_generating_set,
     named_element,
+    normal_form,
     normal_form_word,
 )
 
@@ -25,11 +31,133 @@ SEED_KERNEL_WORDS = 69951
 
 ALGEBRAS = [*catalog_names(), "poincare.alg"]
 
+FILE_ALGEBRAS = sorted(path.name for path in DATA_DIR.glob("*.alg"))
+
+# sl2 + aff(1) in the basis A = e, B = f, C = h + z, D = h - z, E = w, with
+# [e, f] = h, [h, e] = 2e, [h, f] = -2f, [z, w] = w.  C and D appear on the
+# right only in [A, B] = C/2 + D/2, so neither follows from A and B alone:
+# E commutes with A, B and E but not with C.
+SL2_AFF1 = """\
+name sl2_aff1
+generators A B C D E
+bracket A B = (1/2)*C + (1/2)*D
+bracket A C = (-2)*A
+bracket A D = (-2)*A
+bracket B C = 2*B
+bracket B D = 2*B
+bracket C E = 1*E
+bracket D E = (-1)*E
+"""
+
+GENERATING_SETS = {
+    "galilei": ("H", "K1", "J1", "J2"),
+    "galilei_ext": ("H", "K1", "J1", "J2"),
+    "poincare": ("H", "K1", "K2", "K3"),
+    "euclid4": ("H", "K1", "K2", "K3"),
+    "newton_hooke": ("H", "P1", "J1", "J2"),
+}
+
 
 def load(name):
+    if name == "sl2_aff1":
+        return parse_algebra_text(SL2_AFF1)
     if name.endswith(".alg"):
         return parse_algebra_file(DATA_DIR / name)
     return catalog(name)
+
+
+def full_scan(alg, x):
+    """Centrality by commuting with every basis generator in order."""
+    for g in alg.generators:
+        if not x.commutator(UEAElement.generator(alg, g.name)).is_zero():
+            return False, g.name
+    return True, None
+
+
+def random_elements(rng, alg, central, count=6):
+    """Seeded elements: combinations of the given central elements and of a
+    product of two of them; every second one plus a random word of length
+    1-3 with a parameter coefficient."""
+    ctx = alg.ctx
+    for n in range(count):
+        x = UEAElement.zero(alg)
+        for c in central:
+            x = x + c.smul(rng.randint(-3, 3))
+        if central and rng.random() < 0.5:
+            x = x + (central[0] * central[-1]).smul(Fraction(rng.randint(1, 4), 3))
+        if n % 2:
+            word = tuple(rng.randrange(alg.dim) for _ in range(rng.randint(1, 3)))
+            coeff = Poly.var(ctx, rng.choice(ctx.names)) if ctx.names else 1
+            x = x + normal_form(alg, [(word, coeff)])
+        yield n % 2 == 0, x
+
+
+def structure_at(alg, point):
+    """Structure constants at a rational point: (i, j) -> {k: Fraction}."""
+    return {
+        (i, j): {
+            k: c.substitute(point).constant_value()
+            for k, c in alg.bracket_pair(i, j).items()
+        }
+        for i in range(alg.dim)
+        for j in range(alg.dim)
+    }
+
+
+def generated_rank(alg, names, point):
+    """Dimension of the span of the iterated brackets of ``names`` and of the
+    generators with an all-zero bracket row, at ``point``, by exact
+    elimination over right-normed brackets [s1, [s2, ... [sk-1, sk]]]."""
+    consts = structure_at(alg, point)
+    dim = alg.dim
+    free = [g for g in range(dim) if not any(consts[g, h] for h in range(dim))]
+    seeds = [[Fraction(int(i == g)) for i in range(dim)] for g in free]
+    seeds += [
+        [Fraction(int(i == alg.gen_index[n])) for i in range(dim)] for n in names
+    ]
+    pivots = {}  # pivot column -> reduced row
+
+    def insert(v):
+        v = list(v)
+        for col, row in pivots.items():
+            if v[col]:
+                f = v[col]
+                v = [a - f * b for a, b in zip(v, row)]
+        col = next((i for i, a in enumerate(v) if a), None)
+        if col is None:
+            return False
+        v = [a / v[col] for a in v]
+        for other, row in pivots.items():
+            if row[col]:
+                f = row[col]
+                pivots[other] = [a - f * b for a, b in zip(row, v)]
+        pivots[col] = v
+        return True
+
+    def bracket(u, v):
+        out = [Fraction(0)] * dim
+        for i, a in enumerate(u):
+            for j, b in enumerate(v):
+                if a and b:
+                    for k, c in consts[i, j].items():
+                        out[k] += a * b * c
+        return out
+
+    queue = [v for v in seeds if insert(v)]
+    while queue:
+        v = queue.pop()
+        for s in seeds:
+            w = bracket(s, v)
+            if insert(w):
+                queue.append(w)
+    return len(pivots)
+
+
+def random_point(rng, ctx):
+    return {
+        name: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        for name in ctx.names
+    }
 
 
 def random_words(rng, dim, per_length=20, max_length=8):
@@ -72,6 +200,11 @@ class TestCasimirPower:
         assert is_central(alg, element) == (True, None)
         stats = kernel_stats(alg)
         assert 0 < sum(stats.values()) < SEED_KERNEL_WORDS // 2, stats
+        # the certificate leaves fewer kernel entries than a full basis scan
+        full = parse_algebra_file(DATA_DIR / "poincare.alg")
+        assert full_scan(full, parse_expression("<C2>^2", full)) == (True, None)
+        full_stats = kernel_stats(full)
+        assert sum(stats.values()) < sum(full_stats.values()), (stats, full_stats)
 
     def test_c2_times_boost_is_not_central(self):
         alg = parse_algebra_file(DATA_DIR / "poincare.alg")
@@ -85,3 +218,61 @@ class TestCasimirPower:
         stats = kernel_stats(alg)
         stats["words"] = -1
         assert kernel_stats(alg)["words"] != -1
+
+
+class TestGeneratingSet:
+    @pytest.mark.parametrize("name", [*catalog_names(), *FILE_ALGEBRAS])
+    def test_catalog_sets(self, name):
+        family = name.removesuffix(".alg")
+        assert lie_generating_set(load(name)) == GENERATING_SETS[family]
+
+    @pytest.mark.parametrize("name", [*catalog_names(), *FILE_ALGEBRAS, "sl2_aff1"])
+    def test_set_generates_and_is_irredundant(self, seed, name):
+        alg = load(name)
+        point = random_point(random.Random(f"{seed}-{name}"), alg.ctx)
+        names = lie_generating_set(alg)
+        assert generated_rank(alg, names, point) == alg.dim
+        for dropped in names:
+            rest = [n for n in names if n != dropped]
+            assert generated_rank(alg, rest, point) < alg.dim, dropped
+
+    def test_two_term_bracket_reaches_one_generator_at_most(self):
+        alg = load("sl2_aff1")
+        assert lie_generating_set(alg) == ("A", "B", "C", "E")
+        assert is_central(alg, UEAElement.generator(alg, "E")) == (False, "C")
+
+
+class TestCentralityCertificate:
+    """is_central gives exactly the (verdict, witness) of a full scan."""
+
+    @pytest.mark.parametrize("name", [*catalog_names(), *FILE_ALGEBRAS])
+    def test_named_elements(self, name):
+        alg = load(name)
+        for key in NAMED_ELEMENT_KEYS:
+            x = named_element(alg, key)
+            assert is_central(alg, x) == full_scan(alg, x), key
+        x = parse_expression("<C2>*K1", alg)
+        assert is_central(alg, x) == full_scan(alg, x)
+
+    @pytest.mark.parametrize("name", [*catalog_names(), *FILE_ALGEBRAS, "sl2_aff1"])
+    def test_generators_and_random_elements(self, seed, name):
+        alg = load(name)
+        for g in alg.generators:
+            x = UEAElement.generator(alg, g.name)
+            assert is_central(alg, x) == full_scan(alg, x), g.name
+        if "Xi" in alg.gen_index:
+            central = [UEAElement.generator(alg, "Xi")]
+        elif name == "sl2_aff1":
+            central = []
+        else:
+            central = [named_element(alg, "C1"), named_element(alg, "C2")]
+        rng = random.Random(f"{seed}-{name}")
+        for built_central, x in random_elements(rng, alg, central):
+            verdict = is_central(alg, x)
+            assert verdict == full_scan(alg, x), str(x)
+            assert verdict[0] or not built_central, str(x)
+
+    def test_first_failure_outside_the_set(self):
+        alg = catalog("poincare")
+        assert "P2" not in lie_generating_set(alg)
+        assert is_central(alg, UEAElement.generator(alg, "J1")) == (False, "P2")
