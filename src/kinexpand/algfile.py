@@ -12,7 +12,8 @@ Example::
 
 Bracket right-hand sides are ``coeff*gen`` terms joined by ``+``; each
 coefficient uses the canonical polynomial grammar and is parenthesised
-whenever it is not a single product term.  ``emit_algebra`` produces the
+whenever it is not a single product term.  A pair of generators takes at
+most one ``bracket`` line, in either order.  ``emit_algebra`` produces the
 canonical form and reproduces canonical files byte-identically.
 """
 
@@ -110,6 +111,7 @@ def parse_algebra_text(text: str, allow_non_lie: bool = False) -> LieAlgebra:
     gen_index = {g: i for i, g in enumerate(generators)}
 
     brackets: dict = {}
+    declared: dict = {}  # unordered pair -> line of its bracket
     for lineno, rest in bracket_lines:
         head, eq, rhs = rest.partition("=")
         if not eq:
@@ -127,6 +129,13 @@ def parse_algebra_text(text: str, allow_non_lie: bool = False) -> LieAlgebra:
         if i > j:
             i, j = j, i
             sign = -1
+        if (i, j) in declared:
+            raise AlgebraFileError(
+                f"second bracket for {pair[0]} {pair[1]} "
+                f"(first declared on line {declared[i, j]})",
+                lineno,
+            )
+        declared[i, j] = lineno
         comps = brackets.setdefault((i, j), {})
         for term in _split_terms(rhs, lineno):
             if term == "0":

@@ -17,8 +17,8 @@ euclid4) or a path to an algebra definition file.  Reports are emitted as
 text or JSON (``--format``); JSON reports carry a ``schema_version`` field.
 Exit status is 0 exactly when every expected verdict holds, including the
 expected closure *failure* of the ``negative-nh`` driver.  Malformed input
-(an algebra file or name, an expression, a witness, a generator or parameter
-name) ends with one line on stderr and exit status 2.
+(a command line, an algebra file or name, an expression, a witness, a
+generator or parameter name) ends with one line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -74,6 +74,17 @@ class InputError(ValueError):
     """Malformed command-line input: an algebra, a name or a witness."""
 
 
+class UsageError(Exception):
+    """A command line that does not parse: unknown command, choice or option."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`UsageError` where argparse would print its usage block."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 # The errors that mean the input was malformed.  :func:`main` reports each on
 # one stderr line and returns 2; any other exception is a fault of the program.
 _INPUT_ERRORS = (InputError, ParseError, ConstraintViolationError)
@@ -108,11 +119,14 @@ def _parse_witness(pairs):
     return witness
 
 
-def _emit(doc: dict, args) -> None:
-    """Print the report; also write it when an output directory is set."""
+def _emit(doc: dict, args, text: str | None = None) -> None:
+    """Print the report; also write it when an output directory is set.
+
+    ``text`` replaces the rendered document in text format.
+    """
     if args.format == "json":
         text = json.dumps(doc, indent=2, sort_keys=False) + "\n"
-    else:
+    elif text is None:
         text = _render_text(doc)
     sys.stdout.write(text)
     outdir = os.environ.get(OUTPUT_DIR_ENV)
@@ -186,13 +200,30 @@ def cmd_bracket(args) -> int:
         if name not in alg.gen_index:
             raise InputError(f"unknown generator {name!r} in {alg.name}")
     result = alg.bracket_pair(alg.gen_index[args.left], alg.gen_index[args.right])
-    print(format_vector(alg, result))
+    text = format_vector(alg, result)
+    doc = {
+        "command": "bracket",
+        "schema_version": SCHEMA_VERSION,
+        "algebra": alg.name,
+        "left": args.left,
+        "right": args.right,
+        "bracket": text,
+    }
+    _emit(doc, args, text + "\n")
     return 0
 
 
 def cmd_normal_form(args) -> int:
     alg = _load_algebra(args.algebra, allow_non_lie=args.allow_non_lie)
-    print(format_element(parse_expression(args.expression, alg)))
+    text = format_element(parse_expression(args.expression, alg))
+    doc = {
+        "command": "normal-form",
+        "schema_version": SCHEMA_VERSION,
+        "algebra": alg.name,
+        "expression": args.expression,
+        "normal_form": text,
+    }
+    _emit(doc, args, text + "\n")
     return 0
 
 
@@ -338,7 +369,7 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kinexpand",
         description="Exact symbolic engine for kinematical Lie algebra "
         "expansions and contractions.",
@@ -406,7 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:

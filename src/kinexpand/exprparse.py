@@ -67,8 +67,8 @@ class _Parser(_TokenStream):
             self.expect(">")
             try:
                 return named_element(alg, key)
-            except KeyError:
-                raise ExprParseError(f"unknown named element {key!r}", tok[2])
+            except KeyError as exc:
+                raise ExprParseError(exc.args[0], tok[2]) from None
         if tok[0] == "[":
             a = self.expr()
             self.expect(",")

@@ -2,12 +2,12 @@
 
 Elements are finite linear combinations of PBW monomials, i.e. exponent
 vectors over the algebra's ordered generator basis, with polynomial
-coefficients.  The kernel has one primitive, the product of a PBW monomial
-``m`` with a generator ``x_g`` from the right (the monomial-level
-multiplication of algebras of solvable type, after Kandri-Rody and
-Weispfenning).  Write ``m = m'*x_k`` with ``x_k`` the last generator present
-in ``m``.  If ``k <= g`` the product is the monomial with the exponent of
-``g`` raised by one.  Otherwise::
+coefficients.  The kernel has two primitives.  The first is the product of a
+PBW monomial ``m`` with a generator ``x_g`` from the right (the
+monomial-level multiplication of algebras of solvable type, after
+Kandri-Rody and Weispfenning).  Write ``m = m'*x_k`` with ``x_k`` the last
+generator present in ``m``.  If ``k <= g`` the product is the monomial with
+the exponent of ``g`` raised by one.  Otherwise::
 
     m*x_g = (m'*x_g)*x_k + sum_l c_l (m'*x_l),   [x_k, x_g] = sum_l c_l x_l
 
@@ -16,8 +16,25 @@ the recursion terminates, and by the PBW theorem the result is the
 canonical representative.  A word is normal-ordered by folding its letters
 into the monomial of its sorted prefix.
 
-Per algebra the kernel memoises the primitive, keyed by (monomial,
-generator), and the normal forms of the words callers request; the words it
+The second primitive is the adjoint action ``ad(m, g) = [m, x_g]``, with
+``m = m'*x_k`` as above and ``[x_k, x_g]`` for either order of ``k`` and
+``g``::
+
+    [m'*x_k, x_g] = sum_l c_l (m'*x_l) + [m', x_g]*x_k
+
+Its products are all the first primitive, so the top-degree term, which
+cancels in ``m*x_g - x_g*m``, is never formed.  The bracket of two monomials
+is ``ad`` when either is a generator, and otherwise the Leibniz rule on the
+last letter of the right one, ``m2 = m2'*x_j``::
+
+    [m1, m2'*x_j] = [m1, m2']*x_j + m2'*[m1, x_j]
+
+with ``m2'*t`` folded as a word.  :meth:`UEAElement.commutator` sums these
+monomial brackets with one coefficient product per pair of terms.
+
+Per algebra the kernel memoises the product primitive and ``ad``, keyed by
+(monomial, generator), the brackets of monomial pairs that are not
+generators, and the normal forms of the words callers request; the words it
 passes through on the way are not stored.  The tables belong to the kernel,
 held weakly per algebra, and :func:`kernel_stats` reports their sizes.  With
 them the kernel keeps the algebra's Lie generating set
@@ -69,23 +86,30 @@ class _Tables:
     drop them together with it.
     """
 
-    __slots__ = ("dim", "one", "brackets", "products", "words", "generating")
+    __slots__ = (
+        "dim", "one", "brackets", "products", "ads", "commutators", "words",
+        "generating",
+    )
 
     def __init__(self, alg: LieAlgebra):
         self.dim = alg.dim
         self.one = Poly.const(alg.ctx, 1)
-        # [x_k, x_g] for k > g as a list of (l, coefficient)
+        # [x_k, x_g] for every ordered pair as a list of (l, coefficient)
         self.brackets = {
             (k, g): list(alg.bracket_pair(k, g).items())
             for k in range(alg.dim)
-            for g in range(k)
+            for g in range(alg.dim)
         }
         self.products: dict = {}  # (monomial, g) -> normal form of m*x_g
+        self.ads: dict = {}  # (monomial, g) -> normal form of [m, x_g]
+        self.commutators: dict = {}  # (m1, m2) -> [m1, m2], neither a generator
         self.words: dict = {}  # requested word -> its normal form
         self.generating = lie_generating_set(alg)
 
 
 _TABLES: "weakref.WeakKeyDictionary[LieAlgebra, _Tables]" = weakref.WeakKeyDictionary()
+
+_KERNEL_TABLES = ("products", "ads", "commutators", "words")
 
 
 def _tables(alg: LieAlgebra) -> _Tables:
@@ -98,9 +122,10 @@ def _tables(alg: LieAlgebra) -> _Tables:
 def kernel_stats(alg: LieAlgebra) -> dict:
     """Entry counts of the algebra's kernel tables (a fresh dict)."""
     tables = _TABLES.get(alg)
-    if tables is None:
-        return {"products": 0, "words": 0}
-    return {"products": len(tables.products), "words": len(tables.words)}
+    return {
+        name: 0 if tables is None else len(getattr(tables, name))
+        for name in _KERNEL_TABLES
+    }
 
 
 def _accumulate(out: dict, mono: Monomial, p: Poly) -> None:
@@ -113,6 +138,14 @@ def _accumulate(out: dict, mono: Monomial, p: Poly) -> None:
             del out[mono]
         else:
             out[mono] = s
+
+
+def _last(mono: Monomial) -> int:
+    """Index of the last generator present in mono; -1 for the monomial 1."""
+    k = len(mono) - 1
+    while k >= 0 and not mono[k]:
+        k -= 1
+    return k
 
 
 def _times_generator(tables: _Tables, mono: Monomial, g: int) -> dict:
@@ -142,6 +175,81 @@ def _times_generator(tables: _Tables, mono: Monomial, g: int) -> dict:
     return out
 
 
+def _fold(tables: _Tables, out: dict, letters: Iterable[int]) -> dict:
+    """Normal form of out * x_g1 * x_g2 * ... for the given letters."""
+    one = tables.one
+    for g in letters:
+        acc: dict = {}
+        for mono, c in out.items():
+            for m2, c2 in _times_generator(tables, mono, g).items():
+                _accumulate(acc, m2, c2 if c is one else c if c2 is one else c * c2)
+        out = acc
+    return out
+
+
+def _ad(tables: _Tables, mono: Monomial, g: int) -> dict:
+    """Normal form of [mono, x_g] as {monomial: Poly}, memoised.
+
+    With ``mono = m'*x_k``, ``x_k`` its last generator::
+
+        [m'*x_k, x_g] = sum_l c_l (m'*x_l) + [m', x_g]*x_k
+
+    so no top-degree term is formed.
+    """
+    key = (mono, g)
+    out = tables.ads.get(key)
+    if out is not None:
+        return out
+    k = _last(mono)
+    if k < 0:
+        return {}
+    one = tables.one
+    lower = mono[:k] + (mono[k] - 1,) + mono[k + 1 :]
+    out = {}
+    for l, c in tables.brackets[k, g]:
+        for m2, c2 in _times_generator(tables, lower, l).items():
+            _accumulate(out, m2, c if c2 is one else c * c2)
+    for m2, c2 in _ad(tables, lower, g).items():
+        for m3, c3 in _times_generator(tables, m2, k).items():
+            _accumulate(out, m3, c3 if c2 is one else c2 if c3 is one else c2 * c3)
+    tables.ads[key] = out
+    return out
+
+
+def _bracket(tables: _Tables, m1: Monomial, m2: Monomial) -> dict:
+    """Normal form of [m1, m2] as {monomial: Poly}.  Do not mutate.
+
+    A generator on either side is an :func:`_ad` call; otherwise the
+    Leibniz rule on m2's last letter, ``m2 = m2'*x_j``::
+
+        [m1, m2'*x_j] = [m1, m2']*x_j + m2'*[m1, x_j]
+
+    memoised by (m1, m2).
+    """
+    d2 = sum(m2)
+    if d2 == 1:
+        return _ad(tables, m1, m2.index(1))
+    d1 = sum(m1)
+    if not d1 or not d2:
+        return {}
+    key = (m1, m2)
+    out = tables.commutators.get(key)
+    if out is not None:
+        return out
+    if d1 == 1:
+        out = {m: -c for m, c in _ad(tables, m2, m1.index(1)).items()}
+    else:
+        j = _last(m2)
+        lower = m2[:j] + (m2[j] - 1,) + m2[j + 1 :]
+        out = _fold(tables, _bracket(tables, m1, lower), (j,))
+        one = tables.one
+        for t, c in _ad(tables, m1, j).items():
+            for m3, c3 in _fold(tables, {lower: one}, monomial_to_word(t)).items():
+                _accumulate(out, m3, c3 if c is one else c if c3 is one else c * c3)
+    tables.commutators[key] = out
+    return out
+
+
 def normal_form_word(alg: LieAlgebra, word: WordLetters) -> dict:
     """Normal form of a single word as {monomial: Poly}, memoised.
 
@@ -156,14 +264,7 @@ def normal_form_word(alg: LieAlgebra, word: WordLetters) -> dict:
     i = 1
     while i < n and word[i - 1] <= word[i]:
         i += 1
-    one = tables.one
-    out = {word_to_monomial(alg, word[:i]): one}
-    for g in word[i:]:
-        acc: dict = {}
-        for mono, c in out.items():
-            for m2, c2 in _times_generator(tables, mono, g).items():
-                _accumulate(acc, m2, c2 if c is one else c if c2 is one else c * c2)
-        out = acc
+    out = _fold(tables, {word_to_monomial(alg, word[:i]): tables.one}, word[i:])
     tables.words[word] = out
     return out
 
@@ -300,7 +401,26 @@ class UEAElement:
         return result
 
     def commutator(self, other: "UEAElement") -> "UEAElement":
-        return self * other - other * self
+        """[self, other] = sum c1*c2*[m1, m2] over pairs of terms.
+
+        Each monomial bracket comes from the kernel (:func:`_bracket`), so
+        the top-degree terms of ``self*other`` and ``other*self``, which
+        cancel, are never formed; zero brackets are skipped and each pair
+        takes one coefficient product.
+        """
+        self._check(other)
+        tables = _tables(self.alg)
+        one = tables.one
+        out: dict = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                br = _bracket(tables, m1, m2)
+                if not br:
+                    continue
+                coeff = c1 * c2
+                for mono, c in br.items():
+                    _accumulate(out, mono, coeff if c is one else c * coeff)
+        return UEAElement._raw(self.alg, out)
 
     # -- display ----------------------------------------------------------
 
@@ -451,6 +571,11 @@ _W_PATTERN = {
 
 
 def _gen(alg, name):
+    if name not in alg.gen_index:
+        raise KeyError(
+            f"family {_family(alg)!r} needs generator {name!r}, "
+            f"and {alg.name} has no such generator"
+        )
     return UEAElement.generator(alg, name)
 
 

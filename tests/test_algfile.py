@@ -93,9 +93,11 @@ class TestParsing:
             ("name toy\ngenerators A B A\n", 2),
             ("name toy\nlaurent eps\nparameters t\ngenerators A B\n", 2),
             ("name toy\nparameters t\ngenerators A B\nbracket A B = t^-1*A\n", 4),
+            ("name toy\ngenerators A B C\nbracket A B = 1*C\nbracket A B = 1*C\n", 4),
+            ("name toy\ngenerators A B C\nbracket A B = 1*C\nbracket B A = -1*C\n", 4),
         ],
         ids=["duplicate-parameter", "duplicate-generator", "undeclared-laurent",
-             "negative-power"],
+             "negative-power", "repeated-bracket", "reversed-repeated-bracket"],
     )
     def test_malformed_declarations(self, text, line):
         with pytest.raises(AlgebraFileError) as exc:

@@ -17,6 +17,11 @@ BAD_FILES = {
     "duplicate_generator": "name toy\ngenerators A B A\n",
     "undeclared_laurent": "name toy\nparameters t\nlaurent eps\ngenerators A B C\n",
     "negative_power": "name toy\nparameters t\ngenerators A B C\nbracket A B = t^-1*C\n",
+    "repeated_bracket": "name toy\ngenerators A B C\n"
+    "bracket A B = 1*C\nbracket A B = 1*C\n",
+    # the named elements of the poincare family need J1, P1, K1, ...
+    "wrong_family": "name toy\ngenerators A B C\nbracket A B = 1*C\n"
+    "metadata family poincare\n",
     # contracting eps diverges: the structure constant has eps^-1
     "eps_inverse": "name toy\nparameters eps\nlaurent eps\n"
     "generators A B C\nbracket A B = eps^-1*C\n",
@@ -94,6 +99,12 @@ class TestExitContract:
             ["check-jacobi", "{undeclared_laurent}"],
             ["check-jacobi", "{negative_power}"],
             ["expand", "negative-nh", "--witness", "kappa=5"],
+            ["bracket", "{repeated_bracket}", "A", "B"],
+            ["casimir-check", "{wrong_family}"],
+            ["nosuch"],
+            ["expand", "nosuch"],
+            ["bracket", "poincare", "H"],
+            ["--format", "yaml", "corpus"],
         ],
         ids=lambda argv: " ".join(
             a if len(a) <= 20 else f"{len(a)}x{a[0]}" for a in argv
@@ -109,6 +120,30 @@ class TestExitContract:
         assert code == 2
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["bracket", "{repeated_bracket}", "A", "B"],
+                "line 4: second bracket for A B (first declared on line 3)",
+            ),
+            (
+                ["casimir-check", "{wrong_family}"],
+                "family 'poincare' needs generator 'J1', "
+                "and toy has no such generator",
+            ),
+            (["nosuch"], "kinexpand: argument command: invalid choice: 'nosuch'"),
+            (["expand", "nosuch"], "kinexpand expand: argument target: invalid choice"),
+        ],
+        ids=["repeated-bracket", "wrong-family", "unknown-command", "unknown-target"],
+    )
+    def test_malformed_input_message(self, capsys, tmp_path, argv, message):
+        paths = {name: tmp_path / f"{name}.alg" for name in BAD_FILES}
+        for name, path in paths.items():
+            path.write_text(BAD_FILES[name])
+        assert main([a.format(**paths) for a in argv]) == 2
+        assert message in capsys.readouterr().err
 
     def test_contract_param(self, capsys):
         code, out = run_cli(capsys, "contract", "poincare", "--param", "omega")
@@ -148,6 +183,31 @@ class TestOutput:
         code, out = run_cli(capsys, "normal-form", "galilei_ext", "K1*P1")
         assert code == 0
         assert out.strip() == "P1*K1 - m*Xi"
+
+    def test_bracket_and_normal_form_json(self, capsys):
+        code, out = run_cli(
+            capsys, "--format", "json", "bracket", "poincare", "K1", "K2"
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "command": "bracket",
+            "schema_version": 1,
+            "algebra": "poincare",
+            "left": "K1",
+            "right": "K2",
+            "bracket": "omega*J3",
+        }
+        code, out = run_cli(
+            capsys, "--format", "json", "normal-form", "galilei_ext", "K1*P1"
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "command": "normal-form",
+            "schema_version": 1,
+            "algebra": "galilei_ext",
+            "expression": "K1*P1",
+            "normal_form": "P1*K1 - m*Xi",
+        }
 
     def test_json_schema_version(self, capsys):
         code, out = run_cli(capsys, "--format", "json", "casimir-check", "poincare")

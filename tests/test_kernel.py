@@ -1,6 +1,6 @@
-"""Normal-ordering kernel: differential check against the word-rewriting
-oracle, the Casimir-power path on an algebra loaded from a file, and the
-centrality certificate on a Lie generating set."""
+"""Normal-ordering kernel: differential checks of products and commutators
+against the word-rewriting oracle, the Casimir-power path on an algebra
+loaded from a file, and the centrality certificate on a Lie generating set."""
 
 import random
 from fractions import Fraction
@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import oracle_kernel
+from kinexpand import uea
 from kinexpand.algfile import parse_algebra_file, parse_algebra_text
 from kinexpand.coeffring import Poly
 from kinexpand.exprparse import parse_expression
@@ -28,6 +29,12 @@ DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "kinexpand" / "data"
 
 # Distinct words the seed's word-memo kernel cached for <C2>^2 on poincare.
 SEED_KERNEL_WORDS = 69951
+
+# Kernel entries after <C2>^2 on poincare when the commutator was the
+# difference of two products (products and words tables only).
+PRODUCT_DIFFERENCE_KERNEL_ENTRIES = 12226
+
+KERNEL_TABLES = ("products", "ads", "commutators", "words")
 
 ALGEBRAS = [*catalog_names(), "poincare.alg"]
 
@@ -171,6 +178,45 @@ def leading_term(el):
     return UEAElement(el.alg, {mono: el.terms[mono]})
 
 
+def random_element(rng, alg, max_terms=4, max_length=4):
+    """Seeded element: up to ``max_terms`` random words of length 0 to
+    ``max_length``, each with a nonzero rational or parameter coefficient."""
+    ctx = alg.ctx
+    words = []
+    for _ in range(rng.randint(1, max_terms)):
+        word = tuple(rng.randrange(alg.dim) for _ in range(rng.randint(0, max_length)))
+        value = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+        coeff = Poly.const(ctx, value)
+        if ctx.names and rng.random() < 0.5:
+            coeff = coeff * Poly.var(ctx, rng.choice(ctx.names))
+        words.append((word, coeff))
+    return normal_form(alg, words)
+
+
+def commutator_pairs(rng, alg, count=12):
+    """Random pairs; a generator on either side; scalars against scalars."""
+    for _ in range(count):
+        yield random_element(rng, alg), random_element(rng, alg)
+    for g in alg.generators:
+        x = UEAElement.generator(alg, g.name)
+        yield x, random_element(rng, alg)
+        yield random_element(rng, alg), x
+    two = UEAElement.scalar(alg, 2)
+    yield two, UEAElement.scalar(alg, Fraction(-1, 3))
+    yield two, random_element(rng, alg)
+    yield random_element(rng, alg) + two, UEAElement.one(alg)
+    yield UEAElement.zero(alg), random_element(rng, alg)
+
+
+def random_monomials(rng, dim, per_degree=8, max_degree=5):
+    for degree in range(max_degree + 1):
+        for _ in range(per_degree):
+            mono = [0] * dim
+            for _ in range(degree):
+                mono[rng.randrange(dim)] += 1
+            yield tuple(mono)
+
+
 class TestDifferentialOracle:
     @pytest.mark.parametrize("name", ALGEBRAS)
     def test_random_words(self, seed, name):
@@ -195,11 +241,14 @@ class TestDifferentialOracle:
 class TestCasimirPower:
     def test_c2_squared_is_central_in_file_algebra(self):
         alg = parse_algebra_file(DATA_DIR / "poincare.alg")
-        assert kernel_stats(alg) == {"products": 0, "words": 0}
+        assert kernel_stats(alg) == dict.fromkeys(KERNEL_TABLES, 0)
         element = parse_expression("<C2>^2", alg)
         assert is_central(alg, element) == (True, None)
         stats = kernel_stats(alg)
+        assert set(stats) == set(KERNEL_TABLES)
         assert 0 < sum(stats.values()) < SEED_KERNEL_WORDS // 2, stats
+        # monomial brackets leave fewer entries than two products per pair
+        assert sum(stats.values()) < PRODUCT_DIFFERENCE_KERNEL_ENTRIES, stats
         # the certificate leaves fewer kernel entries than a full basis scan
         full = parse_algebra_file(DATA_DIR / "poincare.alg")
         assert full_scan(full, parse_expression("<C2>^2", full)) == (True, None)
@@ -276,3 +325,30 @@ class TestCentralityCertificate:
         alg = catalog("poincare")
         assert "P2" not in lie_generating_set(alg)
         assert is_central(alg, UEAElement.generator(alg, "J1")) == (False, "P2")
+
+
+class TestCommutatorKernel:
+    """[a, b] from memoised monomial brackets equals a*b - b*a, computed both
+    by the product path and by the word-rewriting oracle."""
+
+    @pytest.mark.parametrize("name", [*catalog_names(), *FILE_ALGEBRAS, "sl2_aff1"])
+    def test_random_elements(self, seed, name):
+        alg = load(name)
+        rng = random.Random(f"{seed}-commutator-{name}")
+        for a, b in commutator_pairs(rng, alg):
+            actual = a.commutator(b)
+            assert actual == a * b - b * a, (str(a), str(b))
+            oracle = oracle_kernel.product(a, b) - oracle_kernel.product(b, a)
+            assert actual == oracle, (str(a), str(b))
+
+    @pytest.mark.parametrize("name", [*catalog_names(), *FILE_ALGEBRAS, "sl2_aff1"])
+    def test_ad_alone(self, seed, name):
+        alg = load(name)
+        tables = uea._tables(alg)
+        rng = random.Random(f"{seed}-ad-{name}")
+        for mono in random_monomials(rng, alg.dim):
+            m = UEAElement(alg, {mono: 1})
+            for g in alg.generators:
+                x = UEAElement.generator(alg, g.name)
+                ad = uea._ad(tables, mono, alg.gen_index[g.name])
+                assert ad == (m * x - x * m).terms, (str(m), g.name)
