@@ -16,6 +16,7 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -45,37 +46,48 @@ class ParamContext:
     Exponent tuples of every :class:`Poly` in this context are indexed by the
     declared order.  ``laurent`` names the single parameter allowed to carry
     negative exponents (or None).
+
+    Contexts are interned: constructing a context with the names and
+    ``laurent`` of a live one returns that object, so equal contexts are
+    identical and the ``is`` checks below (contexts, the shared ``zero``
+    exponent tuple) hold across algebras built in code and read from files.
     """
 
-    __slots__ = ("names", "index", "laurent", "zero", "_laurent_idx")
+    __slots__ = ("names", "index", "laurent", "zero", "_laurent_idx", "__weakref__")
 
-    def __init__(self, names: Iterable[str], laurent: str | None = None):
-        self.names = tuple(names)
-        if len(set(self.names)) != len(self.names):
+    def __new__(cls, names: Iterable[str], laurent: str | None = None):
+        names = tuple(names)
+        ctx = _CONTEXTS.get((names, laurent))
+        if ctx is not None:
+            return ctx
+        if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names")
-        self.index = {n: i for i, n in enumerate(self.names)}
-        if laurent is not None and laurent not in self.index:
+        ctx = super().__new__(cls)
+        ctx.names = names
+        ctx.index = {n: i for i, n in enumerate(names)}
+        if laurent is not None and laurent not in ctx.index:
             raise ValueError(f"laurent parameter {laurent!r} not declared")
-        self.laurent = laurent
-        self._laurent_idx = self.index[laurent] if laurent is not None else -1
+        ctx.laurent = laurent
+        ctx._laurent_idx = ctx.index[laurent] if laurent is not None else -1
         # one shared all-zero exponent tuple: the key of every constant term
-        self.zero = (0,) * len(self.names)
+        ctx.zero = (0,) * len(names)
+        _CONTEXTS[names, laurent] = ctx
+        return ctx
+
+    def __reduce__(self):
+        # copies and unpickled values go through the interning too
+        return ParamContext, (self.names, self.laurent)
 
     def __len__(self) -> int:
         return len(self.names)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ParamContext)
-            and self.names == other.names
-            and self.laurent == other.laurent
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.names, self.laurent))
-
     def __repr__(self) -> str:
         return f"ParamContext({self.names!r}, laurent={self.laurent!r})"
+
+
+_CONTEXTS: "weakref.WeakValueDictionary[tuple, ParamContext]" = (
+    weakref.WeakValueDictionary()
+)
 
 
 # Parameters used throughout the kinematical computations: expansion constants
@@ -179,7 +191,7 @@ class Poly:
     # -- arithmetic -------------------------------------------------------
 
     def _check(self, other: "Poly") -> None:
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
+        if self.ctx is not other.ctx:
             raise ContextMismatchError("polynomials from different parameter contexts")
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -205,12 +217,12 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         ctx = self.ctx
-        if ctx is not other.ctx and ctx != other.ctx:
+        if ctx is not other.ctx:
             raise ContextMismatchError("polynomials from different parameter contexts")
         st, ot = self.terms, other.terms
         if len(st) == 1 and len(ot) == 1:
             # single term times single term: nearly every product the
-            # normal-ordering kernel and the closure checks make
+            # expansion drivers and the closure checks make
             ((e1, c1),) = st.items()
             ((e2, c2),) = ot.items()
             c = c1 * c2
@@ -268,8 +280,7 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        same_ctx = self.ctx is other.ctx or self.ctx == other.ctx
-        return same_ctx and self.terms == other.terms
+        return self.ctx is other.ctx and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash((self.ctx, frozenset(self.terms.items())))
@@ -298,7 +309,7 @@ class Poly:
             if name not in ctx.index:
                 raise ContextMismatchError(f"unknown parameter {name!r}")
             if isinstance(value, Poly):
-                if value.ctx != ctx:
+                if value.ctx is not ctx:
                     raise ContextMismatchError("assignment value from different context")
                 idx_val[ctx.index[name]] = value
             else:

@@ -108,7 +108,7 @@ class LieAlgebra:
             g.name for g in other.generators
         ):
             return False
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx:
             return False
         return self.brackets == other.brackets
 

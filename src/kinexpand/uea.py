@@ -2,10 +2,10 @@
 
 Elements are finite linear combinations of PBW monomials, i.e. exponent
 vectors over the algebra's ordered generator basis, with polynomial
-coefficients.  The kernel has two primitives.  The first is the product of a
-PBW monomial ``m`` with a generator ``x_g`` from the right (the
-monomial-level multiplication of algebras of solvable type, after
-Kandri-Rody and Weispfenning).  Write ``m = m'*x_k`` with ``x_k`` the last
+coefficients (:class:`~kinexpand.coeffring.Poly`).  The kernel has two
+primitives.  The first is the product of a PBW monomial ``m`` with a
+generator ``x_g`` from the right (the monomial-level multiplication of
+algebras of solvable type, after Kandri-Rody and Weispfenning).  Write ``m = m'*x_k`` with ``x_k`` the last
 generator present in ``m``.  If ``k <= g`` the product is the monomial with
 the exponent of ``g`` raised by one.  Otherwise::
 
@@ -30,20 +30,31 @@ last letter of the right one, ``m2 = m2'*x_j``::
     [m1, m2'*x_j] = [m1, m2']*x_j + m2'*[m1, x_j]
 
 with ``m2'*t`` folded as a word.  :meth:`UEAElement.commutator` sums these
-monomial brackets with one coefficient product per pair of terms.
+monomial brackets over pairs of terms.
 
 Per algebra the kernel memoises the product primitive and ``ad``, keyed by
 (monomial, generator), the brackets of monomial pairs that are not
 generators, and the normal forms of the words callers request; the words it
-passes through on the way are not stored.  The tables belong to the kernel,
-held weakly per algebra, and :func:`kernel_stats` reports their sizes.  With
-them the kernel keeps the algebra's Lie generating set
-(:func:`lie_generating_set`), on which :func:`is_central` certifies
-centrality: ``[x, -]`` is a derivation, the coefficient ring is a domain and
-the enveloping algebra is free over it (PBW), so an element that commutes
-with a generating set commutes with everything.  A failure names the first
-basis generator, in basis order, that the element does not commute with,
-the witness a scan of the whole basis gives.
+passes through on the way are not stored.  Every table entry, and the
+bracket table the kernel reads, is a flat dict ``{(monomial, exponents):
+rational}``: a structure constant ``c * params^e`` is the triple ``(l, e,
+c)``, a product of two terms multiplies the rationals and adds the exponent
+tuples (skipped when either is the context's shared zero tuple), and a
+rational is an ``int`` when integral and a ``Fraction`` otherwise, as in
+:class:`~kinexpand.coeffring.Poly`.  No ``Poly`` is made inside the kernel.
+A product, a commutator or :func:`normal_form` sums the cross terms of its
+operands' coefficients into one flat dict and groups it into ``{monomial:
+Poly}`` once, at the end.
+
+The tables belong to the kernel, held weakly per algebra, and
+:func:`kernel_stats` reports their sizes.  With them the kernel keeps the
+algebra's Lie generating set (:func:`lie_generating_set`), on which
+:func:`is_central` certifies centrality: ``[x, -]`` is a derivation, the
+coefficient ring is a domain and the enveloping algebra is free over it
+(PBW), so an element that commutes with a generating set commutes with
+everything.  A failure names the first basis generator, in basis order,
+that the element does not commute with, the witness a scan of the whole
+basis gives.
 """
 
 from __future__ import annotations
@@ -52,7 +63,7 @@ import weakref
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple, Union
 
-from .coeffring import Poly, format_poly, grlex_key
+from .coeffring import ContextMismatchError, Poly, format_poly, grlex_key
 from .liealg import LieAlgebra
 
 # A PBW monomial: exponent tuple over the generator basis; () handled as the
@@ -65,13 +76,6 @@ WordLetters = Tuple[int, ...]
 CoeffLike = Union[int, Fraction, Poly]
 
 
-def word_to_monomial(alg: LieAlgebra, word: WordLetters) -> Monomial:
-    exps = [0] * alg.dim
-    for g in word:
-        exps[g] += 1
-    return tuple(exps)
-
-
 def monomial_to_word(mono: Monomial) -> WordLetters:
     out = []
     for g, e in enumerate(mono):
@@ -82,21 +86,26 @@ def monomial_to_word(mono: Monomial) -> WordLetters:
 class _Tables:
     """Normal-ordering tables of one algebra.
 
-    Holds no reference to the algebra, so that the weak table below can
-    drop them together with it.
+    Every value is a flat dict ``{(monomial, exponents): rational}``.  Holds
+    no reference to the algebra, so that the weak table below can drop them
+    together with it.
     """
 
     __slots__ = (
-        "dim", "one", "brackets", "products", "ads", "commutators", "words",
+        "dim", "zero", "brackets", "products", "ads", "commutators", "words",
         "generating",
     )
 
     def __init__(self, alg: LieAlgebra):
         self.dim = alg.dim
-        self.one = Poly.const(alg.ctx, 1)
-        # [x_k, x_g] for every ordered pair as a list of (l, coefficient)
+        self.zero = alg.ctx.zero
+        # [x_k, x_g] for every ordered pair as (l, exponents, rational) triples
         self.brackets = {
-            (k, g): list(alg.bracket_pair(k, g).items())
+            (k, g): [
+                (l, exps, c)
+                for l, p in alg.bracket_pair(k, g).items()
+                for exps, c in p.terms.items()
+            ]
             for k in range(alg.dim)
             for g in range(alg.dim)
         }
@@ -128,16 +137,47 @@ def kernel_stats(alg: LieAlgebra) -> dict:
     }
 
 
-def _accumulate(out: dict, mono: Monomial, p: Poly) -> None:
-    s = out.get(mono)
-    if s is None:
-        out[mono] = p
-    else:
-        s = s + p
-        if s.is_zero():
-            del out[mono]
+def _exps_sum(e1: tuple, e2: tuple, zero: tuple) -> tuple:
+    """Exponents of the product of two parameter monomials; ``zero`` is the
+    context's shared all-zero tuple, kept by identity."""
+    if e1 is zero:
+        return e2
+    if e2 is zero:
+        return e1
+    e = tuple([a + b for a, b in zip(e1, e2)])
+    return zero if e == zero else e
+
+
+def _add_into(out: dict, terms: dict, exps: tuple, c, zero: tuple) -> None:
+    """out += c * params^exps * terms, on flat dicts.
+
+    Sums that cancel are deleted and integral ``Fraction`` sums are stored
+    as ``int``, as :class:`Poly` stores them.
+    """
+    items = terms.items()
+    if exps is not zero:
+        items = [((m, _exps_sum(e, exps, zero)), c2) for (m, e), c2 in items]
+    for key, c2 in items:
+        v = out.get(key, 0) + c * c2
+        if not v:
+            del out[key]
+        elif type(v) is Fraction and v.denominator == 1:
+            out[key] = v.numerator
         else:
-            out[mono] = s
+            out[key] = v
+
+
+def _group(alg: LieAlgebra, flat: dict) -> dict:
+    """{monomial: Poly} from a flat dict: the one place a result becomes Poly."""
+    grouped: dict = {}
+    for (mono, exps), c in flat.items():
+        poly = grouped.get(mono)
+        if poly is None:
+            grouped[mono] = {exps: c}
+        else:
+            poly[exps] = c
+    ctx = alg.ctx
+    return {mono: Poly._raw(ctx, terms) for mono, terms in grouped.items()}
 
 
 def _last(mono: Monomial) -> int:
@@ -149,7 +189,7 @@ def _last(mono: Monomial) -> int:
 
 
 def _times_generator(tables: _Tables, mono: Monomial, g: int) -> dict:
-    """Normal form of mono * x_g as {monomial: Poly}.
+    """Normal form of mono * x_g as a flat dict.
 
     Bumps are computed on the spot; every other product is memoised.
     """
@@ -157,38 +197,35 @@ def _times_generator(tables: _Tables, mono: Monomial, g: int) -> dict:
     while k > g and not mono[k]:
         k -= 1
     if k <= g:
-        return {mono[:g] + (mono[g] + 1,) + mono[g + 1 :]: tables.one}
+        return {(mono[:g] + (mono[g] + 1,) + mono[g + 1 :], tables.zero): 1}
     key = (mono, g)
     out = tables.products.get(key)
     if out is not None:
         return out
-    one = tables.one
+    zero = tables.zero
     lower = mono[:k] + (mono[k] - 1,) + mono[k + 1 :]
     out = {}
-    for m2, c2 in _times_generator(tables, lower, g).items():
-        for m3, c3 in _times_generator(tables, m2, k).items():
-            _accumulate(out, m3, c3 if c2 is one else c2 if c3 is one else c2 * c3)
-    for l, c in tables.brackets[k, g]:
-        for m2, c2 in _times_generator(tables, lower, l).items():
-            _accumulate(out, m2, c if c2 is one else c * c2)
+    for (m2, e2), c2 in _times_generator(tables, lower, g).items():
+        _add_into(out, _times_generator(tables, m2, k), e2, c2, zero)
+    for l, e, c in tables.brackets[k, g]:
+        _add_into(out, _times_generator(tables, lower, l), e, c, zero)
     tables.products[key] = out
     return out
 
 
 def _fold(tables: _Tables, out: dict, letters: Iterable[int]) -> dict:
     """Normal form of out * x_g1 * x_g2 * ... for the given letters."""
-    one = tables.one
+    zero = tables.zero
     for g in letters:
         acc: dict = {}
-        for mono, c in out.items():
-            for m2, c2 in _times_generator(tables, mono, g).items():
-                _accumulate(acc, m2, c2 if c is one else c if c2 is one else c * c2)
+        for (mono, e), c in out.items():
+            _add_into(acc, _times_generator(tables, mono, g), e, c, zero)
         out = acc
     return out
 
 
 def _ad(tables: _Tables, mono: Monomial, g: int) -> dict:
-    """Normal form of [mono, x_g] as {monomial: Poly}, memoised.
+    """Normal form of [mono, x_g] as a flat dict, memoised.
 
     With ``mono = m'*x_k``, ``x_k`` its last generator::
 
@@ -203,21 +240,19 @@ def _ad(tables: _Tables, mono: Monomial, g: int) -> dict:
     k = _last(mono)
     if k < 0:
         return {}
-    one = tables.one
+    zero = tables.zero
     lower = mono[:k] + (mono[k] - 1,) + mono[k + 1 :]
     out = {}
-    for l, c in tables.brackets[k, g]:
-        for m2, c2 in _times_generator(tables, lower, l).items():
-            _accumulate(out, m2, c if c2 is one else c * c2)
-    for m2, c2 in _ad(tables, lower, g).items():
-        for m3, c3 in _times_generator(tables, m2, k).items():
-            _accumulate(out, m3, c3 if c2 is one else c2 if c3 is one else c2 * c3)
+    for l, e, c in tables.brackets[k, g]:
+        _add_into(out, _times_generator(tables, lower, l), e, c, zero)
+    for (m2, e2), c2 in _ad(tables, lower, g).items():
+        _add_into(out, _times_generator(tables, m2, k), e2, c2, zero)
     tables.ads[key] = out
     return out
 
 
 def _bracket(tables: _Tables, m1: Monomial, m2: Monomial) -> dict:
-    """Normal form of [m1, m2] as {monomial: Poly}.  Do not mutate.
+    """Normal form of [m1, m2] as a flat dict.  Do not mutate.
 
     A generator on either side is an :func:`_ad` call; otherwise the
     Leibniz rule on m2's last letter, ``m2 = m2'*x_j``::
@@ -237,36 +272,51 @@ def _bracket(tables: _Tables, m1: Monomial, m2: Monomial) -> dict:
     if out is not None:
         return out
     if d1 == 1:
-        out = {m: -c for m, c in _ad(tables, m2, m1.index(1)).items()}
+        out = {t: -c for t, c in _ad(tables, m2, m1.index(1)).items()}
     else:
         j = _last(m2)
         lower = m2[:j] + (m2[j] - 1,) + m2[j + 1 :]
         out = _fold(tables, _bracket(tables, m1, lower), (j,))
-        one = tables.one
-        for t, c in _ad(tables, m1, j).items():
-            for m3, c3 in _fold(tables, {lower: one}, monomial_to_word(t)).items():
-                _accumulate(out, m3, c3 if c is one else c if c3 is one else c * c3)
+        zero = tables.zero
+        for (t, e), c in _ad(tables, m1, j).items():
+            word = _fold(tables, {(lower, zero): 1}, monomial_to_word(t))
+            _add_into(out, word, e, c, zero)
     tables.commutators[key] = out
     return out
 
 
-def normal_form_word(alg: LieAlgebra, word: WordLetters) -> dict:
-    """Normal form of a single word as {monomial: Poly}, memoised.
+def _word(tables: _Tables, word: WordLetters) -> dict:
+    """Normal form of a word as a flat dict, memoised.  Do not mutate.
 
     The letters after the word's sorted prefix are multiplied one at a time
-    into the prefix's monomial.  The returned dict is shared: do not mutate.
+    into the prefix's monomial.
     """
-    tables = _tables(alg)
     out = tables.words.get(word)
-    if out is not None:
-        return out
-    n = len(word)
-    i = 1
-    while i < n and word[i - 1] <= word[i]:
-        i += 1
-    out = _fold(tables, {word_to_monomial(alg, word[:i]): tables.one}, word[i:])
-    tables.words[word] = out
+    if out is None:
+        n = len(word)
+        i = 1
+        while i < n and word[i - 1] <= word[i]:
+            i += 1
+        prefix = [0] * tables.dim
+        for g in word[:i]:
+            prefix[g] += 1
+        start = {(tuple(prefix), tables.zero): 1}
+        out = tables.words[word] = _fold(tables, start, word[i:])
     return out
+
+
+def normal_form_word(alg: LieAlgebra, word: WordLetters) -> dict:
+    """Normal form of a single word as a fresh {monomial: Poly}."""
+    return _group(alg, _word(_tables(alg), word))
+
+
+def _coefficient(alg: LieAlgebra, value: CoeffLike) -> Poly:
+    """``value`` as a coefficient of the algebra's context."""
+    if not isinstance(value, Poly):
+        return Poly.const(alg.ctx, value)
+    if value.ctx is not alg.ctx:
+        raise ContextMismatchError("coefficient from a different parameter context")
+    return value
 
 
 class UEAElement:
@@ -278,8 +328,7 @@ class UEAElement:
         self.alg = alg
         clean: dict = {}
         for mono, coeff in dict(terms).items():
-            if not isinstance(coeff, Poly):
-                coeff = Poly.const(alg.ctx, coeff)
+            coeff = _coefficient(alg, coeff)
             if coeff.is_zero():
                 continue
             clean[tuple(mono)] = coeff
@@ -308,7 +357,7 @@ class UEAElement:
 
     @classmethod
     def scalar(cls, alg: LieAlgebra, value: CoeffLike) -> "UEAElement":
-        coeff = value if isinstance(value, Poly) else Poly.const(alg.ctx, value)
+        coeff = _coefficient(alg, value)
         if coeff.is_zero():
             return cls.zero(alg)
         return cls._raw(alg, {(0,) * alg.dim: coeff})
@@ -358,7 +407,7 @@ class UEAElement:
 
     def smul(self, value: CoeffLike) -> "UEAElement":
         """Multiply by a scalar (rational or coefficient polynomial)."""
-        coeff = value if isinstance(value, Poly) else Poly.const(self.alg.ctx, value)
+        coeff = _coefficient(self.alg, value)
         if coeff.is_zero():
             return UEAElement.zero(self.alg)
         out = {}
@@ -373,24 +422,20 @@ class UEAElement:
     def __mul__(self, other: "UEAElement") -> "UEAElement":
         """Associative product, normal-ordering the concatenated words."""
         self._check(other)
-        alg = self.alg
-        out: dict = {}
+        tables = _tables(self.alg)
+        zero = tables.zero
+        flat: dict = {}
         words_other = [
-            (monomial_to_word(m), c) for m, c in other.terms.items()
+            (monomial_to_word(m), c.terms) for m, c in other.terms.items()
         ]
         for m1, c1 in self.terms.items():
             w1 = monomial_to_word(m1)
-            for w2, c2 in words_other:
-                coeff = c1 * c2
-                for mono, c in normal_form_word(alg, w1 + w2).items():
-                    s = out.get(mono)
-                    p = coeff * c
-                    s = p if s is None else s + p
-                    if s.is_zero():
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = s
-        return UEAElement._raw(alg, out)
+            for w2, t2 in words_other:
+                nf = _word(tables, w1 + w2)
+                for e1, a in c1.terms.items():
+                    for e2, b in t2.items():
+                        _add_into(flat, nf, _exps_sum(e1, e2, zero), a * b, zero)
+        return UEAElement._raw(self.alg, _group(self.alg, flat))
 
     def __pow__(self, n: int) -> "UEAElement":
         if n < 0:
@@ -405,22 +450,21 @@ class UEAElement:
 
         Each monomial bracket comes from the kernel (:func:`_bracket`), so
         the top-degree terms of ``self*other`` and ``other*self``, which
-        cancel, are never formed; zero brackets are skipped and each pair
-        takes one coefficient product.
+        cancel, are never formed; zero brackets are skipped.
         """
         self._check(other)
         tables = _tables(self.alg)
-        one = tables.one
-        out: dict = {}
+        zero = tables.zero
+        flat: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 br = _bracket(tables, m1, m2)
                 if not br:
                     continue
-                coeff = c1 * c2
-                for mono, c in br.items():
-                    _accumulate(out, mono, coeff if c is one else c * coeff)
-        return UEAElement._raw(self.alg, out)
+                for e1, a in c1.terms.items():
+                    for e2, b in c2.terms.items():
+                        _add_into(flat, br, _exps_sum(e1, e2, zero), a * b, zero)
+        return UEAElement._raw(self.alg, _group(self.alg, flat))
 
     # -- display ----------------------------------------------------------
 
@@ -437,22 +481,17 @@ def normal_form(alg: LieAlgebra, words: Iterable[tuple]) -> UEAElement:
     ``words`` yields (letters, coeff) pairs where letters is a sequence of
     generator indices or names and coeff is a Poly / rational.
     """
-    out: dict = {}
+    tables = _tables(alg)
+    zero = tables.zero
+    flat: dict = {}
     for letters, coeff in words:
         idx = tuple(
             g if isinstance(g, int) else alg.gen_index[g] for g in letters
         )
-        if not isinstance(coeff, Poly):
-            coeff = Poly.const(alg.ctx, coeff)
-        for mono, c in normal_form_word(alg, idx).items():
-            s = out.get(mono)
-            p = coeff * c
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-    return UEAElement._raw(alg, out)
+        nf = _word(tables, idx)
+        for e, c in _coefficient(alg, coeff).terms.items():
+            _add_into(flat, nf, e, c, zero)
+    return UEAElement._raw(alg, _group(alg, flat))
 
 
 def lie_generating_set(alg: LieAlgebra) -> Tuple[str, ...]:

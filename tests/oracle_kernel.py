@@ -2,11 +2,12 @@
 
 This is the kernel ``kinexpand.uea`` used before the generator-into-monomial
 product replaced it, unchanged except that its two memo tables live here,
-keyed weakly by algebra, instead of on the algebra instance.  It shares no
-code with the current kernel beyond ``LieAlgebra.bracket_pair`` and ``Poly``
-arithmetic: it rewrites the leftmost out-of-order adjacent pair x_b x_a
-(b after a in basis order) into x_a x_b + [x_b, x_a] and memoises every word
-it meets.
+keyed weakly by algebra, instead of on the algebra instance, and that it
+builds monomials from words itself.  It shares no code with the current
+kernel beyond ``LieAlgebra.bracket_pair``, ``Poly`` arithmetic and
+``monomial_to_word``: it rewrites the leftmost out-of-order adjacent pair
+x_b x_a (b after a in basis order) into x_a x_b + [x_b, x_a] and memoises
+every word it meets.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import weakref
 
 from kinexpand.coeffring import Poly
-from kinexpand.uea import UEAElement, monomial_to_word, word_to_monomial
+from kinexpand.uea import UEAElement, monomial_to_word
 
 _NF_CACHES = weakref.WeakKeyDictionary()
 _PAIR_RULES = weakref.WeakKeyDictionary()
@@ -33,6 +34,13 @@ def _pair_rule(alg, b: int, a: int):
             frags.append(((k,), c))
         rules[key] = frags
     return rules[key]
+
+
+def word_to_monomial(alg, word):
+    exps = [0] * alg.dim
+    for g in word:
+        exps[g] += 1
+    return tuple(exps)
 
 
 def _first_inversion(word) -> int:

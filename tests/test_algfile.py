@@ -11,6 +11,7 @@ from kinexpand.algfile import (
     parse_algebra_file,
     parse_algebra_text,
 )
+from kinexpand.coeffring import KINEMATIC_CONTEXT
 from kinexpand.liealg import catalog, catalog_names, jacobi_check
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "kinexpand" / "data"
@@ -25,6 +26,13 @@ class TestShippedFiles:
         assert alg.name == ref.name
         assert alg.metadata == ref.metadata
         assert [g.name for g in alg.generators] == [g.name for g in ref.generators]
+
+    @pytest.mark.parametrize(
+        "path", sorted(DATA_DIR.glob("*.alg")), ids=lambda path: path.stem
+    )
+    def test_context_is_the_kinematic_one(self, path):
+        # interned: the file's context is the catalog's object, not a copy
+        assert parse_algebra_file(path).ctx is KINEMATIC_CONTEXT
 
     @pytest.mark.parametrize("name", list(catalog_names()))
     def test_round_trip_is_byte_identical(self, name):

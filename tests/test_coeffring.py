@@ -1,5 +1,7 @@
 """Coefficient ring: exact polynomial arithmetic, grammar, Laurent rule."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -71,6 +73,42 @@ class TestArithmetic:
         other = ParamContext(("x", "y"))
         with pytest.raises(ContextMismatchError):
             var("a1") + Poly.var(other, "x")
+
+
+class TestInternedContexts:
+    def test_equal_contexts_are_one_object(self):
+        assert ParamContext(list(CTX.names), laurent="eps") is CTX
+        xy = ParamContext(("x", "y"), laurent="y")
+        assert ParamContext(iter(("x", "y")), "y") is xy
+        assert ParamContext(("x", "y"), laurent="y").zero is xy.zero
+
+    def test_copies_are_the_interned_context(self):
+        assert copy.deepcopy(CTX) is CTX
+        assert pickle.loads(pickle.dumps(CTX)) is CTX
+        p = var("a1") * var("eps") + const(Fraction(1, 3))
+        q = copy.deepcopy(p)
+        assert q.ctx is CTX and q == p
+
+    @pytest.mark.parametrize(
+        "left,right",
+        [
+            ((("x", "y"), None), (("y", "x"), None)),
+            ((("x", "y"), None), (("x", "y"), "y")),
+            ((("x", "y"), "x"), (("x", "y"), "y")),
+            ((("x", "y"), None), (("x", "y", "z"), None)),
+        ],
+        ids=["order", "laurent-or-not", "laurent-name", "names"],
+    )
+    def test_distinct_contexts_stay_distinct(self, left, right):
+        a, b = ParamContext(*left), ParamContext(*right)
+        assert a is not b and a != b
+        x, y = Poly.var(a, "x"), Poly.var(b, "x")
+        assert x != y
+        for op in (lambda: x + y, lambda: x * y, lambda: y - x):
+            with pytest.raises(ContextMismatchError):
+                op()
+        with pytest.raises(ContextMismatchError):
+            x.substitute({"y": y})
 
 
 class TestLaurent:

@@ -1,6 +1,7 @@
 """Normal-ordering kernel: differential checks of products and commutators
-against the word-rewriting oracle, the Casimir-power path on an algebra
-loaded from a file, and the centrality certificate on a Lie generating set."""
+against the word-rewriting oracle (with single- and multi-term
+coefficients), the Casimir-power path on an algebra loaded from a file, the
+centrality certificate on a Lie generating set, and the flat tables."""
 
 import random
 from fractions import Fraction
@@ -39,6 +40,9 @@ KERNEL_TABLES = ("products", "ads", "commutators", "words")
 ALGEBRAS = [*catalog_names(), "poincare.alg"]
 
 FILE_ALGEBRAS = sorted(path.name for path in DATA_DIR.glob("*.alg"))
+
+# The five catalog algebras, data/*.alg and sl2_aff1 (defined below).
+ALL_ALGEBRAS = [*catalog_names(), *FILE_ALGEBRAS, "sl2_aff1"]
 
 # sl2 + aff(1) in the basis A = e, B = f, C = h + z, D = h - z, E = w, with
 # [e, f] = h, [h, e] = 2e, [h, f] = -2f, [z, w] = w.  C and D appear on the
@@ -217,6 +221,72 @@ def random_monomials(rng, dim, per_degree=8, max_degree=5):
             yield tuple(mono)
 
 
+# Rationals whose products are often integral (2/3 * 3/2), so that sums and
+# products exercise the folding of integral Fractions back to int.
+MULTI_TERM_VALUES = (
+    Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2), Fraction(5, 4),
+    Fraction(-4, 5), 2, -1,
+)
+
+
+def multi_term_coefficient(rng, ctx):
+    """A coefficient of 2-3 terms, mostly non-integral rationals.  Where the
+    context has a Laurent parameter, about half carry both ``eps`` and
+    ``eps^-1``, so products of two have cross terms at exponent zero."""
+    if not ctx.names:
+        return Poly.const(ctx, rng.choice(MULTI_TERM_VALUES))
+    terms = {}
+    if ctx.laurent and rng.random() < 0.5:
+        for power in (-1, 1):
+            exps = [0] * len(ctx)
+            exps[ctx.index[ctx.laurent]] = power
+            terms[tuple(exps)] = rng.choice(MULTI_TERM_VALUES)
+    size = rng.randint(2, 3)
+    while len(terms) < size:
+        exps = [0] * len(ctx)
+        if rng.random() < 0.75:
+            exps[rng.randrange(len(ctx))] = rng.randint(1, 2)
+        terms[tuple(exps)] = rng.choice(MULTI_TERM_VALUES)
+    return Poly(ctx, terms)
+
+
+def multi_term_words(rng, alg, max_terms=3, max_length=4):
+    return [
+        (
+            tuple(rng.randrange(alg.dim) for _ in range(rng.randint(0, max_length))),
+            multi_term_coefficient(rng, alg.ctx),
+        )
+        for _ in range(rng.randint(1, max_terms))
+    ]
+
+
+def oracle_normal_form(alg, words):
+    """sum coeff * word, normal-ordered by the oracle with Poly arithmetic."""
+    out = UEAElement.zero(alg)
+    for word, coeff in words:
+        nf = UEAElement(alg, oracle_kernel.normal_form_word(alg, word))
+        out = out + nf.smul(coeff)
+    return out
+
+
+def assert_rational(c):
+    """A stored coefficient: a nonzero int, or a Fraction that is not one."""
+    assert (type(c) is int and c) or (
+        type(c) is Fraction and c.denominator != 1
+    ), repr(c)
+
+
+def assert_canonical(el):
+    """Coefficients in the algebra's context, stored as Poly stores them."""
+    ctx = el.alg.ctx
+    for poly in el.terms.values():
+        assert poly.ctx is ctx and poly.terms
+        for exps, c in poly.terms.items():
+            assert len(exps) == len(ctx)
+            assert exps is ctx.zero or exps != ctx.zero, exps
+            assert_rational(c)
+
+
 class TestDifferentialOracle:
     @pytest.mark.parametrize("name", ALGEBRAS)
     def test_random_words(self, seed, name):
@@ -351,4 +421,130 @@ class TestCommutatorKernel:
             for g in alg.generators:
                 x = UEAElement.generator(alg, g.name)
                 ad = uea._ad(tables, mono, alg.gen_index[g.name])
-                assert ad == (m * x - x * m).terms, (str(m), g.name)
+                assert uea._group(alg, ad) == (m * x - x * m).terms, (str(m), g.name)
+
+
+class TestMultiTermCoefficients:
+    """Coefficients of several terms: exponent addition, cancellation and the
+    folding of integral sums, against the oracle's Poly arithmetic."""
+
+    @pytest.mark.parametrize("name", ALL_ALGEBRAS)
+    def test_products_and_commutators(self, seed, name):
+        alg = load(name)
+        rng = random.Random(f"{seed}-multi-{name}")
+        for _ in range(8):
+            a = oracle_normal_form(alg, multi_term_words(rng, alg))
+            b = oracle_normal_form(alg, multi_term_words(rng, alg))
+            ab, ba = a * b, b * a
+            assert ab == oracle_kernel.product(a, b), (str(a), str(b))
+            assert ba == oracle_kernel.product(b, a), (str(a), str(b))
+            commutator = a.commutator(b)
+            assert commutator == ab - ba, (str(a), str(b))
+            for el in (ab, ba, commutator):
+                assert_canonical(el)
+
+    @pytest.mark.parametrize("name", ALL_ALGEBRAS)
+    def test_normal_form_of_random_words(self, seed, name):
+        alg = load(name)
+        rng = random.Random(f"{seed}-multi-nf-{name}")
+        for _ in range(12):
+            words = multi_term_words(rng, alg, max_terms=4, max_length=6)
+            nf = normal_form(alg, words)
+            assert nf == oracle_normal_form(alg, words), words
+            assert_canonical(nf)
+
+    def test_cross_terms_cancel_and_fold(self):
+        alg = load("poincare.alg")
+        ctx = alg.ctx
+        eps, inv = Poly.var(ctx, "eps"), Poly.var(ctx, "eps", -1)
+        j1, j2 = UEAElement.generator(alg, "J1"), UEAElement.generator(alg, "J2")
+        j3 = UEAElement.generator(alg, "J3")
+        # (eps + eps^-1)(eps - eps^-1): the eps^0 cross terms cancel
+        bracket = j1.smul(eps + inv).commutator(j2.smul(eps - inv))
+        assert bracket == j3.smul(eps * eps - inv * inv)
+        (poly,) = bracket.terms.values()
+        assert ctx.zero not in poly.terms
+        # (3/2 eps + 1/2 eps^-1)(2/3 eps - 2 eps^-1) = eps^2 - 8/3 - eps^-2
+        c1 = eps.scale(Fraction(3, 2)) + inv.scale(Fraction(1, 2))
+        c2 = eps.scale(Fraction(2, 3)) - inv.scale(2)
+        for el in (
+            j1.smul(c1).commutator(j2.smul(c2)),
+            normal_form(alg, [(("J1", "J2"), c1 * c2), (("J2", "J1"), -(c1 * c2))]),
+        ):
+            (poly,) = el.terms.values()
+            by_power = {e[ctx.index["eps"]]: (e, c) for e, c in poly.terms.items()}
+            assert set(by_power) == {2, 0, -2}
+            assert by_power[0][0] is ctx.zero
+            assert [by_power[p][1] for p in (2, 0, -2)] == [1, Fraction(-8, 3), -1]
+            assert_canonical(el)
+
+
+def assert_flat(value, dim, width):
+    """A kernel table value: {(monomial, exponents): rational}."""
+    assert type(value) is dict
+    for key, c in value.items():
+        mono, exps = key
+        assert type(mono) is tuple and len(mono) == dim
+        assert type(exps) is tuple and len(exps) == width
+        assert_rational(c)
+
+
+class TestFlatKernel:
+    """The kernel holds flat rationals and builds one Poly per result term."""
+
+    def test_every_table_value_after_c2_squared(self):
+        alg = parse_algebra_file(DATA_DIR / "poincare.alg")
+        assert is_central(alg, parse_expression("<C2>^2", alg)) == (True, None)
+        tables = uea._tables(alg)
+        width = len(alg.ctx)
+        assert tables.brackets
+        for triples in tables.brackets.values():
+            for l, exps, c in triples:
+                assert 0 <= l < alg.dim
+                assert type(exps) is tuple and len(exps) == width
+                assert_rational(c)
+        checked = 0
+        for name in KERNEL_TABLES:
+            for value in getattr(tables, name).values():
+                assert_flat(value, alg.dim, width)
+                checked += 1
+        assert checked == sum(kernel_stats(alg).values()) > 0
+
+    def test_kernel_creates_no_poly(self, seed, monkeypatch):
+        alg = parse_algebra_file(DATA_DIR / "poincare.alg")
+        tables = uea._tables(alg)
+        rng = random.Random(f"{seed}-no-poly")
+        monomials = list(random_monomials(rng, alg.dim, per_degree=4, max_degree=4))
+        a = oracle_normal_form(alg, multi_term_words(rng, alg))
+        b = oracle_normal_form(alg, multi_term_words(rng, alg))
+        words = multi_term_words(rng, alg, max_terms=4)
+        created = []
+        raw, init = Poly._raw, Poly.__init__
+
+        def counting_raw(cls, ctx, terms):
+            created.append(terms)
+            return raw(ctx, terms)
+
+        def counting_init(self, *args):
+            created.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Poly, "_raw", classmethod(counting_raw))
+        monkeypatch.setattr(Poly, "__init__", counting_init)
+        for m1 in monomials:
+            for g in range(alg.dim):
+                uea._times_generator(tables, m1, g)
+                uea._ad(tables, m1, g)
+            uea._fold(tables, {(m1, alg.ctx.zero): 1}, uea.monomial_to_word(m1))
+            for m2 in monomials[::3]:
+                uea._bracket(tables, m1, m2)
+        assert not created
+        # one Poly per term of each result, and nothing else
+        for compute in (
+            lambda: a * b,
+            lambda: a.commutator(b),
+            lambda: normal_form(alg, words),
+        ):
+            created.clear()
+            result = compute()
+            assert len(created) == len(result.terms), (str(a), str(b))

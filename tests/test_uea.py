@@ -6,6 +6,7 @@ import pytest
 
 from kinexpand.algfile import parse_algebra_file, parse_algebra_text
 from kinexpand.checks import casimir_centrality, identity_check, identity_corpus
+from kinexpand.coeffring import ContextMismatchError, ParamContext, Poly
 from kinexpand.exprparse import MAX_EXPONENT, ExprParseError, parse_expression
 from kinexpand.liealg import catalog
 from kinexpand.properties import (
@@ -19,6 +20,7 @@ from kinexpand.uea import (
     format_element,
     is_central,
     named_element,
+    normal_form,
 )
 
 
@@ -81,6 +83,19 @@ class TestAlgebraIdentity:
         loaded = parse_algebra_file(DATA_DIR / "poincare.alg")
         assert loaded is not catalog("poincare")
         assert gen(loaded, "H") == gen(catalog("poincare"), "H")
+
+    def test_coefficients_from_another_context_are_refused(self):
+        alg = catalog("poincare")
+        foreign = Poly.var(ParamContext(("x",)), "x")
+        mono = (0,) * alg.dim
+        with pytest.raises(ContextMismatchError):
+            UEAElement(alg, {mono: foreign})
+        with pytest.raises(ContextMismatchError):
+            UEAElement.scalar(alg, foreign)
+        with pytest.raises(ContextMismatchError):
+            gen(alg, "H").smul(foreign)
+        with pytest.raises(ContextMismatchError):
+            normal_form(alg, [(("H", "P1"), foreign)])
 
 
 class TestExpressionBounds:
