@@ -13,8 +13,9 @@ Example::
 Bracket right-hand sides are ``coeff*gen`` terms joined by ``+``; each
 coefficient uses the canonical polynomial grammar and is parenthesised
 whenever it is not a single product term.  A pair of generators takes at
-most one ``bracket`` line, in either order.  ``emit_algebra`` produces the
-canonical form and reproduces canonical files byte-identically.
+most one ``bracket`` line, in either order, and a file at most one ``name``,
+``parameters``, ``laurent`` and ``generators`` line.  ``emit_algebra``
+produces the canonical form and reproduces canonical files byte-identically.
 """
 
 from __future__ import annotations
@@ -73,22 +74,29 @@ def _names(text: str, what: str, line: int) -> list:
 def parse_algebra_text(text: str, allow_non_lie: bool = False) -> LieAlgebra:
     name = None
     params: list = []
-    laurent = laurent_line = None
+    laurent = None
     generators: list | None = None
     bracket_lines = []
     metadata = {}
+    once: dict = {}  # directive allowed once -> its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, _, rest = line.partition(" ")
         rest = rest.strip()
+        if key in ("name", "parameters", "laurent", "generators"):
+            if key in once:
+                raise AlgebraFileError(
+                    f"second {key!r} directive (first on line {once[key]})", lineno
+                )
+            once[key] = lineno
         if key == "name":
             name = rest
         elif key == "parameters":
             params = _names(rest, "parameter", lineno)
         elif key == "laurent":
-            laurent, laurent_line = rest, lineno
+            laurent = rest
         elif key == "generators":
             generators = _names(rest, "generator", lineno)
         elif key == "bracket":
@@ -105,7 +113,7 @@ def parse_algebra_text(text: str, allow_non_lie: bool = False) -> LieAlgebra:
     if laurent is not None and laurent not in params:
         raise AlgebraFileError(
             f"laurent parameter {laurent!r} not declared in 'parameters'",
-            laurent_line,
+            once["laurent"],
         )
     ctx = ParamContext(params, laurent=laurent)
     gen_index = {g: i for i, g in enumerate(generators)}

@@ -18,7 +18,8 @@ text or JSON (``--format``); JSON reports carry a ``schema_version`` field.
 Exit status is 0 exactly when every expected verdict holds, including the
 expected closure *failure* of the ``negative-nh`` driver.  Malformed input
 (a command line, an algebra file or name, an expression, a witness, a
-generator or parameter name) ends with one line on stderr and exit status 2.
+generator or parameter name, an unwritable ``KINEXPAND_OUTPUT_DIR``) ends
+with one line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -132,8 +133,12 @@ def _emit(doc: dict, args, text: str | None = None) -> None:
     outdir = os.environ.get(OUTPUT_DIR_ENV)
     if outdir:
         path = Path(outdir) / f"{doc['command']}.{args.format}"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            where = f"{path.name} to {OUTPUT_DIR_ENV}={outdir!r}"
+            raise InputError(f"cannot write {where}: {exc.strerror}") from None
 
 
 def _render_text(doc: dict, indent: int = 0) -> str:

@@ -181,13 +181,6 @@ class Poly:
             raise ValueError(f"{self} is not constant")
         return Fraction(self.terms[self.ctx.zero])
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def degree_in(self, name: str) -> int:
-        i = self.ctx.index[name]
-        return max((e[i] for e in self.terms), default=0)
-
     # -- arithmetic -------------------------------------------------------
 
     def _check(self, other: "Poly") -> None:

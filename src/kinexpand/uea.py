@@ -5,16 +5,18 @@ vectors over the algebra's ordered generator basis, with polynomial
 coefficients (:class:`~kinexpand.coeffring.Poly`).  The kernel has two
 primitives.  The first is the product of a PBW monomial ``m`` with a
 generator ``x_g`` from the right (the monomial-level multiplication of
-algebras of solvable type, after Kandri-Rody and Weispfenning).  Write ``m = m'*x_k`` with ``x_k`` the last
-generator present in ``m``.  If ``k <= g`` the product is the monomial with
-the exponent of ``g`` raised by one.  Otherwise::
+algebras of solvable type, after Kandri-Rody and Weispfenning).  Write
+``m = m'*x_k`` with ``x_k`` the last generator present in ``m``.  If
+``k <= g`` the product is the monomial with the exponent of ``g`` raised by
+one.  Otherwise::
 
     m*x_g = (m'*x_g)*x_k + sum_l c_l (m'*x_l),   [x_k, x_g] = sum_l c_l x_l
 
 Every call on the right has a monomial of lower degree, or is a bump, so
 the recursion terminates, and by the PBW theorem the result is the
-canonical representative.  A word is normal-ordered by folding its letters
-into the monomial of its sorted prefix.
+canonical representative.  Every normal form is a fold over this primitive
+(:func:`_fold`): a product folds its whole left factor through the letters
+of each right monomial, and a word is the unit folded through its letters.
 
 The second primitive is the adjoint action ``ad(m, g) = [m, x_g]``, with
 ``m = m'*x_k`` as above and ``[x_k, x_g]`` for either order of ``k`` and
@@ -29,19 +31,19 @@ last letter of the right one, ``m2 = m2'*x_j``::
 
     [m1, m2'*x_j] = [m1, m2']*x_j + m2'*[m1, x_j]
 
-with ``m2'*t`` folded as a word.  :meth:`UEAElement.commutator` sums these
-monomial brackets over pairs of terms.
+with ``m2'*t`` a fold.  :meth:`UEAElement.commutator` sums these monomial
+brackets over pairs of terms.
 
 Per algebra the kernel memoises the product primitive and ``ad``, keyed by
-(monomial, generator), the brackets of monomial pairs that are not
-generators, and the normal forms of the words callers request; the words it
-passes through on the way are not stored.  Every table entry, and the
-bracket table the kernel reads, is a flat dict ``{(monomial, exponents):
-rational}``: a structure constant ``c * params^e`` is the triple ``(l, e,
-c)``, a product of two terms multiplies the rationals and adds the exponent
-tuples (skipped when either is the context's shared zero tuple), and a
-rational is an ``int`` when integral and a ``Fraction`` otherwise, as in
-:class:`~kinexpand.coeffring.Poly`.  No ``Poly`` is made inside the kernel.
+(monomial, generator), and the brackets of monomial pairs that are not
+generators; no word and no product of two monomials is stored.  Every table
+entry, and the bracket table the kernel reads, is a flat dict ``{(monomial,
+exponents): rational}``: a structure constant ``c * params^e`` is the
+triple ``(l, e, c)``, a product of two terms multiplies the rationals and
+adds the exponent tuples (skipped when either is the context's shared zero
+tuple), and a rational is an ``int`` when integral and a ``Fraction``
+otherwise, as in :class:`~kinexpand.coeffring.Poly`.  No ``Poly`` is made
+inside the kernel.
 A product, a commutator or :func:`normal_form` sums the cross terms of its
 operands' coefficients into one flat dict and groups it into ``{monomial:
 Poly}`` once, at the end.
@@ -92,13 +94,17 @@ class _Tables:
     """
 
     __slots__ = (
-        "dim", "zero", "brackets", "products", "ads", "commutators", "words",
+        "dim", "zero", "letters", "brackets", "products", "ads", "commutators",
         "generating",
     )
 
     def __init__(self, alg: LieAlgebra):
         self.dim = alg.dim
         self.zero = alg.ctx.zero
+        # the monomial x_g of each generator
+        self.letters = tuple(
+            tuple(int(g == k) for k in range(alg.dim)) for g in range(alg.dim)
+        )
         # [x_k, x_g] for every ordered pair as (l, exponents, rational) triples
         self.brackets = {
             (k, g): [
@@ -112,13 +118,12 @@ class _Tables:
         self.products: dict = {}  # (monomial, g) -> normal form of m*x_g
         self.ads: dict = {}  # (monomial, g) -> normal form of [m, x_g]
         self.commutators: dict = {}  # (m1, m2) -> [m1, m2], neither a generator
-        self.words: dict = {}  # requested word -> its normal form
         self.generating = lie_generating_set(alg)
 
 
 _TABLES: "weakref.WeakKeyDictionary[LieAlgebra, _Tables]" = weakref.WeakKeyDictionary()
 
-_KERNEL_TABLES = ("products", "ads", "commutators", "words")
+_KERNEL_TABLES = ("products", "ads", "commutators")
 
 
 def _tables(alg: LieAlgebra) -> _Tables:
@@ -148,23 +153,25 @@ def _exps_sum(e1: tuple, e2: tuple, zero: tuple) -> tuple:
     return zero if e == zero else e
 
 
-def _add_into(out: dict, terms: dict, exps: tuple, c, zero: tuple) -> None:
-    """out += c * params^exps * terms, on flat dicts.
+def _add_term(out: dict, key: tuple, c) -> None:
+    """out[key] += c, deleting a sum that cancels and storing an integral
+    ``Fraction`` sum as ``int``, as :class:`Poly` stores them."""
+    v = out.get(key, 0) + c
+    if not v:
+        del out[key]
+    elif type(v) is Fraction and v.denominator == 1:
+        out[key] = v.numerator
+    else:
+        out[key] = v
 
-    Sums that cancel are deleted and integral ``Fraction`` sums are stored
-    as ``int``, as :class:`Poly` stores them.
-    """
+
+def _add_into(out: dict, terms: dict, exps: tuple, c, zero: tuple) -> None:
+    """out += c * params^exps * terms, on flat dicts, term by term."""
     items = terms.items()
     if exps is not zero:
         items = [((m, _exps_sum(e, exps, zero)), c2) for (m, e), c2 in items]
     for key, c2 in items:
-        v = out.get(key, 0) + c * c2
-        if not v:
-            del out[key]
-        elif type(v) is Fraction and v.denominator == 1:
-            out[key] = v.numerator
-        else:
-            out[key] = v
+        _add_term(out, key, c * c2)
 
 
 def _group(alg: LieAlgebra, flat: dict) -> dict:
@@ -213,14 +220,31 @@ def _times_generator(tables: _Tables, mono: Monomial, g: int) -> dict:
     return out
 
 
-def _fold(tables: _Tables, out: dict, letters: Iterable[int]) -> dict:
-    """Normal form of out * x_g1 * x_g2 * ... for the given letters."""
+def _fold(tables: _Tables, flat: dict, mono: Monomial) -> dict:
+    """Normal form of flat * mono, for a PBW monomial mono, as a flat dict.
+
+    The letters of mono are multiplied in one at a time, in basis order.  A
+    term whose last generator comes no later than the next letter takes the
+    rest of mono as one bump of its exponents.
+    """
     zero = tables.zero
-    for g in letters:
-        acc: dict = {}
-        for (mono, e), c in out.items():
-            _add_into(acc, _times_generator(tables, mono, g), e, c, zero)
-        out = acc
+    rest = list(mono)
+    out: dict = {}
+    for g, n in enumerate(mono):
+        for _ in range(n):
+            acc: dict = {}
+            for key, c in flat.items():
+                m, e = key
+                if any(m[g + 1 :]):
+                    _add_into(acc, _times_generator(tables, m, g), e, c, zero)
+                else:
+                    _add_term(out, (tuple([a + b for a, b in zip(m, rest)]), e), c)
+            if not acc:
+                return out
+            flat = acc
+            rest[g] -= 1
+    for key, c in flat.items():
+        _add_term(out, key, c)
     return out
 
 
@@ -276,38 +300,17 @@ def _bracket(tables: _Tables, m1: Monomial, m2: Monomial) -> dict:
     else:
         j = _last(m2)
         lower = m2[:j] + (m2[j] - 1,) + m2[j + 1 :]
-        out = _fold(tables, _bracket(tables, m1, lower), (j,))
+        out = _fold(tables, _bracket(tables, m1, lower), tables.letters[j])
         zero = tables.zero
         for (t, e), c in _ad(tables, m1, j).items():
-            word = _fold(tables, {(lower, zero): 1}, monomial_to_word(t))
-            _add_into(out, word, e, c, zero)
+            _add_into(out, _fold(tables, {(lower, zero): 1}, t), e, c, zero)
     tables.commutators[key] = out
-    return out
-
-
-def _word(tables: _Tables, word: WordLetters) -> dict:
-    """Normal form of a word as a flat dict, memoised.  Do not mutate.
-
-    The letters after the word's sorted prefix are multiplied one at a time
-    into the prefix's monomial.
-    """
-    out = tables.words.get(word)
-    if out is None:
-        n = len(word)
-        i = 1
-        while i < n and word[i - 1] <= word[i]:
-            i += 1
-        prefix = [0] * tables.dim
-        for g in word[:i]:
-            prefix[g] += 1
-        start = {(tuple(prefix), tables.zero): 1}
-        out = tables.words[word] = _fold(tables, start, word[i:])
     return out
 
 
 def normal_form_word(alg: LieAlgebra, word: WordLetters) -> dict:
     """Normal form of a single word as a fresh {monomial: Poly}."""
-    return _group(alg, _word(_tables(alg), word))
+    return normal_form(alg, [(word, 1)]).terms
 
 
 def _coefficient(alg: LieAlgebra, value: CoeffLike) -> Poly:
@@ -420,28 +423,23 @@ class UEAElement:
     # -- multiplicative operations ---------------------------------------
 
     def __mul__(self, other: "UEAElement") -> "UEAElement":
-        """Associative product, normal-ordering the concatenated words."""
+        """Associative product: ``self`` folded through each right monomial."""
         self._check(other)
         tables = _tables(self.alg)
         zero = tables.zero
+        left = {(m, e): c for m, p in self.terms.items() for e, c in p.terms.items()}
         flat: dict = {}
-        words_other = [
-            (monomial_to_word(m), c.terms) for m, c in other.terms.items()
-        ]
-        for m1, c1 in self.terms.items():
-            w1 = monomial_to_word(m1)
-            for w2, t2 in words_other:
-                nf = _word(tables, w1 + w2)
-                for e1, a in c1.terms.items():
-                    for e2, b in t2.items():
-                        _add_into(flat, nf, _exps_sum(e1, e2, zero), a * b, zero)
+        for m2, c2 in other.terms.items():
+            folded = _fold(tables, left, m2)
+            for e2, b in c2.terms.items():
+                _add_into(flat, folded, e2, b, zero)
         return UEAElement._raw(self.alg, _group(self.alg, flat))
 
     def __pow__(self, n: int) -> "UEAElement":
         if n < 0:
             raise ValueError("negative powers are not defined in the UEA")
-        result = UEAElement.one(self.alg)
-        for _ in range(n):
+        result = self if n else UEAElement.one(self.alg)
+        for _ in range(n - 1):
             result = result * self
         return result
 
@@ -485,10 +483,10 @@ def normal_form(alg: LieAlgebra, words: Iterable[tuple]) -> UEAElement:
     zero = tables.zero
     flat: dict = {}
     for letters, coeff in words:
-        idx = tuple(
-            g if isinstance(g, int) else alg.gen_index[g] for g in letters
-        )
-        nf = _word(tables, idx)
+        nf = {((0,) * alg.dim, zero): 1}
+        for g in letters:
+            g = g if isinstance(g, int) else alg.gen_index[g]
+            nf = _fold(tables, nf, tables.letters[g])
         for e, c in _coefficient(alg, coeff).terms.items():
             _add_into(flat, nf, e, c, zero)
     return UEAElement._raw(alg, _group(alg, flat))

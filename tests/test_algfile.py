@@ -103,9 +103,15 @@ class TestParsing:
             ("name toy\nparameters t\ngenerators A B\nbracket A B = t^-1*A\n", 4),
             ("name toy\ngenerators A B C\nbracket A B = 1*C\nbracket A B = 1*C\n", 4),
             ("name toy\ngenerators A B C\nbracket A B = 1*C\nbracket B A = -1*C\n", 4),
+            ("name toy\nname other\ngenerators A B\n", 2),
+            ("name toy\nparameters t\ngenerators A B\nparameters s\n", 4),
+            ("name toy\nparameters t s\nlaurent t\nlaurent s\ngenerators A B\n", 4),
+            ("name toy\ngenerators A B\ngenerators C D\n", 3),
         ],
         ids=["duplicate-parameter", "duplicate-generator", "undeclared-laurent",
-             "negative-power", "repeated-bracket", "reversed-repeated-bracket"],
+             "negative-power", "repeated-bracket", "reversed-repeated-bracket",
+             "repeated-name", "repeated-parameters", "repeated-laurent",
+             "repeated-generators"],
     )
     def test_malformed_declarations(self, text, line):
         with pytest.raises(AlgebraFileError) as exc:

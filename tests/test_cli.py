@@ -19,6 +19,12 @@ BAD_FILES = {
     "negative_power": "name toy\nparameters t\ngenerators A B C\nbracket A B = t^-1*C\n",
     "repeated_bracket": "name toy\ngenerators A B C\n"
     "bracket A B = 1*C\nbracket A B = 1*C\n",
+    "repeated_name": "name toy\nname other\ngenerators A B C\n",
+    "repeated_parameters": "name toy\nparameters t\nparameters s\n"
+    "generators A B C\n",
+    "repeated_laurent": "name toy\nparameters t s\nlaurent t\nlaurent s\n"
+    "generators A B C\n",
+    "repeated_generators": "name toy\ngenerators A B\ngenerators C D\n",
     # the named elements of the poincare family need J1, P1, K1, ...
     "wrong_family": "name toy\ngenerators A B C\nbracket A B = 1*C\n"
     "metadata family poincare\n",
@@ -100,6 +106,10 @@ class TestExitContract:
             ["check-jacobi", "{negative_power}"],
             ["expand", "negative-nh", "--witness", "kappa=5"],
             ["bracket", "{repeated_bracket}", "A", "B"],
+            ["check-jacobi", "{repeated_name}"],
+            ["check-jacobi", "{repeated_parameters}"],
+            ["check-jacobi", "{repeated_laurent}"],
+            ["bracket", "{repeated_generators}", "C", "D"],
             ["casimir-check", "{wrong_family}"],
             ["nosuch"],
             ["expand", "nosuch"],
@@ -129,6 +139,10 @@ class TestExitContract:
                 "line 4: second bracket for A B (first declared on line 3)",
             ),
             (
+                ["bracket", "{repeated_generators}", "C", "D"],
+                "line 3: second 'generators' directive (first on line 2)",
+            ),
+            (
                 ["casimir-check", "{wrong_family}"],
                 "family 'poincare' needs generator 'J1', "
                 "and toy has no such generator",
@@ -136,7 +150,13 @@ class TestExitContract:
             (["nosuch"], "kinexpand: argument command: invalid choice: 'nosuch'"),
             (["expand", "nosuch"], "kinexpand expand: argument target: invalid choice"),
         ],
-        ids=["repeated-bracket", "wrong-family", "unknown-command", "unknown-target"],
+        ids=[
+            "repeated-bracket",
+            "repeated-generators",
+            "wrong-family",
+            "unknown-command",
+            "unknown-target",
+        ],
     )
     def test_malformed_input_message(self, capsys, tmp_path, argv, message):
         paths = {name: tmp_path / f"{name}.alg" for name in BAD_FILES}
@@ -233,9 +253,10 @@ class TestOutput:
         assert all(c["passed"] for c in doc["checks"])
 
     def test_json_is_deterministic(self, capsys):
-        _, first = run_cli(capsys, "--format", "json", "corpus")
-        _, second = run_cli(capsys, "--format", "json", "corpus")
-        assert first == second
+        for argv in (["corpus"], ["expand", "poincare"], ["--seed", "7", "report"]):
+            _, first = run_cli(capsys, "--format", "json", *argv)
+            _, second = run_cli(capsys, "--format", "json", *argv)
+            assert first == second, argv
 
     def test_expand_json_names_witness(self, capsys):
         code, out = run_cli(capsys, "--format", "json", "expand", "newton_hooke")
@@ -251,6 +272,19 @@ class TestOutput:
         assert code == 0
         written = (tmp_path / "corpus.json").read_text()
         assert written == out
+
+    def test_unwritable_output_dir_exits_2_with_one_line(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("KINEXPAND_OUTPUT_DIR", str(blocker))
+        code = main(["bracket", "galilei", "H", "K1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "-1*P1\n"
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("kinexpand bracket: cannot write bracket.text")
 
 
 class TestReport:

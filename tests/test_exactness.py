@@ -83,8 +83,6 @@ class TestExactRationals:
         for run in runs:
             doc = run.to_dict()
             for path, leaf in walk(doc):
-                if path[-1] == "elapsed_s":
-                    continue
                 assert not isinstance(leaf, float), (run.name, path)
                 if isinstance(leaf, str):
                     assert not FLOAT_TEXT.search(leaf), (run.name, path, leaf)
