@@ -48,6 +48,7 @@ from .expansion import (
     DRIVERS,
     ExpansionRun,
     build_seed,
+    closure_certificate,
     decompose_casimir,
     derive_generators,
     run_euclid,
@@ -103,6 +104,7 @@ __all__ = [
     "DRIVERS",
     "ExpansionRun",
     "build_seed",
+    "closure_certificate",
     "decompose_casimir",
     "derive_generators",
     "run_euclid",

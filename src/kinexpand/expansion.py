@@ -7,23 +7,30 @@ expanded generators as the seed's adjoint action, keeping generators the seed
 commutes with; (iv) verify that the expanded generators close onto the target
 bracket table.
 
-Closure verification runs in three phases per generator pair.  Brackets that
-stay inside the fixed subalgebra (or involve one fixed generator) must match
-the target structure constants exactly as enveloping-algebra elements.  The
-remaining brackets produce central factors (Casimirs, the central generator);
-for these a *template* written with scalar stand-ins c1, c2, xi is checked
-exactly after expanding the stand-ins to their defining elements, then
-scalarised with a rational witness and compared to the target structure
-constants.  Witnesses must satisfy the closure constraint equations over
-the rationals; a constraint the witness leaves open (one free constant)
-becomes a power-substitution rule applied during comparison.
+Closure verification is split in two.  The witness-free *certificate*
+(:func:`closure_certificate`) holds, per target generator pair, the actual
+commutator of the expanded generators and, where the pair has a central
+template, the phase-1 residual: the template is written with scalar
+stand-ins c1, c2, xi for central factors (Casimirs, the central generator),
+and the stand-ins are expanded to their defining elements and compared
+exactly.  The *witness check* (:func:`verify_closure`) then takes a rational
+witness: it validates the witness against the closure constraint equations
+(a constraint the witness leaves open, with one free constant, becomes a
+power-substitution rule), builds the expected brackets from the target
+structure constants, accepts exactly equal pairs, and otherwise scalarises
+the template with the witness (phase 2) and compares it with the target
+(phase 3).  The certificate depends only on the seed, so each driver family
+builds it once per process and every witness reuses it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import combinations
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .coeffring import Poly, format_poly
 from .liealg import _CYCLIC, LieAlgebra, catalog
@@ -102,11 +109,15 @@ def build_seed(decomps: Sequence[CasimirDecomposition], alphas: Sequence[str]) -
     return Seed(element=element, alphas=tuple(alphas))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExpandedGenerators:
-    """Adjoint-derived generator set: name -> element, plus the fixed set."""
+    """Adjoint-derived generator set: name -> element, plus the fixed set.
 
-    elements: dict
+    ``elements`` is a read-only mapping, because a driver's generators are
+    shared by every run of that driver in the process.
+    """
+
+    elements: Mapping[str, UEAElement]
     fixed_set: frozenset
 
 
@@ -122,7 +133,9 @@ def derive_generators(alg: LieAlgebra, seed: Seed) -> ExpandedGenerators:
             fixed.add(g.name)
         else:
             elements[g.name] = c
-    return ExpandedGenerators(elements=elements, fixed_set=frozenset(fixed))
+    return ExpandedGenerators(
+        elements=MappingProxyType(elements), fixed_set=frozenset(fixed)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -279,26 +292,8 @@ class ClosureReport:
         }
 
 
-def verify_closure(
-    alg: LieAlgebra,
-    gens: ExpandedGenerators,
-    target: LieAlgebra,
-    templates: CentralTemplate | None = None,
-    constraints: Sequence[Poly] = (),
-    witness: Mapping[str, Fraction] | None = None,
-) -> ClosureReport:
-    """Check the expanded generators against the target bracket table.
-
-    The witness is validated against the constraints first; an exactly
-    satisfied constraint is consumed, an open one (single free constant)
-    becomes a power-reduction rule.  Every target generator pair is then
-    verified: exact enveloping-algebra equality where possible, otherwise
-    through its central template.
-    """
-    witness = dict(witness or {})
-    entries = templates.entries if templates is not None else {}
-    reductions = _analyze_constraints(constraints, witness)
-
+def _central_map(alg: LieAlgebra) -> dict:
+    """The elements of ``alg`` that its central stand-ins expand to."""
     central_map = {}
     for sym in CENTRAL_SYMBOLS:
         if sym not in alg.ctx.index:
@@ -312,78 +307,154 @@ def verify_closure(
                 central_map[sym] = named_element(alg, key)
             except KeyError:
                 pass
+    return central_map
+
+
+class PairCertificate(NamedTuple):
+    """The witness-free part of one pair's closure check.
+
+    ``actual`` is the commutator of the pair's expanded generators.  For a
+    pair with a template, ``phase1`` is ``actual - expand_central(template)``
+    and ``phase1_text`` is ``"pass"`` when it is zero, else its text; for a
+    pair without one, ``phase1`` is None and ``phase1_text`` is ``"n/a"``.
+    """
+
+    pair: tuple
+    actual: UEAElement
+    template: UEAElement | None
+    phase1: UEAElement | None
+    phase1_text: str
+
+
+class ClosureCertificate(NamedTuple):
+    """Witness-free closure data of one expanded generator set.
+
+    ``pairs`` holds one :class:`PairCertificate` per target generator pair,
+    in target basis order.
+    """
+
+    alg: LieAlgebra
+    generators: ExpandedGenerators
+    pairs: tuple
+
+
+def closure_certificate(
+    alg: LieAlgebra,
+    gens: ExpandedGenerators,
+    target: LieAlgebra,
+    templates: CentralTemplate | None = None,
+) -> ClosureCertificate:
+    """Compute every commutator and phase-1 identity that needs no witness.
+
+    For each pair of target generators, in target basis order, the actual
+    commutator of the expanded generators is formed once; where the pair
+    has a central template, the template with its stand-ins expanded is
+    subtracted from it exactly (phase 1).
+    """
+    entries = templates.entries if templates is not None else {}
+    central_map = _central_map(alg)
+    pairs = []
+    for na, nb in combinations([g.name for g in target.generators], 2):
+        actual = gens.elements[na].commutator(gens.elements[nb])
+        template = entries.get((na, nb))
+        if template is None:
+            pairs.append(PairCertificate((na, nb), actual, None, None, "n/a"))
+            continue
+        phase1 = actual - expand_central(template, central_map)
+        text = "pass" if phase1.is_zero() else format_element(phase1)
+        pairs.append(PairCertificate((na, nb), actual, template, phase1, text))
+    return ClosureCertificate(alg, gens, tuple(pairs))
+
+
+def verify_closure(
+    certificate: ClosureCertificate,
+    target: LieAlgebra,
+    constraints: Sequence[Poly] = (),
+    witness: Mapping[str, Fraction] | None = None,
+) -> ClosureReport:
+    """Check a closure certificate against the target bracket table at a witness.
+
+    The witness is validated against the constraints first; an exactly
+    satisfied constraint is consumed, an open one (single free constant)
+    becomes a power-reduction rule.  For every pair of the certificate the
+    expected bracket is then built from the target structure constants at
+    the witness.  A pair whose commutator equals it exactly is an
+    ``exact_zero``.  Otherwise its template is scalarised at the witness
+    (phase 2) and compared with the expected bracket (phase 3); the pair is
+    a ``template_match`` only if the certificate's phase-1 residual is zero
+    too, and a ``mismatch`` otherwise or when it has no template.  No
+    commutator or phase-1 identity is computed here: that is the
+    certificate's work, done once for every witness.  The target's
+    generator pairs must be the certificate's, in the same order.
+    """
+    names = [g.name for g in target.generators]
+    if tuple(combinations(names, 2)) != tuple(p.pair for p in certificate.pairs):
+        raise ValueError(
+            f"target {target.name} does not have the certificate's generator pairs"
+        )
+    alg = certificate.alg
+    elements = certificate.generators.elements
+    witness = dict(witness or {})
+    reductions = _analyze_constraints(constraints, witness)
 
     pairs = []
     mismatches = []
-    names = [g.name for g in target.generators]
-    for a in range(len(names)):
-        for b in range(a + 1, len(names)):
-            na, nb = names[a], names[b]
-            actual = gens.elements[na].commutator(gens.elements[nb])
-            ta, tb = target.gen_index[na], target.gen_index[nb]
-            expected = UEAElement.zero(alg)
-            for k, coeff in target.bracket_pair(ta, tb).items():
-                expected = expected + gens.elements[names[k]].smul(
-                    coeff.substitute(witness)
+    for cert in certificate.pairs:
+        na, nb = cert.pair
+        ta, tb = target.gen_index[na], target.gen_index[nb]
+        expected = UEAElement.zero(alg)
+        for k, coeff in target.bracket_pair(ta, tb).items():
+            expected = expected + elements[names[k]].smul(coeff.substitute(witness))
+        target_text = format_element(expected)
+        exact_res = _reduce_element(cert.actual - expected, reductions)
+        if exact_res.is_zero():
+            pairs.append(PairVerdict(cert.pair, "exact_zero", "n/a", "", target_text))
+            continue
+        if cert.template is None:
+            pairs.append(
+                PairVerdict(
+                    cert.pair,
+                    "mismatch",
+                    "n/a",
+                    "",
+                    target_text,
+                    residual=format_element(exact_res),
                 )
-            target_text = format_element(expected)
-            exact_res = _reduce_element(actual - expected, reductions)
-            if exact_res.is_zero():
-                pairs.append(
-                    PairVerdict((na, nb), "exact_zero", "n/a", "", target_text)
-                )
-                continue
-            template = entries.get((na, nb))
-            if template is None:
-                pairs.append(
-                    PairVerdict(
-                        (na, nb),
-                        "mismatch",
-                        "n/a",
-                        "",
-                        target_text,
-                        residual=format_element(exact_res),
-                    )
-                )
-                mismatches.append((na, nb))
-                continue
-            # phase 1: exact identity with central symbols expanded
-            expanded = expand_central(template, central_map)
-            p1_res = actual - expanded
-            phase1 = "pass" if p1_res.is_zero() else format_element(p1_res)
-            # phase 2: scalarise the template with the witness
-            scal = UEAElement(
-                alg,
-                {m: p.substitute(witness) for m, p in template.terms.items()},
             )
-            scal = _reduce_element(scal, reductions)
-            scal_text = format_element(scal)
-            degree_ok = scal.degree() <= 1
-            # phase 3: compare with the target structure constants
-            p3_res = _reduce_element(scal - expected, reductions)
-            ok = p1_res.is_zero() and degree_ok and p3_res.is_zero()
-            if ok:
-                pairs.append(
-                    PairVerdict((na, nb), "template_match", "pass", scal_text, target_text)
+            mismatches.append(cert.pair)
+            continue
+        # phase 2: scalarise the template with the witness
+        scal = UEAElement(
+            alg,
+            {m: p.substitute(witness) for m, p in cert.template.terms.items()},
+        )
+        scal = _reduce_element(scal, reductions)
+        scal_text = format_element(scal)
+        degree_ok = scal.degree() <= 1
+        # phase 3: compare with the target structure constants
+        p3_res = _reduce_element(scal - expected, reductions)
+        p1_ok = cert.phase1.is_zero()
+        if p1_ok and degree_ok and p3_res.is_zero():
+            pairs.append(
+                PairVerdict(cert.pair, "template_match", "pass", scal_text, target_text)
+            )
+        else:
+            pairs.append(
+                PairVerdict(
+                    cert.pair,
+                    "mismatch",
+                    cert.phase1_text,
+                    scal_text,
+                    target_text,
+                    residual=format_element(p3_res if p1_ok else cert.phase1),
                 )
-            else:
-                residual = p1_res if not p1_res.is_zero() else p3_res
-                pairs.append(
-                    PairVerdict(
-                        (na, nb),
-                        "mismatch",
-                        phase1,
-                        scal_text,
-                        target_text,
-                        residual=format_element(residual),
-                    )
-                )
-                mismatches.append((na, nb))
+            )
+            mismatches.append(cert.pair)
 
     return ClosureReport(
         initial=alg.name,
         target=target.name,
-        fixed_set=tuple(sorted(gens.fixed_set)),
+        fixed_set=tuple(sorted(certificate.generators.fixed_set)),
         constraints=tuple(format_poly(c) for c in constraints),
         witness=witness,
         reductions=tuple(reductions),
@@ -594,59 +665,165 @@ def _theorem2_constraints(ctx) -> tuple:
     return ((a1 * a1 * m * m * xi * xi).scale(4) + kappa,)
 
 
-def _run_worldline_expansion(name, target_name, witness) -> ExpansionRun:
-    alg = catalog("galilei")
-    C1p, C2p = _poincare_target_casimirs(alg)
-    d1 = decompose_casimir(C1p, "omega")
-    d2 = decompose_casimir(C2p, "omega")
-    seed = build_seed([d1, d2], ["a1", "a2"])
+def _negative_nh_closed_forms(alg: LieAlgebra) -> dict:
+    """The plain Galilei seed's generators: H' = 2*a1*K.P, the rest fixed."""
+    forms = {g.name: UEAElement.generator(alg, g.name) for g in alg.generators}
+    forms["H"] = named_element(alg, "KP").smul(Poly.var(alg.ctx, "a1").scale(2))
+    return forms
+
+
+class _Family(NamedTuple):
+    """How one seed is built and checked; nothing in it depends on a witness.
+
+    ``target`` fixes the order of the certificate's pairs; every target a
+    family's drivers check against has the same generators in that order.
+    """
+
+    initial: str
+    casimirs: Callable  # algebra -> target Casimirs over its generators
+    curvature: str
+    closed_forms: Callable  # algebra -> {generator name: published form}
+    target: str
+    templates: Callable | None  # algebra -> CentralTemplate
+    constraints: Callable | None  # parameter context -> constraint polys
+
+
+_FAMILIES = {
+    "worldline": _Family(
+        "galilei",
+        _poincare_target_casimirs,
+        "omega",
+        poincare_closed_forms,
+        "poincare",
+        _poincare_templates,
+        _theorem1_constraints,
+    ),
+    "spacetime": _Family(
+        "galilei_ext",
+        _nh_target_casimirs,
+        "kappa",
+        newton_hooke_closed_forms,
+        "newton_hooke",
+        _nh_templates,
+        _theorem2_constraints,
+    ),
+    "negative": _Family(
+        "galilei",
+        _nh_target_casimirs,
+        "kappa",
+        _negative_nh_closed_forms,
+        "newton_hooke",
+        None,
+        None,
+    ),
+}
+
+
+class _SeedCertificate(NamedTuple):
+    """The witness-free results of one family, shared by its drivers."""
+
+    seed: Seed
+    generators: ExpandedGenerators
+    closed_forms_match: bool
+    constraints: tuple
+    certificate: ClosureCertificate
+
+
+@functools.cache
+def _certificate(family: str) -> _SeedCertificate:
+    """Build a family's seed, generators and closure certificate.
+
+    Cached for the life of the process: the inputs are catalog algebras,
+    which are immutable and cached themselves, and the tables above.  The
+    closed forms match when every derived generator equals its published
+    form and exactly the generators whose form is the generator itself are
+    fixed.
+    """
+    fam = _FAMILIES[family]
+    alg = catalog(fam.initial)
+    decomps = [decompose_casimir(c, fam.curvature) for c in fam.casimirs(alg)]
+    seed = build_seed(decomps, ["a1", "a2"])
     gens = derive_generators(alg, seed)
-    forms = poincare_closed_forms(alg)
-    closed_ok = all(gens.elements[k] == forms[k] for k in forms)
-    report = verify_closure(
-        alg,
-        gens,
-        catalog(target_name),
-        templates=_poincare_templates(alg),
-        constraints=_theorem1_constraints(alg.ctx),
-        witness=witness,
+    forms = fam.closed_forms(alg)
+    closed_ok = all(gens.elements[k] == v for k, v in forms.items()) and (
+        gens.fixed_set
+        == frozenset(k for k, v in forms.items() if v == UEAElement.generator(alg, k))
     )
-    return ExpansionRun(name, seed, gens, closed_ok, report)
+    templates = fam.templates(alg) if fam.templates else None
+    return _SeedCertificate(
+        seed,
+        gens,
+        closed_ok,
+        fam.constraints(alg.ctx) if fam.constraints else (),
+        closure_certificate(alg, gens, catalog(fam.target), templates),
+    )
+
+
+# The curvature sign that selects each target: a witness on the other side
+# (or at zero curvature, where the target table is Galilei's) satisfies the
+# same constraints but certifies a different algebra.
+_SIGNS = {"< 0": (-1,), "> 0": (1,), "!= 0": (-1, 1)}
+
+
+def _require_curvature(target: str, witness: Mapping, name: str, relation: str):
+    value = witness.get(name)
+    sign = None if value is None else (value > 0) - (value < 0)
+    if sign not in _SIGNS[relation]:
+        got = f"no {name}" if value is None else f"{name} = {value}"
+        raise ConstraintViolationError(
+            f"the {target} expansion needs a witness with {name} {relation} "
+            f"(got {got})"
+        )
+
+
+def _run(
+    name: str, family: str, target: str, witness: Mapping, expected_to_close=True
+) -> ExpansionRun:
+    entry = _certificate(family)
+    report = verify_closure(
+        entry.certificate, catalog(target), entry.constraints, witness
+    )
+    return ExpansionRun(
+        name,
+        entry.seed,
+        entry.generators,
+        entry.closed_forms_match,
+        report,
+        expected_to_close,
+    )
 
 
 def run_theorem1(witness: Mapping[str, Fraction] | None = None) -> ExpansionRun:
-    """Galilei -> Poincare expansion with a rational closure witness."""
-    return _run_worldline_expansion(
-        "theorem1", "poincare", dict(witness or THEOREM1_WITNESS)
-    )
+    """Galilei -> Poincare expansion with a rational closure witness.
+
+    The witness must fix omega < 0; a ``ConstraintViolationError`` is
+    raised otherwise.
+    """
+    witness = dict(witness or THEOREM1_WITNESS)
+    _require_curvature("poincare", witness, "omega", "< 0")
+    return _run("theorem1", "worldline", "poincare", witness)
 
 
 def run_euclid(witness: Mapping[str, Fraction] | None = None) -> ExpansionRun:
-    """Galilei -> 4D Euclidean expansion (positive worldline curvature)."""
-    return _run_worldline_expansion(
-        "euclid", "euclid4", dict(witness or EUCLID_WITNESS)
-    )
+    """Galilei -> 4D Euclidean expansion (positive worldline curvature).
+
+    The witness must fix omega > 0; a ``ConstraintViolationError`` is
+    raised otherwise.
+    """
+    witness = dict(witness or EUCLID_WITNESS)
+    _require_curvature("euclid4", witness, "omega", "> 0")
+    return _run("euclid", "worldline", "euclid4", witness)
 
 
 def run_theorem2(witness: Mapping[str, Fraction] | None = None) -> ExpansionRun:
-    """Extended Galilei -> Newton--Hooke expansion."""
-    alg = catalog("galilei_ext")
-    C1p, C2p = _nh_target_casimirs(alg)
-    d1 = decompose_casimir(C1p, "kappa")
-    d2 = decompose_casimir(C2p, "kappa")
-    seed = build_seed([d1, d2], ["a1", "a2"])
-    gens = derive_generators(alg, seed)
-    forms = newton_hooke_closed_forms(alg)
-    closed_ok = all(gens.elements[k] == forms[k] for k in forms)
-    report = verify_closure(
-        alg,
-        gens,
-        catalog("newton_hooke"),
-        templates=_nh_templates(alg),
-        constraints=_theorem2_constraints(alg.ctx),
-        witness=dict(witness or THEOREM2_WITNESS),
-    )
-    return ExpansionRun("theorem2", seed, gens, closed_ok, report)
+    """Extended Galilei -> Newton--Hooke expansion.
+
+    The witness must fix kappa != 0 (either sign); a
+    ``ConstraintViolationError`` is raised otherwise.
+    """
+    witness = dict(witness or THEOREM2_WITNESS)
+    _require_curvature("newton_hooke", witness, "kappa", "!= 0")
+    return _run("theorem2", "spacetime", "newton_hooke", witness)
 
 
 def run_negative_nh() -> ExpansionRun:
@@ -656,27 +833,12 @@ def run_negative_nh() -> ExpansionRun:
     fail closure against Newton--Hooke; the report names the mismatching
     brackets.
     """
-    alg = catalog("galilei")
-    C1p, C2p = _nh_target_casimirs(alg)
-    d1 = decompose_casimir(C1p, "kappa")
-    d2 = decompose_casimir(C2p, "kappa")
-    seed = build_seed([d1, d2], ["a1", "a2"])
-    gens = derive_generators(alg, seed)
-    a1 = Poly.var(alg.ctx, "a1")
-    expected_h = named_element(alg, "KP").smul(a1.scale(2))
-    closed_ok = gens.elements["H"] == expected_h and gens.fixed_set == frozenset(
-        n for n in alg.gen_index if n != "H"
-    )
-    report = verify_closure(
-        alg,
-        gens,
-        catalog("newton_hooke"),
-        templates=None,
-        constraints=(),
-        witness={"kappa": Fraction(-1)},
-    )
-    return ExpansionRun(
-        "negative_nh", seed, gens, closed_ok, report, expected_to_close=False
+    return _run(
+        "negative_nh",
+        "negative",
+        "newton_hooke",
+        {"kappa": Fraction(-1)},
+        expected_to_close=False,
     )
 
 

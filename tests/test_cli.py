@@ -115,6 +115,15 @@ class TestExitContract:
             ["expand", "nosuch"],
             ["bracket", "poincare", "H"],
             ["--format", "yaml", "corpus"],
+            # on the constraint variety, but the curvature sign selects
+            # another target (or, at zero, the Galilei table)
+            ["expand", "euclid4", "--witness", "c2=1/4", "--witness", "a1=-1/4",
+             "--witness", "omega=-1"],
+            ["expand", "poincare", "--witness", "c2=-1/4", "--witness", "a1=1/4",
+             "--witness", "omega=1"],
+            ["expand", "poincare", "--witness", "a1=0", "--witness", "a2=0",
+             "--witness", "omega=0"],
+            ["expand", "newton_hooke", "--witness", "a1=0", "--witness", "kappa=0"],
         ],
         ids=lambda argv: " ".join(
             a if len(a) <= 20 else f"{len(a)}x{a[0]}" for a in argv

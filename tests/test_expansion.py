@@ -1,11 +1,15 @@
 """Curvature expansions: Casimir decomposition, seeds, closure drivers."""
 
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
+from kinexpand import expansion
 from kinexpand.coeffring import Poly
 from kinexpand.expansion import (
+    DRIVERS,
     EUCLID_WITNESS,
     THEOREM1_WITNESS,
     THEOREM2_POSITIVE_WITNESS,
@@ -20,6 +24,7 @@ from kinexpand.expansion import (
     run_negative_nh,
     run_theorem1,
     run_theorem2,
+    verify_closure,
     _nh_target_casimirs,
     _poincare_target_casimirs,
 )
@@ -194,3 +199,135 @@ class TestDrivers:
         assert doc["ok"] is True
         assert doc["report"]["passed"] is True
         assert len(doc["report"]["pairs"]) == 45
+
+    @pytest.mark.parametrize(
+        "driver,witness",
+        [
+            (run_euclid, THEOREM1_WITNESS),
+            (run_theorem1, EUCLID_WITNESS),
+            (run_theorem1, {**THEOREM1_WITNESS, "a1": 0, "a2": 0, "omega": 0}),
+            (run_theorem1, {k: v for k, v in THEOREM1_WITNESS.items() if k != "omega"}),
+            (run_theorem2, {**THEOREM2_WITNESS, "a1": 0, "kappa": 0}),
+        ],
+        ids=[
+            "euclid-omega<0",
+            "poincare-omega>0",
+            "poincare-omega=0",
+            "poincare-no-omega",
+            "newton_hooke-kappa=0",
+        ],
+    )
+    def test_curvature_sign_selects_the_target(self, driver, witness):
+        # each witness satisfies the closure constraints (or leaves omega
+        # open), but its curvature does not give the driver's target
+        with pytest.raises(ConstraintViolationError, match="needs a witness"):
+            driver(witness)
+
+
+def _nonzero(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+
+
+def _witnesses_on_the_varieties(rng) -> dict:
+    """Witnesses solved onto the closure constraints of each driver.
+
+    Worldline: a1 = -a2*c2/c1 and omega = -4*a2^2*c1*c2, with c1*c2 > 0 for
+    poincare (omega < 0) and c1*c2 < 0 for euclid4.  Spacetime:
+    kappa = -4*a1^2*m^2*xi^2.
+    """
+    out = {}
+    for driver, sign in (("theorem1", 1), ("euclid", -1)):
+        c1, c2, a2 = _nonzero(rng), _nonzero(rng), _nonzero(rng)
+        if (c1 * c2 > 0) != (sign > 0):
+            c2 = -c2
+        a1, omega = -a2 * c2 / c1, -4 * a2 * a2 * c1 * c2
+        out[driver] = {"c1": c1, "c2": c2, "a2": a2, "a1": a1, "omega": omega}
+    m, xi, a1 = _nonzero(rng), _nonzero(rng), _nonzero(rng)
+    kappa = -4 * a1 * a1 * m * m * xi * xi
+    out["theorem2"] = {"m": m, "xi": xi, "a1": a1, "kappa": kappa}
+    return out
+
+
+WITNESS_DRIVERS = {
+    "theorem1": run_theorem1,
+    "euclid": run_euclid,
+    "theorem2": run_theorem2,
+}
+FAMILIES = ("worldline", "spacetime", "negative")
+
+
+class TestSharedCertificate:
+    def test_poincare_and_euclid_share_one_generator_set(self):
+        assert run_theorem1().generators is run_euclid().generators
+        assert run_theorem1().seed is run_euclid().seed
+
+    def test_witness_round_computes_no_commutator(self, monkeypatch):
+        for driver in DRIVERS.values():
+            driver()
+
+        def boom(*args, **kwargs):
+            raise AssertionError("witness round recomputed a certificate")
+
+        monkeypatch.setattr(UEAElement, "commutator", boom)
+        monkeypatch.setattr(expansion, "expand_central", boom)
+        poincare = {
+            "c1": Fraction(2),
+            "c2": Fraction(1, 8),
+            "a2": Fraction(1),
+            "a1": Fraction(-1, 16),
+            "omega": Fraction(-1),
+        }
+        euclid = {
+            **poincare,
+            "c2": Fraction(-1, 8),
+            "a1": Fraction(1, 16),
+            "omega": Fraction(1),
+        }
+        newton_hooke = {**THEOREM2_WITNESS, "a1": Fraction(-1)}
+        for run in (
+            run_theorem1(poincare),
+            run_euclid(euclid),
+            run_theorem2(newton_hooke),
+            run_theorem2(THEOREM2_POSITIVE_WITNESS),
+        ):
+            assert run.ok and run.report.passed
+            assert len(run.report.pairs) == 45
+        negative = run_negative_nh()
+        assert negative.ok and ("H", "P1") in negative.report.mismatches
+
+    def test_constraint_violation_after_caching(self):
+        run_theorem1()
+        bad = {**THEOREM1_WITNESS, "omega": Fraction(-5)}
+        with pytest.raises(ConstraintViolationError, match="unsatisfied"):
+            run_theorem1(bad)
+
+    def test_certificate_checks_the_target_pairs(self):
+        certificate = expansion._certificate("worldline").certificate
+        with pytest.raises(ValueError, match="generator pairs"):
+            verify_closure(certificate, catalog("galilei_ext"))
+
+    def test_memoised_certificate_matches_a_fresh_one(self, monkeypatch):
+        rng = random.Random(8)
+        rounds = [_witnesses_on_the_varieties(rng) for _ in range(10)]
+
+        def one_pass():
+            docs = [run_negative_nh().to_dict()]
+            for witnesses in rounds:
+                for name, driver in WITNESS_DRIVERS.items():
+                    docs.append(driver(witnesses[name]).to_dict())
+            return docs
+
+        memoised = one_pass()
+        fresh = {f: expansion._certificate.__wrapped__(f) for f in FAMILIES}
+        for family in FAMILIES:
+            assert fresh[family] is not expansion._certificate(family)
+        monkeypatch.setattr(expansion, "_certificate", fresh.__getitem__)
+        assert one_pass() == memoised
+
+    def test_shared_objects_are_read_only(self):
+        run = run_theorem1()
+        with pytest.raises(TypeError):
+            run.generators.elements["H"] = run.generators.elements["J1"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            run.generators.elements = {}
+        assert isinstance(expansion._certificate("worldline").certificate.pairs, tuple)
