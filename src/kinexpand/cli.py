@@ -44,10 +44,8 @@ from .checks import (
 )
 from .coeffring import KINEMATIC_CONTEXT, DivergenceError, ParseError
 from .expansion import (
+    DEFAULT_WITNESSES,
     DRIVERS,
-    EUCLID_WITNESS,
-    THEOREM1_WITNESS,
-    THEOREM2_WITNESS,
     ConstraintViolationError,
 )
 from .exprparse import parse_expression
@@ -266,16 +264,11 @@ def cmd_identity(args) -> int:
 
 def cmd_expand(args) -> int:
     driver = DRIVERS[args.target]
-    defaults = {
-        "poincare": THEOREM1_WITNESS,
-        "euclid4": EUCLID_WITNESS,
-        "newton_hooke": THEOREM2_WITNESS,
-    }
-    if args.witness and args.target not in defaults:
+    if args.witness and args.target not in DEFAULT_WITNESSES:
         raise InputError(f"{args.target} takes no --witness")
     overrides = _parse_witness(args.witness)
     if overrides:
-        run = driver({**defaults[args.target], **overrides})
+        run = driver({**DEFAULT_WITNESSES[args.target], **overrides})
     else:
         run = driver()
     doc = {"command": "expand", "schema_version": SCHEMA_VERSION, **run.to_dict()}

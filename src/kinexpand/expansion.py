@@ -146,17 +146,6 @@ def derive_generators(alg: LieAlgebra, seed: Seed) -> ExpandedGenerators:
 CENTRAL_SYMBOLS = ("c1", "c2", "xi")
 
 
-@dataclass
-class CentralTemplate:
-    """Expected commutators for generator pairs, with central stand-ins.
-
-    ``entries`` maps ordered name pairs (target basis order) to elements of
-    the initial algebra's UEA whose coefficients may involve c1, c2, xi.
-    """
-
-    entries: dict
-
-
 def expand_central(template: UEAElement, mapping: Mapping[str, UEAElement]) -> UEAElement:
     """Replace powers of central stand-in parameters by their elements.
 
@@ -342,21 +331,23 @@ def closure_certificate(
     alg: LieAlgebra,
     gens: ExpandedGenerators,
     target: LieAlgebra,
-    templates: CentralTemplate | None = None,
+    templates: Mapping[tuple, UEAElement] | None = None,
 ) -> ClosureCertificate:
     """Compute every commutator and phase-1 identity that needs no witness.
 
     For each pair of target generators, in target basis order, the actual
     commutator of the expanded generators is formed once; where the pair
     has a central template, the template with its stand-ins expanded is
-    subtracted from it exactly (phase 1).
+    subtracted from it exactly (phase 1).  ``templates`` maps ordered name
+    pairs (target basis order) to elements of the initial algebra's UEA
+    whose coefficients may involve the stand-ins c1, c2, xi.
     """
-    entries = templates.entries if templates is not None else {}
+    templates = templates or {}
     central_map = _central_map(alg)
     pairs = []
     for na, nb in combinations([g.name for g in target.generators], 2):
         actual = gens.elements[na].commutator(gens.elements[nb])
-        template = entries.get((na, nb))
+        template = templates.get((na, nb))
         if template is None:
             pairs.append(PairCertificate((na, nb), actual, None, None, "n/a"))
             continue
@@ -568,7 +559,7 @@ def newton_hooke_closed_forms(alg: LieAlgebra) -> dict:
     return forms
 
 
-def _poincare_templates(alg: LieAlgebra) -> CentralTemplate:
+def _poincare_templates(alg: LieAlgebra) -> dict:
     ctx = alg.ctx
     a1 = Poly.var(ctx, "a1")
     a2 = Poly.var(ctx, "a2")
@@ -598,10 +589,10 @@ def _poincare_templates(alg: LieAlgebra) -> CentralTemplate:
         (a2 * a2 * c1 * c2).scale(4)
     )
     entries[("K1", "K3")] = body
-    return CentralTemplate(entries)
+    return entries
 
 
-def _nh_templates(alg: LieAlgebra) -> CentralTemplate:
+def _nh_templates(alg: LieAlgebra) -> dict:
     ctx = alg.ctx
     a1 = Poly.var(ctx, "a1")
     m = Poly.var(ctx, "m")
@@ -613,7 +604,7 @@ def _nh_templates(alg: LieAlgebra) -> CentralTemplate:
         for j in (1, 2, 3):
             if i < j:
                 entries[(f"P{i}", f"P{j}")] = UEAElement.zero(alg)
-    return CentralTemplate(entries)
+    return entries
 
 
 THEOREM1_WITNESS = {
@@ -637,6 +628,14 @@ THEOREM2_WITNESS = {
     "xi": Fraction(1, 2),
     "kappa": Fraction(-1),
     "a1": Fraction(1),
+}
+
+# The witness each driver uses when given none, keyed by target; a target
+# missing here (negative-nh) takes no witness.
+DEFAULT_WITNESSES = {
+    "poincare": THEOREM1_WITNESS,
+    "euclid4": EUCLID_WITNESS,
+    "newton_hooke": THEOREM2_WITNESS,
 }
 
 # For positive spacetime curvature the constraint forces a negative square,
@@ -684,7 +683,7 @@ class _Family(NamedTuple):
     curvature: str
     closed_forms: Callable  # algebra -> {generator name: published form}
     target: str
-    templates: Callable | None  # algebra -> CentralTemplate
+    templates: Callable | None  # algebra -> {target name pair: template}
     constraints: Callable | None  # parameter context -> constraint polys
 
 
@@ -799,7 +798,7 @@ def run_theorem1(witness: Mapping[str, Fraction] | None = None) -> ExpansionRun:
     The witness must fix omega < 0; a ``ConstraintViolationError`` is
     raised otherwise.
     """
-    witness = dict(witness or THEOREM1_WITNESS)
+    witness = dict(witness or DEFAULT_WITNESSES["poincare"])
     _require_curvature("poincare", witness, "omega", "< 0")
     return _run("theorem1", "worldline", "poincare", witness)
 
@@ -810,7 +809,7 @@ def run_euclid(witness: Mapping[str, Fraction] | None = None) -> ExpansionRun:
     The witness must fix omega > 0; a ``ConstraintViolationError`` is
     raised otherwise.
     """
-    witness = dict(witness or EUCLID_WITNESS)
+    witness = dict(witness or DEFAULT_WITNESSES["euclid4"])
     _require_curvature("euclid4", witness, "omega", "> 0")
     return _run("euclid", "worldline", "euclid4", witness)
 
@@ -821,7 +820,7 @@ def run_theorem2(witness: Mapping[str, Fraction] | None = None) -> ExpansionRun:
     The witness must fix kappa != 0 (either sign); a
     ``ConstraintViolationError`` is raised otherwise.
     """
-    witness = dict(witness or THEOREM2_WITNESS)
+    witness = dict(witness or DEFAULT_WITNESSES["newton_hooke"])
     _require_curvature("newton_hooke", witness, "kappa", "!= 0")
     return _run("theorem2", "spacetime", "newton_hooke", witness)
 

@@ -4,15 +4,17 @@ An algebra stores an ordered generator basis and a sparse bracket table with
 polynomial coefficients; only pairs (i, j) with i < j are stored, so
 antisymmetry holds by construction.  Structural checks (Jacobi, involutive
 automorphisms, Cartan-style decompositions), Inonu--Wigner contraction,
-parameter contraction and the catalog of kinematical algebras live here.
+parameter contraction and the catalog of kinematical algebras live here; the
+catalog's bracket tables are the shipped ``kinexpand/data/*.alg`` files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping, Sequence
 
-from .coeffring import KINEMATIC_CONTEXT, DivergenceError, ParamContext, Poly
+from .coeffring import DivergenceError, ParamContext, Poly, format_poly
 
 
 @dataclass(frozen=True)
@@ -115,8 +117,6 @@ class LieAlgebra:
 
 def format_vector(alg: LieAlgebra, v: Vector) -> str:
     """Human-readable form of a basis vector, e.g. ``J3`` or ``-1*P1``."""
-    from .coeffring import format_poly
-
     if not v:
         return "0"
     parts = []
@@ -349,7 +349,7 @@ def substitute_algebra(alg: LieAlgebra, assignment) -> LieAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# Catalog of kinematical algebras
+# Catalog of kinematical algebras, read from the shipped kinexpand/data/*.alg
 #
 # Basis order follows the PBW convention: central generator first, then H,
 # translations P, boosts K, rotations J.
@@ -362,140 +362,31 @@ _EPSILON = {
 }
 _CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
-KINEMATIC_GENERATORS = ("H", "P1", "P2", "P3", "K1", "K2", "K3", "J1", "J2", "J3")
+_DATA_DIR = Path(__file__).resolve().parent / "data"
 
-
-class _BracketBuilder:
-    def __init__(self, ctx: ParamContext, gen_names: Sequence[str]):
-        self.ctx = ctx
-        self.index = {n: i for i, n in enumerate(gen_names)}
-        self.table: dict = {}
-
-    def set(self, left: str, right: str, terms):
-        """terms: list of (gen_name, Poly-or-int); handles storage order."""
-        i, j = self.index[left], self.index[right]
-        if i == j:
-            raise ValueError("bracket of a generator with itself")
-        sign = 1
-        if i > j:
-            i, j = j, i
-            sign = -1
-        out = self.table.setdefault((i, j), {})
-        for name, coeff in terms:
-            if not isinstance(coeff, Poly):
-                coeff = Poly.const(self.ctx, coeff)
-            k = self.index[name]
-            s = out.get(k, Poly(self.ctx)) + coeff.scale(sign)
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-
-    def rotations(self, families):
-        """[J_i, X_j] = eps_ijk X_k for each family prefix, plus [J,J]."""
-        for (i, j, k), sign in _EPSILON.items():
-            if i < j:
-                self.set(f"J{i}", f"J{j}", [(f"J{k}", sign)])
-        for prefix in families:
-            for (i, j, k), sign in _EPSILON.items():
-                self.set(f"J{i}", f"{prefix}{j}", [(f"{prefix}{k}", sign)])
-
-
-def _build_galilei(extended: bool) -> LieAlgebra:
-    ctx = KINEMATIC_CONTEXT
-    gens = (("Xi",) if extended else ()) + KINEMATIC_GENERATORS
-    b = _BracketBuilder(ctx, gens)
-    b.rotations(["P", "K"])
-    for i in range(1, 4):
-        b.set("H", f"K{i}", [(f"P{i}", -1)])
-    if extended:
-        m = Poly.var(ctx, "m")
-        for i in range(1, 4):
-            b.set(f"P{i}", f"K{i}", [("Xi", m)])
-    meta = {
-        "iso_class": "iiso(3)" if not extended else "extended iiso(3)",
-        "spacetime_dim": "3+1",
-        "spacetime_curv": "0",
-        "worldline_dim": "3+3",
-        "worldline_curv": "0",
-    }
-    return LieAlgebra(
-        "galilei_ext" if extended else "galilei", gens, ctx, b.table, meta
-    )
-
-
-def _build_poincare(euclidean: bool) -> LieAlgebra:
-    # Worldline-space curvature enters as the single parameter omega; the
-    # Euclidean algebra is the same table with positive-curvature metadata.
-    ctx = KINEMATIC_CONTEXT
-    gens = KINEMATIC_GENERATORS
-    b = _BracketBuilder(ctx, gens)
-    b.rotations(["P", "K"])
-    omega = Poly.var(ctx, "omega")
-    for i in range(1, 4):
-        b.set("H", f"K{i}", [(f"P{i}", -1)])
-        b.set(f"P{i}", f"K{i}", [("H", omega)])
-    for (i, j, k), sign in _EPSILON.items():
-        if i < j:
-            b.set(f"K{i}", f"K{j}", [(f"J{k}", omega.scale(sign))])
-    meta = {
-        "iso_class": "iso(4)" if euclidean else "iso(3,1)",
-        "spacetime_dim": "3+1",
-        "spacetime_curv": "0",
-        "worldline_dim": "3+3",
-        "worldline_curv": "omega>0" if euclidean else "omega<0",
-    }
-    return LieAlgebra("euclid4" if euclidean else "poincare", gens, ctx, b.table, meta)
-
-
-def _build_newton_hooke() -> LieAlgebra:
-    ctx = KINEMATIC_CONTEXT
-    gens = KINEMATIC_GENERATORS
-    b = _BracketBuilder(ctx, gens)
-    b.rotations(["P", "K"])
-    kappa = Poly.var(ctx, "kappa")
-    for i in range(1, 4):
-        b.set("H", f"K{i}", [(f"P{i}", -1)])
-        b.set("H", f"P{i}", [(f"K{i}", kappa)])
-    meta = {
-        "iso_class": "t6(so(2)+so(3)) / t6(so(1,1)+so(3))",
-        "spacetime_dim": "3+1",
-        "spacetime_curv": "kappa",
-        "worldline_dim": "3+3",
-        "worldline_curv": "0",
-    }
-    return LieAlgebra("newton_hooke", gens, ctx, b.table, meta)
-
-
-_CATALOG_BUILDERS = {
-    "galilei": lambda: _build_galilei(False),
-    "galilei_ext": lambda: _build_galilei(True),
-    "poincare": lambda: _build_poincare(False),
-    "euclid4": lambda: _build_poincare(True),
-    "newton_hooke": _build_newton_hooke,
-}
+_CATALOG_NAMES = ("galilei", "galilei_ext", "poincare", "euclid4", "newton_hooke")
 
 _catalog_cache: dict = {}
 
 
 def catalog(name: str) -> LieAlgebra:
-    """Return a catalog kinematical algebra (Jacobi verified on first load).
+    """Return a catalog kinematical algebra, read from ``kinexpand/data``.
 
-    Instances are cached and shared; they are immutable.
+    The table is parsed from the shipped ``<name>.alg`` file, which runs
+    the Jacobi check, on first load.  Instances are cached and shared; they
+    are immutable.
     """
-    if name not in _CATALOG_BUILDERS:
+    if name not in _CATALOG_NAMES:
         raise KeyError(f"unknown catalog algebra {name!r}")
     if name not in _catalog_cache:
-        alg = _CATALOG_BUILDERS[name]()
-        bad = jacobi_check(alg)
-        if bad:
-            raise AssertionError(f"catalog algebra {name} fails Jacobi: {bad[:3]}")
-        _catalog_cache[name] = alg
+        from .algfile import parse_algebra_file  # algfile imports this module
+
+        _catalog_cache[name] = parse_algebra_file(_DATA_DIR / f"{name}.alg")
     return _catalog_cache[name]
 
 
 def catalog_names():
-    return tuple(_CATALOG_BUILDERS)
+    return _CATALOG_NAMES
 
 
 # Sign patterns of the two involutive automorphisms: parity and parity*time

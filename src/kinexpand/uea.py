@@ -66,7 +66,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Tuple, Union
 
 from .coeffring import ContextMismatchError, Poly, format_poly, grlex_key
-from .liealg import LieAlgebra
+from .liealg import _CYCLIC, LieAlgebra
 
 # A PBW monomial: exponent tuple over the generator basis; () handled as the
 # all-zero tuple of the algebra's dimension.
@@ -599,14 +599,6 @@ def format_element(el: UEAElement) -> str:
 # normal-ordered.
 # ---------------------------------------------------------------------------
 
-_W_PATTERN = {
-    # W_i = P_a K_b - P_b K_a with (i, a, b)
-    1: (3, 2),
-    2: (1, 3),
-    3: (2, 1),
-}
-
-
 def _gen(alg, name):
     if name not in alg.gen_index:
         raise KeyError(
@@ -617,9 +609,10 @@ def _gen(alg, name):
 
 
 def _w_flat(alg: LieAlgebra, i: int) -> UEAElement:
-    a, b = _W_PATTERN[i]
-    return _gen(alg, f"P{a}") * _gen(alg, f"K{b}") - _gen(alg, f"P{b}") * _gen(
-        alg, f"K{a}"
+    # W_i = P_b K_a - P_a K_b over the cyclic triple (i, a, b)
+    _, a, b = _CYCLIC[i - 1]
+    return _gen(alg, f"P{b}") * _gen(alg, f"K{a}") - _gen(alg, f"P{a}") * _gen(
+        alg, f"K{b}"
     )
 
 

@@ -1,13 +1,17 @@
 """Command-line interface: exit-status contract and output formats."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from kinexpand.cli import main
 
-DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "kinexpand" / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
+DATA_DIR = SRC / "kinexpand" / "data"
 
 # .alg files that are malformed, or that casimir-check cannot use
 BAD_FILES = {
@@ -207,6 +211,21 @@ class TestOutput:
         code, out = run_cli(capsys, "bracket", "poincare", "K1", "K2")
         assert code == 0
         assert out.strip() == "omega*J3"
+
+    def test_catalog_does_not_depend_on_the_working_directory(self, tmp_path):
+        env = {k: v for k, v in os.environ.items() if k != "KINEXPAND_OUTPUT_DIR"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "kinexpand.cli", "bracket", "poincare", "K1", "K2"],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "omega*J3\n", "")
 
     def test_normal_form(self, capsys):
         code, out = run_cli(capsys, "normal-form", "galilei_ext", "K1*P1")

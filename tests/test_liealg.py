@@ -1,10 +1,11 @@
 """Lie algebras: catalog structure, Jacobi, automorphisms, contractions."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from kinexpand.coeffring import Poly
+from kinexpand.coeffring import KINEMATIC_CONTEXT, Poly
 from kinexpand.liealg import (
     Decomposition,
     LieAlgebra,
@@ -22,6 +23,8 @@ from kinexpand.liealg import (
     worldline_split,
 )
 
+DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "kinexpand" / "data"
+
 
 class TestCatalog:
     def test_names(self):
@@ -35,6 +38,22 @@ class TestCatalog:
 
     def test_instances_are_cached(self):
         assert catalog("galilei") is catalog("galilei")
+
+    @pytest.mark.parametrize("name", list(catalog_names()))
+    def test_surface(self, name):
+        alg = catalog(name)
+        assert alg.name == name
+        assert alg.ctx is KINEMATIC_CONTEXT
+        assert catalog(name) is alg
+
+    def test_unknown_name(self):
+        with pytest.raises(KeyError):
+            catalog("nope")
+
+    def test_names_are_the_shipped_files(self):
+        shipped = {path.stem for path in DATA_DIR.glob("*.alg")}
+        assert set(catalog_names()) == shipped
+        assert len(catalog_names()) == len(shipped) == 5
 
     def test_generator_order(self):
         g = catalog("galilei")
