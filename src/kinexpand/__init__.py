@@ -21,7 +21,6 @@ from .liealg import (
     Decomposition,
     JacobiViolation,
     LieAlgebra,
-    LinearMap,
     automorphism_check,
     catalog,
     catalog_names,
@@ -29,8 +28,6 @@ from .liealg import (
     iw_contract,
     jacobi_check,
     parameter_contract,
-    parity_map,
-    parity_time_map,
     spacetime_split,
     substitute_algebra,
     worldline_split,
@@ -81,7 +78,6 @@ __all__ = [
     "Decomposition",
     "JacobiViolation",
     "LieAlgebra",
-    "LinearMap",
     "automorphism_check",
     "catalog",
     "catalog_names",
@@ -89,8 +85,6 @@ __all__ = [
     "iw_contract",
     "jacobi_check",
     "parameter_contract",
-    "parity_map",
-    "parity_time_map",
     "spacetime_split",
     "substitute_algebra",
     "worldline_split",

@@ -139,7 +139,7 @@ def _emit(doc: dict, args, text: str | None = None) -> None:
             raise InputError(f"cannot write {where}: {exc.strerror}") from None
 
 
-def _render_text(doc: dict, indent: int = 0) -> str:
+def _render_text(doc: dict) -> str:
     lines = []
 
     def walk(value, key, depth):
@@ -163,7 +163,7 @@ def _render_text(doc: dict, indent: int = 0) -> str:
             lines.append(f"{pad}{key}: {value}")
 
     for k, v in doc.items():
-        walk(v, k, indent)
+        walk(v, k, 0)
     return "\n".join(lines) + "\n"
 
 

@@ -34,7 +34,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .coeffring import Poly, format_poly
 from .liealg import _CYCLIC, LieAlgebra, catalog
-from .uea import UEAElement, format_element, named_element
+from .uea import UEAElement, _named_over, format_element, named_element
 
 
 class ConstraintViolationError(ValueError):
@@ -487,31 +487,6 @@ class ExpansionRun:
         }
 
 
-def _poincare_target_casimirs(alg: LieAlgebra):
-    """Poincare Casimirs written over the initial (Galilei) generators."""
-    ctx = alg.ctx
-    omega = Poly.var(ctx, "omega")
-    H = UEAElement.generator(alg, "H")
-    C1 = named_element(alg, "C1")
-    C2 = named_element(alg, "C2")
-    JP = named_element(alg, "JP")
-    W = [named_element(alg, f"W{i}") for i in (1, 2, 3)]
-    J = [UEAElement.generator(alg, f"J{i}") for i in (1, 2, 3)]
-    Wp = [W[i] + (H * J[i]).smul(omega) for i in range(3)]
-    C1p = C1 + (H * H).smul(omega)
-    C2p = sum((w * w for w in Wp), UEAElement.zero(alg)) + (JP * JP).smul(omega)
-    return C1p, C2p
-
-
-def _nh_target_casimirs(alg: LieAlgebra):
-    """Newton--Hooke Casimirs over the initial ((extended) Galilei) basis."""
-    ctx = alg.ctx
-    kappa = Poly.var(ctx, "kappa")
-    C1p = named_element(alg, "C1") + named_element(alg, "K2").smul(kappa)
-    C2p = named_element(alg, "C2")
-    return C1p, C2p
-
-
 def poincare_closed_forms(alg: LieAlgebra) -> dict:
     """The published expanded-generator formulas for the Poincare expansion."""
     ctx = alg.ctx
@@ -674,12 +649,13 @@ def _negative_nh_closed_forms(alg: LieAlgebra) -> dict:
 class _Family(NamedTuple):
     """How one seed is built and checked; nothing in it depends on a witness.
 
-    ``target`` fixes the order of the certificate's pairs; every target a
-    family's drivers check against has the same generators in that order.
+    The seed comes from ``target``'s Casimirs C1 and C2 written over the
+    ``initial`` generators.  ``target`` also fixes the order of the
+    certificate's pairs; every target a family's drivers check against has
+    the same generators in that order.
     """
 
     initial: str
-    casimirs: Callable  # algebra -> target Casimirs over its generators
     curvature: str
     closed_forms: Callable  # algebra -> {generator name: published form}
     target: str
@@ -690,7 +666,6 @@ class _Family(NamedTuple):
 _FAMILIES = {
     "worldline": _Family(
         "galilei",
-        _poincare_target_casimirs,
         "omega",
         poincare_closed_forms,
         "poincare",
@@ -699,7 +674,6 @@ _FAMILIES = {
     ),
     "spacetime": _Family(
         "galilei_ext",
-        _nh_target_casimirs,
         "kappa",
         newton_hooke_closed_forms,
         "newton_hooke",
@@ -708,7 +682,6 @@ _FAMILIES = {
     ),
     "negative": _Family(
         "galilei",
-        _nh_target_casimirs,
         "kappa",
         _negative_nh_closed_forms,
         "newton_hooke",
@@ -740,7 +713,11 @@ def _certificate(family: str) -> _SeedCertificate:
     """
     fam = _FAMILIES[family]
     alg = catalog(fam.initial)
-    decomps = [decompose_casimir(c, fam.curvature) for c in fam.casimirs(alg)]
+    target = catalog(fam.target)
+    decomps = [
+        decompose_casimir(_named_over(alg, key, target), fam.curvature)
+        for key in ("C1", "C2")
+    ]
     seed = build_seed(decomps, ["a1", "a2"])
     gens = derive_generators(alg, seed)
     forms = fam.closed_forms(alg)
@@ -754,7 +731,7 @@ def _certificate(family: str) -> _SeedCertificate:
         gens,
         closed_ok,
         fam.constraints(alg.ctx) if fam.constraints else (),
-        closure_certificate(alg, gens, catalog(fam.target), templates),
+        closure_certificate(alg, gens, target, templates),
     )
 
 

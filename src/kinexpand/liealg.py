@@ -2,16 +2,19 @@
 
 An algebra stores an ordered generator basis and a sparse bracket table with
 polynomial coefficients; only pairs (i, j) with i < j are stored, so
-antisymmetry holds by construction.  Structural checks (Jacobi, involutive
-automorphisms, Cartan-style decompositions), Inonu--Wigner contraction,
-parameter contraction and the catalog of kinematical algebras live here; the
-catalog's bracket tables are the shipped ``kinexpand/data/*.alg`` files.
+antisymmetry holds by construction; the table is read-only.  The structural
+checks (Jacobi, diagonal involutive automorphisms, Cartan-style
+decompositions) read the structure constants straight from that table.
+Inonu--Wigner contraction, parameter contraction and the catalog of
+kinematical algebras live here too; the catalog's bracket tables are the
+shipped ``kinexpand/data/*.alg`` files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .coeffring import DivergenceError, ParamContext, Poly, format_poly
@@ -23,15 +26,12 @@ class GeneratorId:
     name: str
 
 
-# A vector over the generator basis: sparse map index -> Poly.
-Vector = dict
-
-
 class LieAlgebra:
     """Lie algebra over exact polynomial coefficients.
 
     ``brackets`` maps (i, j) with i < j to {k: Poly}; lookups with i > j
-    negate.  Instances are immutable after construction.  The
+    negate.  The table, each of its rows and ``metadata`` are read-only
+    mappings, so a shared (catalog) instance cannot be changed.  The
     normal-ordering kernel keeps its tables outside the instance, held
     weakly per algebra (see :mod:`kinexpand.uea`).
     """
@@ -52,14 +52,15 @@ class LieAlgebra:
             raise ValueError("duplicate generator names")
         self.gen_index = {g.name: g.index for g in self.generators}
         self.ctx = ctx
-        self.brackets: dict = {}
+        table = {}
         for (i, j), comps in (brackets or {}).items():
             if not 0 <= i < j < len(self.generators):
                 raise ValueError(f"bad bracket key ({i}, {j})")
             clean = {k: p for k, p in comps.items() if not p.is_zero()}
             if clean:
-                self.brackets[(i, j)] = clean
-        self.metadata = dict(metadata or {})
+                table[(i, j)] = MappingProxyType(clean)
+        self.brackets = MappingProxyType(table)
+        self.metadata = MappingProxyType(dict(metadata or {}))
 
     @property
     def dim(self) -> int:
@@ -68,39 +69,11 @@ class LieAlgebra:
     def __repr__(self) -> str:
         return f"LieAlgebra({self.name!r}, dim={self.dim})"
 
-    def zero_poly(self) -> Poly:
-        return Poly(self.ctx)
-
-    # -- brackets ---------------------------------------------------------
-
-    def bracket_pair(self, i: int, j: int) -> dict:
-        """[X_i, X_j] as a sparse vector {k: Poly}."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.brackets.get((i, j), {}))
+    def bracket_pair(self, i: int, j: int) -> Mapping:
+        """[X_i, X_j] as a sparse vector {k: Poly}; the stored row when i < j."""
+        if i <= j:  # (i, i) is never stored
+            return self.brackets.get((i, j), {})
         return {k: -p for k, p in self.brackets.get((j, i), {}).items()}
-
-    def bracket(self, x: Vector, y: Vector) -> Vector:
-        """Bilinear extension of the bracket to coefficient vectors."""
-        out: Vector = {}
-        for i, a in x.items():
-            if a.is_zero():
-                continue
-            for j, b in y.items():
-                if b.is_zero():
-                    continue
-                ab = a * b
-                for k, c in self.bracket_pair(i, j).items():
-                    s = out.get(k, self.zero_poly()) + ab * c
-                    if s.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-        return out
-
-    def basis_vector(self, i: int) -> Vector:
-        return {i: Poly.const(self.ctx, 1)}
 
     # -- equality of structure -------------------------------------------
 
@@ -115,7 +88,7 @@ class LieAlgebra:
         return self.brackets == other.brackets
 
 
-def format_vector(alg: LieAlgebra, v: Vector) -> str:
+def format_vector(alg: LieAlgebra, v: Mapping) -> str:
     """Human-readable form of a basis vector, e.g. ``J3`` or ``-1*P1``."""
     if not v:
         return "0"
@@ -142,83 +115,44 @@ class JacobiViolation:
 def jacobi_check(alg: LieAlgebra) -> list:
     """Exhaustively check the Jacobi identity on all basis triples.
 
-    Returns a list of :class:`JacobiViolation`; empty means pass.
+    For i < j < k the residual is [x_i, [x_j, x_k]] plus its two cyclic
+    shifts, summed straight from the structure constants.  Returns a list
+    of :class:`JacobiViolation`; empty means pass.
     """
     violations = []
+    pair = alg.bracket_pair
     n = alg.dim
     for i in range(n):
-        xi = alg.basis_vector(i)
         for j in range(i + 1, n):
-            xj = alg.basis_vector(j)
             for k in range(j + 1, n):
-                xk = alg.basis_vector(k)
-                res: Vector = {}
-                for a, bc in (
-                    (xi, alg.bracket(xj, xk)),
-                    (xj, alg.bracket(xk, xi)),
-                    (xk, alg.bracket(xi, xj)),
-                ):
-                    for g, p in alg.bracket(a, bc).items():
-                        s = res.get(g, alg.zero_poly()) + p
-                        if s.is_zero():
-                            res.pop(g, None)
-                        else:
-                            res[g] = s
+                res = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, x in pair(b, c).items():
+                        for m, y in pair(a, l).items():
+                            res[m] = res[m] + x * y if m in res else x * y
+                res = {m: p for m, p in res.items() if not p.is_zero()}
                 if res:
                     violations.append(JacobiViolation((i, j, k), res))
     return violations
 
 
-class LinearMap:
-    """Diagonal linear map: generator ``i`` is multiplied by ``scales[i]``."""
+def automorphism_check(alg: LieAlgebra, scales: Mapping[str, int]):
+    """Check that the diagonal map x_i -> scales[x_i] * x_i (a missing name
+    scales by 1) is an involutive Lie-algebra automorphism.
 
-    def __init__(self, alg: LieAlgebra, scales: Sequence[int]):
-        if len(scales) != alg.dim:
-            raise ValueError("one scale per generator required")
-        self.alg = alg
-        self.scales = tuple(scales)
-
-    @classmethod
-    def diagonal(cls, alg: LieAlgebra, signs: Mapping[str, int]) -> "LinearMap":
-        """Map from generator name -> integer scale (default +1)."""
-        return cls(alg, [signs.get(g.name, 1) for g in alg.generators])
-
-    def apply(self, v: Vector) -> Vector:
-        return {i: c.scale(self.scales[i]) for i, c in v.items() if self.scales[i]}
-
-
-def automorphism_check(alg: LieAlgebra, f: LinearMap):
-    """Check that f is an involutive Lie-algebra automorphism.
-
-    Returns (True, None) or (False, description-of-first-violation).
+    That holds exactly when every scale squares to 1 and every nonzero
+    structure constant c_ij^k has s_k == s_i * s_j.  Returns (True, None) or
+    (False, description-of-first-violation).
     """
-    n = alg.dim
-    for j in range(n):
-        ff = f.apply(f.apply(alg.basis_vector(j)))
-        expected = alg.basis_vector(j)
-        if _vec_sub(alg, ff, expected):
-            return False, f"f∘f != id on generator {alg.generators[j].name}"
-    for i in range(n):
-        fi = f.apply(alg.basis_vector(i))
-        for j in range(i + 1, n):
-            fj = f.apply(alg.basis_vector(j))
-            lhs = f.apply(alg.bracket(alg.basis_vector(i), alg.basis_vector(j)))
-            rhs = alg.bracket(fi, fj)
-            if _vec_sub(alg, lhs, rhs):
-                pair = (alg.generators[i].name, alg.generators[j].name)
-                return False, f"f([x,y]) != [f(x),f(y)] on {pair}"
+    s = [scales.get(g.name, 1) for g in alg.generators]
+    for g in alg.generators:
+        if s[g.index] * s[g.index] != 1:
+            return False, f"f∘f != id on generator {g.name}"
+    for i, j in sorted(alg.brackets):
+        if any(s[k] != s[i] * s[j] for k in alg.brackets[i, j]):
+            pair = (alg.generators[i].name, alg.generators[j].name)
+            return False, f"f([x,y]) != [f(x),f(y)] on {pair}"
     return True, None
-
-
-def _vec_sub(alg: LieAlgebra, a: Vector, b: Vector) -> Vector:
-    out = dict(a)
-    for k, p in b.items():
-        s = out.get(k, alg.zero_poly()) - p
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
 
 
 @dataclass(frozen=True)
@@ -394,14 +328,6 @@ def catalog_names():
 
 PI_SIGNS = {"H": 1, "P1": -1, "P2": -1, "P3": -1, "K1": -1, "K2": -1, "K3": -1}
 PI_T_SIGNS = {"H": -1, "P1": -1, "P2": -1, "P3": -1, "Xi": -1}
-
-
-def parity_map(alg: LieAlgebra) -> LinearMap:
-    return LinearMap.diagonal(alg, PI_SIGNS)
-
-
-def parity_time_map(alg: LieAlgebra) -> LinearMap:
-    return LinearMap.diagonal(alg, PI_T_SIGNS)
 
 
 def worldline_split(alg: LieAlgebra) -> Decomposition:

@@ -636,7 +636,13 @@ def _family(alg: LieAlgebra) -> str:
 
 def named_element(alg: LieAlgebra, key: str) -> UEAElement:
     """Catalog of composite elements: W1..W3, JP, JW, KP, K2, C1, C2."""
-    fam = _family(alg)
+    return _named_over(alg, key, alg)
+
+
+def _named_over(alg: LieAlgebra, key: str, like: LieAlgebra) -> UEAElement:
+    """The named element ``key`` of ``like``'s family, written over the
+    generators of ``alg``: e.g. the Poincare Casimirs over Galilei."""
+    fam = _family(like)
 
     def w(i: int) -> UEAElement:
         flat = _w_flat(alg, i)

@@ -25,21 +25,24 @@ from kinexpand.expansion import (
     run_theorem1,
     run_theorem2,
     verify_closure,
-    _nh_target_casimirs,
-    _poincare_target_casimirs,
 )
 from kinexpand.liealg import catalog
-from kinexpand.uea import UEAElement, named_element
+from kinexpand.uea import UEAElement, _named_over, named_element
 
 
 def gen(alg, name):
     return UEAElement.generator(alg, name)
 
 
+def target_casimirs(alg, target):
+    """The Casimirs C1, C2 of ``target``'s family over ``alg``'s generators."""
+    return [_named_over(alg, key, catalog(target)) for key in ("C1", "C2")]
+
+
 class TestCasimirDecomposition:
     def test_worldline_split_parts(self):
         g = catalog("galilei")
-        C1p, C2p = _poincare_target_casimirs(g)
+        C1p, C2p = target_casimirs(g, "poincare")
         d1 = decompose_casimir(C1p, "omega")
         # omega-constant part is the flat Casimir P^2; linear part is H^2
         assert d1.base == named_element(g, "C1")
@@ -60,13 +63,13 @@ class TestCasimirDecomposition:
 
     def test_recombine_round_trip(self):
         g = catalog("galilei")
-        for casimir in _poincare_target_casimirs(g):
+        for casimir in target_casimirs(g, "poincare"):
             d = decompose_casimir(casimir, "omega")
             assert d.recombine() == casimir
 
     def test_spacetime_split_parts(self):
         ge = catalog("galilei_ext")
-        C1p, C2p = _nh_target_casimirs(ge)
+        C1p, C2p = target_casimirs(ge, "newton_hooke")
         d1 = decompose_casimir(C1p, "kappa")
         assert d1.base == named_element(ge, "C1")
         assert d1.linear == named_element(ge, "K2")
@@ -79,7 +82,7 @@ class TestSeed:
     def test_worldline_seed(self):
         g = catalog("galilei")
         decomps = [
-            decompose_casimir(c, "omega") for c in _poincare_target_casimirs(g)
+            decompose_casimir(c, "omega") for c in target_casimirs(g, "poincare")
         ]
         seed = build_seed(decomps, ["a1", "a2"])
         H = gen(g, "H")
@@ -93,7 +96,9 @@ class TestSeed:
 
     def test_degenerate_seed(self):
         g = catalog("galilei")
-        decomps = [decompose_casimir(c, "kappa") for c in _nh_target_casimirs(g)]
+        decomps = [
+            decompose_casimir(c, "kappa") for c in target_casimirs(g, "newton_hooke")
+        ]
         seed = build_seed(decomps, ["a1", "a2"])
         # plain Galilei: only the K^2 part survives, C2' has no kappa term
         assert seed.element == named_element(g, "K2").smul(Poly.var(g.ctx, "a1"))
@@ -111,7 +116,7 @@ class TestDerivedGenerators:
     def test_worldline_closed_forms(self):
         g = catalog("galilei")
         decomps = [
-            decompose_casimir(c, "omega") for c in _poincare_target_casimirs(g)
+            decompose_casimir(c, "omega") for c in target_casimirs(g, "poincare")
         ]
         gens = derive_generators(g, build_seed(decomps, ["a1", "a2"]))
         forms = poincare_closed_forms(g)
@@ -120,7 +125,9 @@ class TestDerivedGenerators:
 
     def test_spacetime_closed_forms(self):
         ge = catalog("galilei_ext")
-        decomps = [decompose_casimir(c, "kappa") for c in _nh_target_casimirs(ge)]
+        decomps = [
+            decompose_casimir(c, "kappa") for c in target_casimirs(ge, "newton_hooke")
+        ]
         gens = derive_generators(ge, build_seed(decomps, ["a1", "a2"]))
         forms = newton_hooke_closed_forms(ge)
         for name, expected in forms.items():

@@ -1,12 +1,17 @@
 """Lie algebras: catalog structure, Jacobi, automorphisms, contractions."""
 
 from fractions import Fraction
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
+from kinexpand.algfile import parse_algebra_text
+from kinexpand.cli import main
 from kinexpand.coeffring import KINEMATIC_CONTEXT, Poly
 from kinexpand.liealg import (
+    PI_SIGNS,
+    PI_T_SIGNS,
     Decomposition,
     LieAlgebra,
     automorphism_check,
@@ -16,12 +21,11 @@ from kinexpand.liealg import (
     iw_contract,
     jacobi_check,
     parameter_contract,
-    parity_map,
-    parity_time_map,
     spacetime_split,
     substitute_algebra,
     worldline_split,
 )
+from kinexpand.uea import UEAElement
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "kinexpand" / "data"
 
@@ -88,6 +92,17 @@ class TestCatalog:
         pk = ge.bracket_pair(ge.gen_index["P1"], ge.gen_index["K1"])
         assert pk == {ge.gen_index["Xi"]: Poly.var(ge.ctx, "m")}
 
+    def test_tables_are_read_only(self, capsys):
+        p = catalog("poincare")
+        row = p.bracket_pair(p.gen_index["K1"], p.gen_index["K2"])
+        for table in (p.brackets, p.metadata, row):
+            with pytest.raises(AttributeError):
+                table.clear()
+            with pytest.raises(TypeError):
+                table["key"] = "value"
+        assert main(["bracket", "poincare", "K1", "K2"]) == 0
+        assert capsys.readouterr().out == "omega*J3\n"
+
     def test_euclid_shares_poincare_table(self):
         assert catalog("euclid4").same_structure(catalog("poincare"))
         assert catalog("euclid4").metadata["worldline_curv"] == "omega>0"
@@ -119,32 +134,27 @@ class TestAutomorphisms:
     @pytest.mark.parametrize("name", ["galilei", "poincare", "newton_hooke"])
     def test_parity(self, name):
         alg = catalog(name)
-        ok, why = automorphism_check(alg, parity_map(alg))
+        ok, why = automorphism_check(alg, PI_SIGNS)
         assert ok, why
 
     @pytest.mark.parametrize("name", ["galilei", "galilei_ext", "poincare", "newton_hooke"])
     def test_parity_time(self, name):
         alg = catalog(name)
-        ok, why = automorphism_check(alg, parity_time_map(alg))
+        ok, why = automorphism_check(alg, PI_T_SIGNS)
         assert ok, why
 
     def test_wrong_signs_rejected(self):
-        from kinexpand.liealg import LinearMap
-
         g = catalog("galilei")
         # flipping only P breaks [H, K_i] = -P_i
-        bad = LinearMap.diagonal(g, {"P1": -1, "P2": -1, "P3": -1})
-        ok, why = automorphism_check(g, bad)
+        ok, why = automorphism_check(g, {"P1": -1, "P2": -1, "P3": -1})
         assert not ok
         assert why
 
     def test_non_involution_rejected(self):
-        from kinexpand.liealg import LinearMap
-
         g = catalog("galilei")
-        two = LinearMap.diagonal(g, {name.name: 2 for name in g.generators})
-        ok, why = automorphism_check(g, two)
+        ok, why = automorphism_check(g, {name.name: 2 for name in g.generators})
         assert not ok
+        assert why == "f∘f != id on generator H"
 
 
 class TestDecompositions:
@@ -205,3 +215,98 @@ class TestContractions:
     def test_same_structure_is_discriminating(self):
         assert not catalog("poincare").same_structure(catalog("galilei"))
         assert not catalog("galilei_ext").same_structure(catalog("galilei"))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the UEA kernel's commutators of generators.  They are degree-1
+# brackets, so they assume neither PBW nor Jacobi and use their own
+# arithmetic, not the structure-constant loops of the checks.
+# ---------------------------------------------------------------------------
+
+# the 3-generator non-Lie table of test_cli
+NON_LIE = (
+    "name bad\ngenerators A B C\n"
+    "bracket A B = 1*C\nbracket A C = 1*B\nbracket B C = 1*B\n"
+)
+
+
+def perturbed_poincare():
+    text = (DATA_DIR / "poincare.alg").read_text(encoding="utf-8")
+    bent = text.replace("bracket K1 K2 = omega*J3", "bracket K1 K2 = omega*J3 + 1*H")
+    assert bent != text
+    return parse_algebra_text(bent, allow_non_lie=True)
+
+
+def as_vector(element):
+    """A degree-1 enveloping-algebra element as {generator index: Poly}."""
+    out = {}
+    for mono, coeff in element.terms.items():
+        assert sum(mono) == 1
+        out[mono.index(1)] = coeff
+    return out
+
+
+def generators(alg):
+    return [UEAElement.generator(alg, g.name) for g in alg.generators]
+
+
+def oracle_jacobi(alg):
+    x = generators(alg)
+    out = []
+    for i, j, k in combinations(range(alg.dim), 3):
+        res = (
+            x[i].commutator(x[j].commutator(x[k]))
+            + x[j].commutator(x[k].commutator(x[i]))
+            + x[k].commutator(x[i].commutator(x[j]))
+        )
+        if not res.is_zero():
+            out.append(((i, j, k), as_vector(res)))
+    return out
+
+
+def oracle_automorphism_failure(alg, s):
+    """The first pair (i < j) with f([x_i, x_j]) != [f x_i, f x_j], or None."""
+    x = generators(alg)
+    for i, j in combinations(range(alg.dim), 2):
+        lhs = {k: c.scale(s[k]) for k, c in as_vector(x[i].commutator(x[j])).items()}
+        rhs = as_vector(x[i].smul(s[i]).commutator(x[j].smul(s[j])))
+        if lhs != rhs:
+            return alg.generators[i].name, alg.generators[j].name
+    return None
+
+
+class TestAgainstKernelOracle:
+    @pytest.mark.parametrize(
+        "alg",
+        [catalog(name) for name in catalog_names()]
+        + [parse_algebra_text(NON_LIE, allow_non_lie=True), perturbed_poincare()],
+        ids=list(catalog_names()) + ["non_lie", "perturbed_poincare"],
+    )
+    def test_jacobi_violations_and_residuals(self, alg):
+        got = [(v.triple, v.residual) for v in jacobi_check(alg)]
+        assert got == oracle_jacobi(alg)
+
+    def test_oracle_sees_the_perturbation(self):
+        assert oracle_jacobi(perturbed_poincare())
+        assert oracle_jacobi(parse_algebra_text(NON_LIE, allow_non_lie=True))
+
+    @pytest.mark.parametrize("name", list(catalog_names()))
+    def test_automorphism_verdicts(self, name):
+        alg = catalog(name)
+        blocks = {"H": ["H"], "Xi": ["Xi"]}
+        for letter in "PKJ":
+            blocks[letter] = [f"{letter}{i}" for i in (1, 2, 3)]
+        blocks = {b: gens for b, gens in blocks.items() if gens[0] in alg.gen_index}
+        verdicts = set()
+        for signs in product((1, -1), repeat=len(blocks)):
+            scales = {
+                g: sign for sign, gens in zip(signs, blocks.values()) for g in gens
+            }
+            s = [scales[g.name] for g in alg.generators]
+            failure = oracle_automorphism_failure(alg, s)
+            ok, why = automorphism_check(alg, scales)
+            assert ok == (failure is None), scales
+            if failure:
+                assert why == f"f([x,y]) != [f(x),f(y)] on {failure}"
+            verdicts.add(ok)
+        assert verdicts == {True, False}
