@@ -108,6 +108,8 @@ def _exact(value: ScalarLike):
     """``value`` as an exact rational: ``int`` if integral, else Fraction."""
     if type(value) is int:
         return value
+    if type(value) is Fraction:
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, float):
         raise TypeError(f"coefficient {value!r} is a float, not an exact rational")
     value = Fraction(value)
@@ -119,6 +121,15 @@ def _fold(value):
     if type(value) is Fraction and value.denominator == 1:
         return value.numerator
     return value
+
+
+def _accumulate(out: dict, exps: Exponents, c) -> None:
+    """out[exps] += c, deleting a sum that cancels (values not yet folded)."""
+    s = out.get(exps, 0) + c
+    if s:
+        out[exps] = s
+    else:
+        out.pop(exps, None)
 
 
 class Poly:
@@ -289,46 +300,73 @@ class Poly:
     def substitute(self, assignment: Mapping[str, Union[ScalarLike, "Poly"]]) -> "Poly":
         """Replace assigned parameters by rationals or polynomials.
 
-        A ring homomorphism: acts term by term, multiplying out the assigned
-        values at each term's exponent.  Unassigned parameters are kept.
-        A negative power of the laurent parameter can only take a nonzero
-        rational, raised exactly as a ``Fraction``.
+        A ring homomorphism, applied in one pass over the terms.  The
+        assignment is validated once: an unknown name or a polynomial from
+        another context raises :class:`ContextMismatchError`, a float
+        ``TypeError``.  A rational value (or a constant polynomial)
+        multiplies each term's coefficient by its power; a negative power of
+        the laurent parameter is raised exactly as a ``Fraction``, and
+        raises ``ZeroDivisionError`` for 0.  A non-constant polynomial
+        value multiplies the term by its power, and raises ``ValueError``
+        in a negative power.  Unassigned parameters are kept.
         """
         if not assignment:
             return self
         ctx = self.ctx
-        idx_val: dict[int, Poly] = {}
+        rationals = []  # (index, value)
+        polys = []  # (index, non-constant Poly)
         for name, value in assignment.items():
-            if name not in ctx.index:
+            i = ctx.index.get(name)
+            if i is None:
                 raise ContextMismatchError(f"unknown parameter {name!r}")
-            if isinstance(value, Poly):
-                if value.ctx is not ctx:
-                    raise ContextMismatchError("assignment value from different context")
-                idx_val[ctx.index[name]] = value
+            if not isinstance(value, Poly):
+                rationals.append((i, _exact(value)))
+            elif value.ctx is not ctx:
+                raise ContextMismatchError("assignment value from different context")
+            elif value.is_constant():
+                rationals.append((i, value.terms.get(ctx.zero, 0)))
             else:
-                idx_val[ctx.index[name]] = Poly.const(ctx, value)
-        out = Poly._raw(ctx, {})
+                polys.append((i, value))
+        zero = ctx.zero
+        out: dict = {}
         for exps, coeff in self.terms.items():
-            rest = list(exps)
-            factor = Poly.const(ctx, coeff)
-            for i, value in idx_val.items():
+            rest = None
+            for i, v in rationals:
                 e = exps[i]
-                if e == 0:
+                if not e:
                     continue
+                if rest is None:
+                    rest = list(exps)
                 rest[i] = 0
-                if e < 0:
-                    # negative powers only substitutable by nonzero rationals
-                    v = value.constant_value()
-                    if v == 0:
-                        raise ZeroDivisionError(
-                            "substituting 0 into a negative power of "
-                            f"{ctx.names[i]!r}"
-                        )
-                    factor = factor.scale(Fraction(v) ** e)
+                if e > 0:
+                    coeff = coeff * v**e
+                elif v == 0:
+                    raise ZeroDivisionError(
+                        f"substituting 0 into a negative power of {ctx.names[i]!r}"
+                    )
                 else:
-                    factor = factor * value ** e
-            out = out + factor * Poly(ctx, {tuple(rest): 1})
-        return out
+                    coeff = coeff * Fraction(v) ** e
+            factors = []
+            for i, value in polys:
+                e = exps[i]
+                if not e:
+                    continue
+                if rest is None:
+                    rest = list(exps)
+                rest[i] = 0
+                factors.append(value**e)  # ValueError for e < 0
+            key = exps if rest is None else tuple(rest)
+            if not factors:
+                _accumulate(out, key, coeff)
+                continue
+            term = Poly._raw(ctx, {key: coeff} if coeff else {})
+            for factor in factors:
+                term = term * factor
+            for e, c in term.terms.items():
+                _accumulate(out, e, c)
+        return Poly._raw(
+            ctx, {zero if e == zero else e: _fold(c) for e, c in out.items()}
+        )
 
     def substitute_power(self, name: str, power: int, value: ScalarLike) -> "Poly":
         """Reduce every occurrence of ``name ** power`` to ``value``.
@@ -347,12 +385,7 @@ class Poly:
             if q:
                 coeff = coeff * v ** q
                 exps = exps[:i] + (r,) + exps[i + 1 :]
-            if coeff:
-                s = out.get(exps, 0) + coeff
-                if s:
-                    out[exps] = s
-                else:
-                    out.pop(exps, None)
+            _accumulate(out, exps, coeff)
         zero = self.ctx.zero
         return Poly._raw(
             self.ctx, {zero if e == zero else e: _fold(c) for e, c in out.items()}

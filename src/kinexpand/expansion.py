@@ -20,7 +20,9 @@ power-substitution rule), builds the expected brackets from the target
 structure constants, accepts exactly equal pairs, and otherwise scalarises
 the template with the witness (phase 2) and compares it with the target
 (phase 3).  The certificate depends only on the seed, so each driver family
-builds it once per process and every witness reuses it.
+builds it once per process and every witness reuses it.  A witness check is
+rational coefficient arithmetic only: it compares before it subtracts, and
+a verdict renders its texts when they are read, not when it is made.
 """
 
 from __future__ import annotations
@@ -34,7 +36,15 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .coeffring import Poly, format_poly
 from .liealg import _CYCLIC, LieAlgebra, catalog
-from .uea import UEAElement, _named_over, format_element, named_element
+from .uea import (
+    UEAElement,
+    _add_term,
+    _exps_sum,
+    _group,
+    _named_over,
+    format_element,
+    named_element,
+)
 
 
 class ConstraintViolationError(ValueError):
@@ -237,12 +247,32 @@ def _reduce_element(el: UEAElement, reductions) -> UEAElement:
 
 @dataclass
 class PairVerdict:
+    """One pair's verdict.
+
+    ``target``, ``scalarized`` and ``residual`` are texts of the expected
+    bracket, the scalarised template and the residual.  The verdict keeps
+    the elements and renders each text on first read, so a caller that
+    only reads verdicts formats nothing.
+    """
+
     pair: tuple
     verdict: str  # exact_zero | template_match | mismatch
     phase1: str  # pass | n/a | residual text
-    scalarized: str
-    target: str
-    residual: str | None = None
+    _expected: UEAElement
+    _scalarized: UEAElement | None = None
+    _residual: UEAElement | None = None
+
+    @functools.cached_property
+    def target(self) -> str:
+        return format_element(self._expected)
+
+    @functools.cached_property
+    def scalarized(self) -> str:
+        return "" if self._scalarized is None else format_element(self._scalarized)
+
+    @functools.cached_property
+    def residual(self) -> str | None:
+        return None if self._residual is None else format_element(self._residual)
 
     def to_dict(self) -> dict:
         return {
@@ -368,15 +398,19 @@ def verify_closure(
     The witness is validated against the constraints first; an exactly
     satisfied constraint is consumed, an open one (single free constant)
     becomes a power-reduction rule.  For every pair of the certificate the
-    expected bracket is then built from the target structure constants at
-    the witness.  A pair whose commutator equals it exactly is an
-    ``exact_zero``.  Otherwise its template is scalarised at the witness
-    (phase 2) and compared with the expected bracket (phase 3); the pair is
-    a ``template_match`` only if the certificate's phase-1 residual is zero
-    too, and a ``mismatch`` otherwise or when it has no template.  No
-    commutator or phase-1 identity is computed here: that is the
-    certificate's work, done once for every witness.  The target's
-    generator pairs must be the certificate's, in the same order.
+    expected bracket is then built, as one flat sum, from the expanded
+    elements times the target structure constants at the witness.  A pair
+    whose commutator equals it is an ``exact_zero``: the two are compared
+    first, and only an unequal pair is subtracted and reduced by the power
+    rules.  Otherwise its template is scalarised at the witness (phase 2)
+    and compared with the expected bracket (phase 3) the same way; the pair
+    is a ``template_match`` only if the certificate's phase-1 residual is
+    zero too, and a ``mismatch`` otherwise or when it has no template.  No
+    commutator, product or text is computed here: the commutators and
+    phase-1 identities are the certificate's work, done once for every
+    witness, and each :class:`PairVerdict` renders its texts when read.
+    The target's generator pairs must be the certificate's, in the same
+    order.
     """
     names = [g.name for g in target.generators]
     if tuple(combinations(names, 2)) != tuple(p.pair for p in certificate.pairs):
@@ -388,29 +422,32 @@ def verify_closure(
     witness = dict(witness or {})
     reductions = _analyze_constraints(constraints, witness)
 
+    zero = alg.ctx.zero
     pairs = []
     mismatches = []
     for cert in certificate.pairs:
         na, nb = cert.pair
-        ta, tb = target.gen_index[na], target.gen_index[nb]
-        expected = UEAElement.zero(alg)
-        for k, coeff in target.bracket_pair(ta, tb).items():
-            expected = expected + elements[names[k]].smul(coeff.substitute(witness))
-        target_text = format_element(expected)
+        row = target.bracket_pair(target.gen_index[na], target.gen_index[nb])
+        # one flat sum of the expanded elements times their witness coefficients
+        flat: dict = {}
+        for k, coeff in row.items():
+            terms = elements[names[k]].terms
+            for s_exps, s in coeff.substitute(witness).terms.items():
+                for mono, poly in terms.items():
+                    for e, c in poly.terms.items():
+                        _add_term(flat, (mono, _exps_sum(e, s_exps, zero)), c * s)
+        expected = UEAElement._raw(alg, _group(alg, flat))
+        if cert.actual == expected:
+            # render the certificate's element: the verdict keeps no copy
+            pairs.append(PairVerdict(cert.pair, "exact_zero", "n/a", cert.actual))
+            continue
         exact_res = _reduce_element(cert.actual - expected, reductions)
         if exact_res.is_zero():
-            pairs.append(PairVerdict(cert.pair, "exact_zero", "n/a", "", target_text))
+            pairs.append(PairVerdict(cert.pair, "exact_zero", "n/a", expected))
             continue
         if cert.template is None:
             pairs.append(
-                PairVerdict(
-                    cert.pair,
-                    "mismatch",
-                    "n/a",
-                    "",
-                    target_text,
-                    residual=format_element(exact_res),
-                )
+                PairVerdict(cert.pair, "mismatch", "n/a", expected, _residual=exact_res)
             )
             mismatches.append(cert.pair)
             continue
@@ -420,14 +457,16 @@ def verify_closure(
             {m: p.substitute(witness) for m, p in cert.template.terms.items()},
         )
         scal = _reduce_element(scal, reductions)
-        scal_text = format_element(scal)
         degree_ok = scal.degree() <= 1
         # phase 3: compare with the target structure constants
-        p3_res = _reduce_element(scal - expected, reductions)
+        if scal == expected:
+            p3_res = UEAElement.zero(alg)
+        else:
+            p3_res = _reduce_element(scal - expected, reductions)
         p1_ok = cert.phase1.is_zero()
         if p1_ok and degree_ok and p3_res.is_zero():
             pairs.append(
-                PairVerdict(cert.pair, "template_match", "pass", scal_text, target_text)
+                PairVerdict(cert.pair, "template_match", "pass", expected, scal)
             )
         else:
             pairs.append(
@@ -435,9 +474,9 @@ def verify_closure(
                     cert.pair,
                     "mismatch",
                     cert.phase1_text,
-                    scal_text,
-                    target_text,
-                    residual=format_element(p3_res if p1_ok else cert.phase1),
+                    expected,
+                    scal,
+                    p3_res if p1_ok else cert.phase1,
                 )
             )
             mismatches.append(cert.pair)

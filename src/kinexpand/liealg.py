@@ -325,9 +325,12 @@ def catalog_names():
 
 # Sign patterns of the two involutive automorphisms: parity and parity*time
 # reversal.  The central generator of the extended algebra is even under both.
+# Read-only: every structural check in the process reads them.
 
-PI_SIGNS = {"H": 1, "P1": -1, "P2": -1, "P3": -1, "K1": -1, "K2": -1, "K3": -1}
-PI_T_SIGNS = {"H": -1, "P1": -1, "P2": -1, "P3": -1, "Xi": -1}
+PI_SIGNS = MappingProxyType(
+    {"H": 1, "P1": -1, "P2": -1, "P3": -1, "K1": -1, "K2": -1, "K3": -1}
+)
+PI_T_SIGNS = MappingProxyType({"H": -1, "P1": -1, "P2": -1, "P3": -1, "Xi": -1})
 
 
 def worldline_split(alg: LieAlgebra) -> Decomposition:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracle_substitute
 from kinexpand.coeffring import (
     KINEMATIC_CONTEXT,
     ContextMismatchError,
@@ -16,7 +17,12 @@ from kinexpand.coeffring import (
     format_poly,
     parse_poly,
 )
-from kinexpand.properties import check_ring_axioms, check_substitution_homomorphism
+from kinexpand.properties import (
+    check_ring_axioms,
+    check_substitution_homomorphism,
+    random_poly,
+    random_rational,
+)
 
 CTX = KINEMATIC_CONTEXT
 
@@ -155,6 +161,107 @@ class TestSubstitution:
         p = parse_poly("a1^2*m + a1*m + 3", CTX)
         q = p.substitute_power("a1", 2, Fraction(-1))
         assert q == parse_poly("-m + a1*m + 3", CTX)
+
+
+def laurent_poly(rng) -> Poly:
+    """A random polynomial whose terms carry eps powers from -2 to 2."""
+    eps = CTX.index["eps"]
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        exps = [0] * len(CTX)
+        for _ in range(rng.randint(0, 3)):
+            exps[rng.randrange(len(CTX))] += 1
+        exps[eps] = rng.randint(-2, 2)
+        terms[tuple(exps)] = random_rational(rng)
+    return Poly(CTX, terms)
+
+
+def nonzero_rational(rng) -> Fraction:
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 6))
+
+
+class TestSubstituteAgainstOracle:
+    """``Poly.substitute`` against the multiply-out oracle on seeded input."""
+
+    NAMES = [n for n in CTX.names if n != "eps"]
+
+    def assert_same(self, p, assignment):
+        got = p.substitute(assignment)
+        want = oracle_substitute.substitute(p, assignment)
+        assert got == want, (p, assignment)
+        assert {e: type(c) for e, c in got.terms.items()} == {
+            e: type(c) for e, c in want.terms.items()
+        }
+        assert all(e is CTX.zero for e in got.terms if e == CTX.zero)
+
+    def assignment(self, rng, value):
+        names = rng.sample(self.NAMES, rng.randint(1, 4))
+        return {name: value(rng) for name in names}
+
+    def test_rational_values(self, rng):
+        for _ in range(300):
+            a = self.assignment(rng, random_rational)
+            if rng.random() < 0.5:
+                a["eps"] = nonzero_rational(rng)
+            self.assert_same(laurent_poly(rng), a)
+
+    def test_integer_and_integral_values(self, rng):
+        for _ in range(200):
+            a = self.assignment(
+                rng, lambda r: r.choice((r.randint(-3, 3), Fraction(4, 2)))
+            )
+            a["eps"] = rng.choice((2, -1, Fraction(6, 3)))
+            self.assert_same(laurent_poly(rng), a)
+
+    def test_poly_values(self, rng):
+        for _ in range(300):
+            a = self.assignment(rng, lambda r: random_poly(r, CTX))
+            self.assert_same(laurent_poly(rng), a)
+
+    def test_mixed_values(self, rng):
+        def value(r):
+            return random_poly(r, CTX) if r.random() < 0.5 else random_rational(r)
+
+        for _ in range(300):
+            a = self.assignment(rng, value)
+            if rng.random() < 0.5:
+                # a constant polynomial into negative eps powers
+                a["eps"] = const(nonzero_rational(rng))
+            self.assert_same(laurent_poly(rng), a)
+
+    def test_negative_eps_powers(self, rng):
+        for _ in range(200):
+            p = laurent_poly(rng) * Poly.var(CTX, "eps", -rng.randint(1, 3))
+            self.assert_same(p, {"eps": nonzero_rational(rng)})
+            self.assert_same(p, {"eps": nonzero_rational(rng), "m": const(0)})
+
+    def test_empty_assignment_is_identity(self, rng):
+        p = laurent_poly(rng)
+        assert p.substitute({}) is p
+
+    @pytest.mark.parametrize(
+        "assignment, error",
+        [
+            ({"a1": 0.5}, TypeError),
+            ({"a1": 1, "nope": 1}, ContextMismatchError),
+            ({"a1": Poly.var(ParamContext(("a1",)), "a1")}, ContextMismatchError),
+            ({"eps": 0}, ZeroDivisionError),
+            ({"eps": Poly.var(CTX, "m")}, ValueError),
+        ],
+        ids=[
+            "float",
+            "unknown-name",
+            "foreign-context",
+            "zero-into-negative",
+            "poly-into-negative",
+        ],
+    )
+    def test_errors_match_the_oracle(self, assignment, error):
+        p = var("a1") * Poly.var(CTX, "eps", -1) + var("m")
+        for substitute in (p.substitute, lambda a: oracle_substitute.substitute(p, a)):
+            with pytest.raises(error) as exc:
+                substitute(assignment)
+            assert type(exc.value) is error
 
 
 class TestGrammar:

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from kinexpand import expansion
+import oracle_substitute
+from kinexpand import expansion, uea
 from kinexpand.coeffring import Poly
 from kinexpand.expansion import (
     DRIVERS,
@@ -27,7 +28,7 @@ from kinexpand.expansion import (
     verify_closure,
 )
 from kinexpand.liealg import catalog
-from kinexpand.uea import UEAElement, _named_over, named_element
+from kinexpand.uea import UEAElement, _named_over, format_element, named_element
 
 
 def gen(alg, name):
@@ -338,3 +339,132 @@ class TestSharedCertificate:
         with pytest.raises(dataclasses.FrozenInstanceError):
             run.generators.elements = {}
         assert isinstance(expansion._certificate("worldline").certificate.pairs, tuple)
+
+
+def _eager_pairs(certificate, target, constraints, witness) -> list:
+    """Each pair's ``to_dict()``, rendered eagerly by the subtract-first check.
+
+    Every expected bracket is a sum of ``smul`` terms, every comparison a
+    subtraction, every text is formatted at once, and coefficients go
+    through the multiply-out substitution oracle.
+    """
+
+    def subst(p):
+        return oracle_substitute.substitute(p, witness)
+
+    reductions = expansion._analyze_constraints(constraints, witness)
+
+    def reduce(el):
+        return expansion._reduce_element(el, reductions)
+
+    alg = certificate.alg
+    names = [g.name for g in target.generators]
+    out = []
+    for cert in certificate.pairs:
+        ta, tb = (target.gen_index[n] for n in cert.pair)
+        expected = UEAElement.zero(alg)
+        for k, coeff in target.bracket_pair(ta, tb).items():
+            element = certificate.generators.elements[names[k]]
+            expected = expected + element.smul(subst(coeff))
+        doc = {
+            "pair": list(cert.pair),
+            "verdict": "mismatch",
+            "phase1": "n/a",
+            "scalarized": "",
+            "target": format_element(expected),
+            "residual": None,
+        }
+        exact = reduce(cert.actual - expected)
+        if exact.is_zero():
+            doc["verdict"] = "exact_zero"
+        elif cert.template is None:
+            doc["residual"] = format_element(exact)
+        else:
+            terms = {m: subst(p) for m, p in cert.template.terms.items()}
+            scal = reduce(UEAElement(alg, terms))
+            p3 = reduce(scal - expected)
+            doc["scalarized"] = format_element(scal)
+            if cert.phase1.is_zero() and scal.degree() <= 1 and p3.is_zero():
+                doc.update(verdict="template_match", phase1="pass")
+            else:
+                residual = p3 if cert.phase1.is_zero() else cert.phase1
+                doc.update(phase1=cert.phase1_text, residual=format_element(residual))
+        out.append(doc)
+    return out
+
+
+class TestWarmRound:
+    """A witness round on a built certificate does only rational arithmetic,
+    and its verdict texts are rendered when read, as the eager path would."""
+
+    def witness_runs(self):
+        rng = random.Random(11)
+        witnesses = _witnesses_on_the_varieties(rng)
+        return [
+            run_theorem1(witnesses["theorem1"]),
+            run_euclid(witnesses["euclid"]),
+            run_theorem2(witnesses["theorem2"]),
+            run_theorem2(THEOREM2_POSITIVE_WITNESS),
+            run_negative_nh(),
+        ]
+
+    def test_no_kernel_work_and_no_text_until_read(self, monkeypatch):
+        for driver in DRIVERS.values():
+            driver()
+        algebras = [catalog("galilei"), catalog("galilei_ext")]
+        stats = [uea.kernel_stats(alg) for alg in algebras]
+
+        def boom(*args, **kwargs):
+            raise AssertionError("witness round multiplied UEA elements")
+
+        monkeypatch.setattr(UEAElement, "commutator", boom)
+        monkeypatch.setattr(UEAElement, "__mul__", boom)
+        formatted = []
+
+        def counting(el):
+            formatted.append(el)
+            return format_element(el)
+
+        monkeypatch.setattr(expansion, "format_element", counting)
+        monkeypatch.setattr(uea, "format_element", counting)
+        runs = self.witness_runs()
+        assert [uea.kernel_stats(alg) for alg in algebras] == stats
+        assert formatted == []
+        assert [run.ok for run in runs] == [True] * 5
+        assert runs[3].report.reductions and runs[4].report.mismatches
+        mismatch = next(p for p in runs[4].report.pairs if p.verdict == "mismatch")
+        assert mismatch.target == format_element(mismatch._expected)
+        assert len(formatted) == 1
+        assert mismatch.target and mismatch.residual and len(formatted) == 2
+        assert mismatch.scalarized == "" and len(formatted) == 2
+
+    def test_rendered_texts_equal_the_eager_path(self):
+        runs = self.witness_runs()
+        families = ["worldline", "worldline", "spacetime", "spacetime", "negative"]
+        for run, family in zip(runs, families):
+            entry = expansion._certificate(family)
+            target = catalog(run.report.target)
+            want = _eager_pairs(
+                entry.certificate, target, entry.constraints, run.report.witness
+            )
+            assert run.report.to_dict()["pairs"] == want, run.name
+        verdicts = {p.verdict for run in runs for p in run.report.pairs}
+        assert verdicts == {"exact_zero", "template_match", "mismatch"}
+
+    @pytest.mark.parametrize(
+        "target,witness",
+        [
+            ("poincare", {}),
+            ("poincare", {"omega": Fraction(-1)}),
+            ("euclid4", {"c1": Fraction(1), "c2": Fraction(1)}),
+        ],
+        ids=["no-witness", "omega-only", "off-the-variety"],
+    )
+    def test_symbolic_expected_brackets_equal_the_eager_path(self, target, witness):
+        # with no constraints, parameters the witness leaves open stay in the
+        # expected brackets, and the template pairs mismatch in phase 3
+        certificate = expansion._certificate("worldline").certificate
+        report = verify_closure(certificate, catalog(target), (), witness)
+        want = _eager_pairs(certificate, catalog(target), (), witness)
+        assert [p.to_dict() for p in report.pairs] == want
+        assert report.mismatches

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from kinexpand.algfile import parse_algebra_text
+from kinexpand.checks import structural_suite
 from kinexpand.cli import main
 from kinexpand.coeffring import KINEMATIC_CONTEXT, Poly
 from kinexpand.liealg import (
@@ -155,6 +156,15 @@ class TestAutomorphisms:
         ok, why = automorphism_check(g, {name.name: 2 for name in g.generators})
         assert not ok
         assert why == "f∘f != id on generator H"
+
+    def test_sign_tables_are_read_only(self):
+        for signs in (PI_SIGNS, PI_T_SIGNS):
+            with pytest.raises(TypeError):
+                signs["H"] = -signs["H"]
+            with pytest.raises(TypeError):
+                del signs["P1"]
+        assert PI_SIGNS["H"] == 1 and PI_T_SIGNS["H"] == -1
+        assert all(r.passed for r in structural_suite())
 
 
 class TestDecompositions:
