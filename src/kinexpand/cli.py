@@ -46,6 +46,7 @@ from .coeffring import KINEMATIC_CONTEXT, DivergenceError, ParseError
 from .expansion import (
     DEFAULT_WITNESSES,
     DRIVERS,
+    THEOREM2_POSITIVE_WITNESS,
     ConstraintViolationError,
 )
 from .exprparse import parse_expression
@@ -62,7 +63,7 @@ from .properties import (
     check_ring_axioms,
     check_uea_jacobi,
 )
-from .uea import format_element
+from .uea import KernelBoundError, format_element
 
 SCHEMA_VERSION = 1
 
@@ -84,9 +85,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-# The errors that mean the input was malformed.  :func:`main` reports each on
-# one stderr line and returns 2; any other exception is a fault of the program.
-_INPUT_ERRORS = (InputError, ParseError, ConstraintViolationError)
+# The errors that mean the input was malformed or past the kernel's bounds.
+# :func:`main` reports each on one stderr line and returns 2; any other
+# exception is a fault of the program.
+_INPUT_ERRORS = (InputError, ParseError, ConstraintViolationError, KernelBoundError)
 
 
 def _load_algebra(ref: str, allow_non_lie: bool = False):
@@ -268,7 +270,12 @@ def cmd_expand(args) -> int:
         raise InputError(f"{args.target} takes no --witness")
     overrides = _parse_witness(args.witness)
     if overrides:
-        run = driver({**DEFAULT_WITNESSES[args.target], **overrides})
+        base = DEFAULT_WITNESSES[args.target]
+        if args.target == "newton_hooke" and overrides.get("kappa", 0) > 0:
+            # kappa > 0 forces a1^2 < 0: a1 stays formal and the constraint
+            # supplies its power reduction
+            base = THEOREM2_POSITIVE_WITNESS
+        run = driver({**base, **overrides})
     else:
         run = driver()
     doc = {"command": "expand", "schema_version": SCHEMA_VERSION, **run.to_dict()}

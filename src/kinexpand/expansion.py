@@ -39,12 +39,34 @@ from .liealg import _CYCLIC, LieAlgebra, catalog
 from .uea import (
     UEAElement,
     _add_term,
-    _exps_sum,
-    _group,
     _named_over,
     format_element,
     named_element,
 )
+
+
+def _exps_sum(e1: tuple, e2: tuple, zero: tuple) -> tuple:
+    """Exponents of the product of two parameter monomials; ``zero`` is the
+    context's shared all-zero tuple, kept by identity."""
+    if e1 is zero:
+        return e2
+    if e2 is zero:
+        return e1
+    e = tuple([a + b for a, b in zip(e1, e2)])
+    return zero if e == zero else e
+
+
+def _group(alg: LieAlgebra, flat: dict) -> dict:
+    """{monomial: Poly} from a flat dict keyed by (monomial, exponents)."""
+    grouped: dict = {}
+    for (mono, exps), c in flat.items():
+        poly = grouped.get(mono)
+        if poly is None:
+            grouped[mono] = {exps: c}
+        else:
+            poly[exps] = c
+    ctx = alg.ctx
+    return {mono: Poly._raw(ctx, terms) for mono, terms in grouped.items()}
 
 
 class ConstraintViolationError(ValueError):

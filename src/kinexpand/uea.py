@@ -34,29 +34,66 @@ last letter of the right one, ``m2 = m2'*x_j``::
 with ``m2'*t`` a fold.  :meth:`UEAElement.commutator` sums these monomial
 brackets over pairs of terms.
 
-Per algebra the kernel memoises the product primitive and ``ad``, keyed by
-(monomial, generator), and the brackets of monomial pairs that are not
-generators; no word and no product of two monomials is stored.  Every table
-entry, and the bracket table the kernel reads, is a flat dict ``{(monomial,
-exponents): rational}``: a structure constant ``c * params^e`` is the
-triple ``(l, e, c)``, a product of two terms multiplies the rationals and
-adds the exponent tuples (skipped when either is the context's shared zero
-tuple), and a rational is an ``int`` when integral and a ``Fraction``
-otherwise, as in :class:`~kinexpand.coeffring.Poly`.  No ``Poly`` is made
-inside the kernel.
-A product, a commutator or :func:`normal_form` sums the cross terms of its
-operands' coefficients into one flat dict and groups it into ``{monomial:
-Poly}`` once, at the end.
+Per algebra the kernel memoises the product primitive and ``ad`` per
+generator, keyed by monomial, and the brackets of monomial pairs that are
+not generators; no word and no product of two monomials is stored.
+
+**Packed keys.**  Inside the kernel a term ``c * params^e * x^m`` is one
+entry ``key: c`` of a flat dict, where ``key`` is a single ``int`` that
+packs the PBW exponents ``m`` and the parameter exponents ``e``.  Each
+field is ``W = FIELD_BITS = 16`` bits wide: generator ``g`` owns bits
+``W*g`` to ``W*g + W - 1``, and parameter ``i`` owns the field ``dim + i``
+above them::
+
+    key = sum_g m[g] << W*g  +  sum_i e[i] << W*(dim + i)
+
+A parameter field is signed (``eps`` may carry negative powers); the sum is
+taken as an exact integer, with no bias.  Because the packing is linear,
+the product of two terms is ``key1 + key2``, a bump of generator ``g`` is
+``key + (1 << W*g)``, ``m`` and the packed ``e`` are ``key & mask`` and
+``key - (key & mask)`` with ``mask = (1 << W*dim) - 1``, "no generator
+after ``g``" is ``m >> W*(g + 1) == 0`` and the last generator of ``m`` is
+``(m.bit_length() - 1) // W``.  The parameter fields are read back low to
+high, each as the signed ``W``-bit residue of what is left.  A structure
+constant ``c * params^e`` is the triple ``(l, packed e, c)``, and a
+rational is an ``int`` when integral and a ``Fraction`` otherwise, as in
+:class:`~kinexpand.coeffring.Poly`.  No ``Poly`` is made inside the
+kernel.  A product, a commutator or :func:`normal_form` packs its operands
+once, sums the cross terms of their coefficients into one flat dict, and
+unpacks it into ``{monomial: Poly}`` once, at the end (:func:`_group`); an
+all-zero exponent vector becomes the context's shared ``zero`` tuple.
+
+**The bound.**  The arithmetic above is exact only while no field leaves
+its range: ``0 <= m[g] < 2^W`` and ``-2^(W-1) <= e[i] < 2^(W-1)``; past
+that a carry moves into the next field silently.  So :meth:`UEAElement.__mul__`,
+:meth:`UEAElement.commutator` and :func:`normal_form` check their operands
+before any kernel work and raise :class:`KernelBoundError` past a bound
+that no field can exceed.  Let the operands have degrees at most ``d1`` and
+``d2``, coefficient exponents at most ``p1`` and ``p2`` in absolute value,
+and let ``s`` be the largest absolute exponent in the algebra's structure
+constants.  Every term the kernel forms is an operand term product
+rewritten by reordering steps, and each step that is not a bump replaces
+two letters by one letter times a structure constant: it lowers the degree
+by one and changes each parameter exponent by at most ``s``.  A bump keeps
+the degree.  So every term has degree at most ``D = d1 + d2``, whence every
+monomial field is at most ``D``, and at most ``D`` steps lie on the way to
+it, whence every parameter field is at most ``p1 + p2 + D*s`` in absolute
+value.  A stored table entry for ``m*x_g`` or ``[m, x_g]`` obeys the same
+bound with the degree of ``m`` plus one.  The check asks ``D < 2^W`` and
+``p1 + p2 + D*s < 2^(W-1)``.  A word of length ``n`` in :func:`normal_form`
+is the case ``D = n``.
 
 The tables belong to the kernel, held weakly per algebra, and
-:func:`kernel_stats` reports their sizes.  With them the kernel keeps the
-algebra's Lie generating set (:func:`lie_generating_set`), on which
-:func:`is_central` certifies centrality: ``[x, -]`` is a derivation, the
-coefficient ring is a domain and the enveloping algebra is free over it
-(PBW), so an element that commutes with a generating set commutes with
-everything.  A failure names the first basis generator, in basis order,
-that the element does not commute with, the witness a scan of the whole
-basis gives.
+:func:`kernel_stats` reports their sizes.  Together they hold at most
+:data:`MAX_KERNEL_ENTRIES` entries; a miss that would store one more raises
+:class:`KernelBoundError`, so a runaway normal form ends with an error
+instead of exhausting memory.  With them the kernel keeps the algebra's Lie
+generating set (:func:`lie_generating_set`), on which :func:`is_central`
+certifies centrality: ``[x, -]`` is a derivation, the coefficient ring is a
+domain and the enveloping algebra is free over it (PBW), so an element that
+commutes with a generating set commutes with everything.  A failure names
+the first basis generator, in basis order, that the element does not
+commute with, the witness a scan of the whole basis gives.
 """
 
 from __future__ import annotations
@@ -77,6 +114,31 @@ WordLetters = Tuple[int, ...]
 
 CoeffLike = Union[int, Fraction, Poly]
 
+# Width W of each exponent field of a packed kernel key (module docstring).
+FIELD_BITS = 16
+_FIELD = (1 << FIELD_BITS) - 1
+_SIGN = 1 << (FIELD_BITS - 1)
+
+# Most entries the kernel tables of one algebra hold together.  An entry
+# takes about 0.5 KiB, so full tables take about 100 MiB: the normal form of
+# <C2>^4 on poincare stops at the cap with a peak RSS of 130 MiB.
+MAX_KERNEL_ENTRIES = 200_000
+
+
+class KernelBoundError(ValueError):
+    """A normal form the kernel cannot compute within its bounds: an exponent
+    that does not fit a packed field, or more table entries than
+    :data:`MAX_KERNEL_ENTRIES`."""
+
+
+def _pack(fields) -> int:
+    """``sum(f << W*i)`` over the fields: a packed monomial, or exponents
+    before their shift.  Exact for signed fields, with no bias."""
+    key = 0
+    for f in reversed(fields):
+        key = (key << FIELD_BITS) + f
+    return key
+
 
 def monomial_to_word(mono: Monomial) -> WordLetters:
     out = []
@@ -86,45 +148,124 @@ def monomial_to_word(mono: Monomial) -> WordLetters:
 
 
 class _Tables:
-    """Normal-ordering tables of one algebra.
+    """Normal-ordering tables of one algebra, on packed keys.
 
-    Every value is a flat dict ``{(monomial, exponents): rational}``.  Holds
-    no reference to the algebra, so that the weak table below can drop them
+    Every value is a flat dict ``{packed key: rational}``.  Holds no
+    reference to the algebra, so that the weak table below can drop them
     together with it.
     """
 
     __slots__ = (
-        "dim", "zero", "letters", "brackets", "products", "ads", "commutators",
-        "generating",
+        "dim", "ctx", "bits", "mask", "unit", "gen_of", "max_exp", "brackets",
+        "products", "ads", "commutators", "entries", "generating",
     )
 
     def __init__(self, alg: LieAlgebra):
-        self.dim = alg.dim
-        self.zero = alg.ctx.zero
-        # the monomial x_g of each generator
-        self.letters = tuple(
-            tuple(int(g == k) for k in range(alg.dim)) for g in range(alg.dim)
-        )
-        # [x_k, x_g] for every ordered pair as (l, exponents, rational) triples
-        self.brackets = {
-            (k, g): [
-                (l, exps, c)
-                for l, p in alg.bracket_pair(k, g).items()
-                for exps, c in p.terms.items()
+        dim = self.dim = alg.dim
+        self.ctx = alg.ctx
+        self.bits = FIELD_BITS * dim
+        self.mask = (1 << self.bits) - 1
+        # the packed monomial x_g of each generator, and back
+        self.unit = tuple(1 << (FIELD_BITS * g) for g in range(dim))
+        self.gen_of = {u: g for g, u in enumerate(self.unit)}
+        # [x_k, x_g] for every ordered pair as (l, packed exponents, rational)
+        # triples, read as brackets[k][g]
+        self.brackets = [
+            [
+                [
+                    (l, self.pack_exps(exps), c)
+                    for l, p in alg.bracket_pair(k, g).items()
+                    for exps, c in p.terms.items()
+                ]
+                for g in range(dim)
             ]
-            for k in range(alg.dim)
-            for g in range(alg.dim)
-        }
-        self.products: dict = {}  # (monomial, g) -> normal form of m*x_g
-        self.ads: dict = {}  # (monomial, g) -> normal form of [m, x_g]
-        self.commutators: dict = {}  # (m1, m2) -> [m1, m2], neither a generator
+            for k in range(dim)
+        ]
+        self.max_exp = max(
+            (abs(e) for row in alg.brackets.values() for p in row.values()
+             for exps in p.terms for e in exps),
+            default=0,
+        )
+        self.products = [{} for _ in range(dim)]  # [g][m] -> normal form of m*x_g
+        self.ads = [{} for _ in range(dim)]  # [g][m] -> normal form of [m, x_g]
+        self.commutators: dict = {}  # m1 << bits | m2 -> [m1, m2], neither a generator
+        self.entries = 0  # stored in the three tables, against MAX_KERNEL_ENTRIES
         self.generating = lie_generating_set(alg)
+
+    def pack_exps(self, exps: tuple) -> int:
+        """Packed parameter exponents, already shifted above the monomial."""
+        return _pack(exps) << self.bits
+
+    def unpack_mono(self, m: int) -> Monomial:
+        return tuple([(m >> s) & _FIELD for s in range(0, self.bits, FIELD_BITS)])
+
+    def unpack_exps(self, e: int) -> tuple:
+        """Exponent tuple of ``e = key >> bits``; 0 gives the shared zero."""
+        if not e:
+            return self.ctx.zero
+        out = []
+        for _ in self.ctx.zero:
+            f = e & _FIELD
+            if f & _SIGN:
+                f -= 1 << FIELD_BITS
+            out.append(f)
+            e = (e - f) >> FIELD_BITS
+        return tuple(out)
+
+    def pack_coeff(self, poly: Poly):
+        """``[(packed exponents, rational)]`` of a coefficient, and its largest
+        absolute exponent."""
+        zero = self.ctx.zero
+        out = []
+        spread = 0
+        for exps, c in poly.terms.items():
+            if exps is zero:
+                out.append((0, c))
+                continue
+            s = max(max(exps), -min(exps))
+            if s > spread:
+                spread = s
+            out.append((self.pack_exps(exps), c))
+        return out, spread
+
+    def packed(self, el: "UEAElement"):
+        """``el`` as ``[(packed monomial, packed coefficient)]``, with its
+        largest degree and largest absolute coefficient exponent."""
+        out = []
+        degree = spread = 0
+        for mono, poly in el.terms.items():
+            coeffs, s = self.pack_coeff(poly)
+            out.append((_pack(mono), coeffs))
+            degree = max(degree, sum(mono))
+            spread = max(spread, s)
+        return out, degree, spread
+
+    def check_bound(self, degree: int, spread: int) -> None:
+        """Raise unless every field stays in range in a computation whose
+        operands have degree sum ``degree`` and whose largest absolute
+        coefficient exponents sum to ``spread`` (module docstring)."""
+        if degree > _FIELD:
+            raise KernelBoundError(
+                f"operands of total degree {degree} exceed the kernel's "
+                f"bound of {_FIELD}"
+            )
+        if spread + degree * self.max_exp >= _SIGN:
+            raise KernelBoundError(
+                f"parameter exponents may reach {spread + degree * self.max_exp}, "
+                f"past the kernel's bound of {_SIGN - 1}"
+            )
+
+    def store(self, table: dict, key: int, value: dict) -> None:
+        if self.entries >= MAX_KERNEL_ENTRIES:
+            raise KernelBoundError(
+                f"normal ordering needs more than {MAX_KERNEL_ENTRIES} "
+                "kernel table entries"
+            )
+        self.entries += 1
+        table[key] = value
 
 
 _TABLES: "weakref.WeakKeyDictionary[LieAlgebra, _Tables]" = weakref.WeakKeyDictionary()
-
-_KERNEL_TABLES = ("products", "ads", "commutators")
-
 
 def _tables(alg: LieAlgebra) -> _Tables:
     tables = _TABLES.get(alg)
@@ -136,24 +277,16 @@ def _tables(alg: LieAlgebra) -> _Tables:
 def kernel_stats(alg: LieAlgebra) -> dict:
     """Entry counts of the algebra's kernel tables (a fresh dict)."""
     tables = _TABLES.get(alg)
+    if tables is None:
+        return {"products": 0, "ads": 0, "commutators": 0}
     return {
-        name: 0 if tables is None else len(getattr(tables, name))
-        for name in _KERNEL_TABLES
+        "products": sum(map(len, tables.products)),
+        "ads": sum(map(len, tables.ads)),
+        "commutators": len(tables.commutators),
     }
 
 
-def _exps_sum(e1: tuple, e2: tuple, zero: tuple) -> tuple:
-    """Exponents of the product of two parameter monomials; ``zero`` is the
-    context's shared all-zero tuple, kept by identity."""
-    if e1 is zero:
-        return e2
-    if e2 is zero:
-        return e1
-    e = tuple([a + b for a, b in zip(e1, e2)])
-    return zero if e == zero else e
-
-
-def _add_term(out: dict, key: tuple, c) -> None:
+def _add_term(out: dict, key, c) -> None:
     """out[key] += c, deleting a sum that cancels and storing an integral
     ``Fraction`` sum as ``int``, as :class:`Poly` stores them."""
     v = out.get(key, 0) + c
@@ -165,91 +298,97 @@ def _add_term(out: dict, key: tuple, c) -> None:
         out[key] = v
 
 
-def _add_into(out: dict, terms: dict, exps: tuple, c, zero: tuple) -> None:
-    """out += c * params^exps * terms, on flat dicts, term by term."""
-    items = terms.items()
-    if exps is not zero:
-        items = [((m, _exps_sum(e, exps, zero)), c2) for (m, e), c2 in items]
-    for key, c2 in items:
-        _add_term(out, key, c * c2)
-
-
-def _group(alg: LieAlgebra, flat: dict) -> dict:
-    """{monomial: Poly} from a flat dict: the one place a result becomes Poly."""
-    grouped: dict = {}
-    for (mono, exps), c in flat.items():
-        poly = grouped.get(mono)
-        if poly is None:
-            grouped[mono] = {exps: c}
+def _add_into(out: dict, terms: dict, shift: int, c) -> None:
+    """out += c * t * terms on flat dicts, for the term t with packed key
+    ``shift``: each key moves by ``shift``."""
+    get = out.get
+    for key, c2 in terms.items():
+        key += shift
+        v = get(key, 0) + c * c2
+        if not v:
+            del out[key]
+        elif type(v) is Fraction and v.denominator == 1:
+            out[key] = v.numerator
         else:
-            poly[exps] = c
-    ctx = alg.ctx
-    return {mono: Poly._raw(ctx, terms) for mono, terms in grouped.items()}
+            out[key] = v
 
 
-def _last(mono: Monomial) -> int:
-    """Index of the last generator present in mono; -1 for the monomial 1."""
-    k = len(mono) - 1
-    while k >= 0 and not mono[k]:
-        k -= 1
-    return k
+def _group(tables: _Tables, flat: dict) -> dict:
+    """{monomial: Poly} from a flat dict: the one place a result is unpacked
+    and becomes Poly."""
+    mask, bits = tables.mask, tables.bits
+    unpack = tables.unpack_exps
+    grouped: dict = {}
+    for key, c in flat.items():
+        m = key & mask
+        poly = grouped.get(m)
+        if poly is None:
+            poly = grouped[m] = {}
+        poly[unpack(key >> bits)] = c
+    ctx = tables.ctx
+    mono = tables.unpack_mono
+    return {mono(m): Poly._raw(ctx, terms) for m, terms in grouped.items()}
 
 
-def _times_generator(tables: _Tables, mono: Monomial, g: int) -> dict:
-    """Normal form of mono * x_g as a flat dict.
+def _times_generator(tables: _Tables, mono: int, g: int) -> dict:
+    """Normal form of mono * x_g as a flat dict, for a packed monomial.
 
     Bumps are computed on the spot; every other product is memoised.
     """
-    k = tables.dim - 1
-    while k > g and not mono[k]:
-        k -= 1
-    if k <= g:
-        return {(mono[:g] + (mono[g] + 1,) + mono[g + 1 :], tables.zero): 1}
-    key = (mono, g)
-    out = tables.products.get(key)
+    if not mono >> (FIELD_BITS * (g + 1)):
+        return {mono + tables.unit[g]: 1}
+    memo = tables.products[g]
+    out = memo.get(mono)
     if out is not None:
         return out
-    zero = tables.zero
-    lower = mono[:k] + (mono[k] - 1,) + mono[k + 1 :]
+    k = (mono.bit_length() - 1) // FIELD_BITS
+    lower = mono - tables.unit[k]
+    mask = tables.mask
     out = {}
-    for (m2, e2), c2 in _times_generator(tables, lower, g).items():
-        _add_into(out, _times_generator(tables, m2, k), e2, c2, zero)
-    for l, e, c in tables.brackets[k, g]:
-        _add_into(out, _times_generator(tables, lower, l), e, c, zero)
-    tables.products[key] = out
+    for key, c in _times_generator(tables, lower, g).items():
+        m = key & mask
+        _add_into(out, _times_generator(tables, m, k), key - m, c)
+    for l, e, c in tables.brackets[k][g]:
+        _add_into(out, _times_generator(tables, lower, l), e, c)
+    tables.store(memo, mono, out)
     return out
 
 
-def _fold(tables: _Tables, flat: dict, mono: Monomial) -> dict:
-    """Normal form of flat * mono, for a PBW monomial mono, as a flat dict.
+def _fold(tables: _Tables, flat: dict, mono: int) -> dict:
+    """Normal form of flat * mono, for a packed monomial mono, as a flat dict.
 
     The letters of mono are multiplied in one at a time, in basis order.  A
     term whose last generator comes no later than the next letter takes the
     rest of mono as one bump of its exponents.
     """
-    zero = tables.zero
-    rest = list(mono)
+    mask = tables.mask
+    rest = mono
     out: dict = {}
-    for g, n in enumerate(mono):
-        for _ in range(n):
-            acc: dict = {}
-            for key, c in flat.items():
-                m, e = key
-                if any(m[g + 1 :]):
-                    _add_into(acc, _times_generator(tables, m, g), e, c, zero)
-                else:
-                    _add_term(out, (tuple([a + b for a, b in zip(m, rest)]), e), c)
-            if not acc:
-                return out
-            flat = acc
-            rest[g] -= 1
+    while rest:
+        # the first letter left: the lowest nonzero field
+        g = ((rest & -rest).bit_length() - 1) // FIELD_BITS
+        after = FIELD_BITS * (g + 1)
+        acc: dict = {}
+        for key, c in flat.items():
+            m = key & mask
+            if m >> after:
+                _add_into(acc, _times_generator(tables, m, g), key - m, c)
+            else:
+                _add_term(out, key + rest, c)
+        if not acc:
+            return out
+        flat = acc
+        rest -= tables.unit[g]
+    if not out:
+        return dict(flat)
     for key, c in flat.items():
         _add_term(out, key, c)
     return out
 
 
-def _ad(tables: _Tables, mono: Monomial, g: int) -> dict:
-    """Normal form of [mono, x_g] as a flat dict, memoised.
+def _ad(tables: _Tables, mono: int, g: int) -> dict:
+    """Normal form of [mono, x_g] as a flat dict, for a packed monomial,
+    memoised.
 
     With ``mono = m'*x_k``, ``x_k`` its last generator::
 
@@ -257,26 +396,28 @@ def _ad(tables: _Tables, mono: Monomial, g: int) -> dict:
 
     so no top-degree term is formed.
     """
-    key = (mono, g)
-    out = tables.ads.get(key)
+    memo = tables.ads[g]
+    out = memo.get(mono)
     if out is not None:
         return out
-    k = _last(mono)
-    if k < 0:
+    if not mono:
         return {}
-    zero = tables.zero
-    lower = mono[:k] + (mono[k] - 1,) + mono[k + 1 :]
+    k = (mono.bit_length() - 1) // FIELD_BITS
+    lower = mono - tables.unit[k]
+    mask = tables.mask
     out = {}
-    for l, e, c in tables.brackets[k, g]:
-        _add_into(out, _times_generator(tables, lower, l), e, c, zero)
-    for (m2, e2), c2 in _ad(tables, lower, g).items():
-        _add_into(out, _times_generator(tables, m2, k), e2, c2, zero)
-    tables.ads[key] = out
+    for l, e, c in tables.brackets[k][g]:
+        _add_into(out, _times_generator(tables, lower, l), e, c)
+    for key, c in _ad(tables, lower, g).items():
+        m = key & mask
+        _add_into(out, _times_generator(tables, m, k), key - m, c)
+    tables.store(memo, mono, out)
     return out
 
 
-def _bracket(tables: _Tables, m1: Monomial, m2: Monomial) -> dict:
-    """Normal form of [m1, m2] as a flat dict.  Do not mutate.
+def _bracket(tables: _Tables, m1: int, m2: int) -> dict:
+    """Normal form of [m1, m2] as a flat dict, for packed monomials.  Do not
+    mutate.
 
     A generator on either side is an :func:`_ad` call; otherwise the
     Leibniz rule on m2's last letter, ``m2 = m2'*x_j``::
@@ -285,26 +426,29 @@ def _bracket(tables: _Tables, m1: Monomial, m2: Monomial) -> dict:
 
     memoised by (m1, m2).
     """
-    d2 = sum(m2)
-    if d2 == 1:
-        return _ad(tables, m1, m2.index(1))
-    d1 = sum(m1)
-    if not d1 or not d2:
+    gen_of = tables.gen_of
+    g = gen_of.get(m2)
+    if g is not None:
+        return _ad(tables, m1, g)
+    if not m1 or not m2:
         return {}
-    key = (m1, m2)
+    key = (m1 << tables.bits) | m2
     out = tables.commutators.get(key)
     if out is not None:
         return out
-    if d1 == 1:
-        out = {t: -c for t, c in _ad(tables, m2, m1.index(1)).items()}
+    g = gen_of.get(m1)
+    if g is not None:
+        out = {t: -c for t, c in _ad(tables, m2, g).items()}
     else:
-        j = _last(m2)
-        lower = m2[:j] + (m2[j] - 1,) + m2[j + 1 :]
-        out = _fold(tables, _bracket(tables, m1, lower), tables.letters[j])
-        zero = tables.zero
-        for (t, e), c in _ad(tables, m1, j).items():
-            _add_into(out, _fold(tables, {(lower, zero): 1}, t), e, c, zero)
-    tables.commutators[key] = out
+        j = (m2.bit_length() - 1) // FIELD_BITS
+        unit = tables.unit[j]
+        lower = m2 - unit
+        out = _fold(tables, _bracket(tables, m1, lower), unit)
+        mask = tables.mask
+        for t, c in _ad(tables, m1, j).items():
+            m = t & mask
+            _add_into(out, _fold(tables, {lower: 1}, m), t - m, c)
+    tables.store(tables.commutators, key, out)
     return out
 
 
@@ -426,14 +570,16 @@ class UEAElement:
         """Associative product: ``self`` folded through each right monomial."""
         self._check(other)
         tables = _tables(self.alg)
-        zero = tables.zero
-        left = {(m, e): c for m, p in self.terms.items() for e, c in p.terms.items()}
+        terms, d1, p1 = tables.packed(self)
+        right, d2, p2 = tables.packed(other)
+        tables.check_bound(d1 + d2, p1 + p2)
+        left = {m + e: c for m, coeffs in terms for e, c in coeffs}
         flat: dict = {}
-        for m2, c2 in other.terms.items():
+        for m2, coeffs in right:
             folded = _fold(tables, left, m2)
-            for e2, b in c2.terms.items():
-                _add_into(flat, folded, e2, b, zero)
-        return UEAElement._raw(self.alg, _group(self.alg, flat))
+            for e2, b in coeffs:
+                _add_into(flat, folded, e2, b)
+        return UEAElement._raw(self.alg, _group(tables, flat))
 
     def __pow__(self, n: int) -> "UEAElement":
         if n < 0:
@@ -452,17 +598,19 @@ class UEAElement:
         """
         self._check(other)
         tables = _tables(self.alg)
-        zero = tables.zero
+        left, d1, p1 = tables.packed(self)
+        right, d2, p2 = tables.packed(other)
+        tables.check_bound(d1 + d2, p1 + p2)
         flat: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, coeffs1 in left:
+            for m2, coeffs2 in right:
                 br = _bracket(tables, m1, m2)
                 if not br:
                     continue
-                for e1, a in c1.terms.items():
-                    for e2, b in c2.terms.items():
-                        _add_into(flat, br, _exps_sum(e1, e2, zero), a * b, zero)
-        return UEAElement._raw(self.alg, _group(self.alg, flat))
+                for e1, a in coeffs1:
+                    for e2, b in coeffs2:
+                        _add_into(flat, br, e1 + e2, a * b)
+        return UEAElement._raw(self.alg, _group(tables, flat))
 
     # -- display ----------------------------------------------------------
 
@@ -480,16 +628,18 @@ def normal_form(alg: LieAlgebra, words: Iterable[tuple]) -> UEAElement:
     generator indices or names and coeff is a Poly / rational.
     """
     tables = _tables(alg)
-    zero = tables.zero
+    unit = tables.unit
     flat: dict = {}
     for letters, coeff in words:
-        nf = {((0,) * alg.dim, zero): 1}
+        letters = [g if isinstance(g, int) else alg.gen_index[g] for g in letters]
+        coeffs, spread = tables.pack_coeff(_coefficient(alg, coeff))
+        tables.check_bound(len(letters), spread)
+        nf = {0: 1}
         for g in letters:
-            g = g if isinstance(g, int) else alg.gen_index[g]
-            nf = _fold(tables, nf, tables.letters[g])
-        for e, c in _coefficient(alg, coeff).terms.items():
-            _add_into(flat, nf, e, c, zero)
-    return UEAElement._raw(alg, _group(alg, flat))
+            nf = _fold(tables, nf, unit[g])
+        for e, c in coeffs:
+            _add_into(flat, nf, e, c)
+    return UEAElement._raw(alg, _group(tables, flat))
 
 
 def lie_generating_set(alg: LieAlgebra) -> Tuple[str, ...]:

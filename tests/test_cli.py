@@ -88,6 +88,29 @@ class TestExitContract:
         assert len(captured.err.splitlines()) == 1
         assert "exponent" in captured.err
 
+    def test_positive_curvature_expand(self, capsys):
+        # kappa > 0 starts from the witness that leaves a1 formal
+        code, out = run_cli(
+            capsys, "--format", "json", "expand", "newton_hooke", "--witness", "kappa=1"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["ok"] is True
+        assert doc["report"]["reductions"] == ["a1^2 -> -1"]
+        assert doc["report"]["witness"] == {"m": "1", "xi": "1/2", "kappa": "1"}
+
+    def test_positive_curvature_with_real_a1_exits_2(self, capsys):
+        code = main(
+            ["expand", "newton_hooke", "--witness", "kappa=1", "--witness", "a1=1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "kinexpand expand: witness leaves constraint "
+            "4*a1^2*m^2*xi^2 + kappa = 0 unsatisfied (residual 2)\n"
+        )
+
     def test_bad_witness_exits_nonzero(self, capsys):
         assert main(["expand", "poincare", "--witness", "omega=5"]) == 2
 

@@ -309,6 +309,39 @@ class TestSharedCertificate:
         with pytest.raises(ConstraintViolationError, match="unsatisfied"):
             run_theorem1(bad)
 
+    def test_reduction_applies_to_a_pairs_residual(self):
+        # at kappa > 0, a1 stays formal and a1^2 -> -1 reduces the residual
+        # actual - expected; (a1^2 + 1)*K1 added to a pair without a template
+        # reduces to zero, so the pair stays exact
+        entry = expansion._certificate("spacetime")
+        cert = entry.certificate
+        target = catalog("newton_hooke")
+        report = verify_closure(
+            cert, target, entry.constraints, THEOREM2_POSITIVE_WITNESS
+        )
+        assert [str(r) for r in report.reductions] == ["a1^2 -> -1"]
+        index = next(
+            i for i, p in enumerate(cert.pairs)
+            if p.template is None and report.pairs[i].verdict == "exact_zero"
+        )
+        alg = cert.alg
+        a1 = Poly.var(alg.ctx, "a1")
+        pair = cert.pairs[index]
+        extra = gen(alg, "K1").smul(a1 * a1 + Poly.const(alg.ctx, 1))
+        pairs = list(cert.pairs)
+        pairs[index] = pair._replace(actual=pair.actual + extra)
+        shifted = cert._replace(pairs=tuple(pairs))
+        again = verify_closure(
+            shifted, target, entry.constraints, THEOREM2_POSITIVE_WITNESS
+        )
+        assert again.pairs[index].verdict == "exact_zero", pair.pair
+        assert again.passed
+        # without the reduction rule the same residual is a mismatch
+        unreduced = verify_closure(
+            shifted, target, (), {**THEOREM2_POSITIVE_WITNESS}
+        )
+        assert unreduced.pairs[index].verdict == "mismatch"
+
     def test_certificate_checks_the_target_pairs(self):
         certificate = expansion._certificate("worldline").certificate
         with pytest.raises(ValueError, match="generator pairs"):

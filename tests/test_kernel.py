@@ -1,9 +1,14 @@
 """Normal-ordering kernel: differential checks of products and commutators
 against the word-rewriting oracle (with single- and multi-term
 coefficients), the Casimir-power path on an algebra loaded from a file, the
-centrality certificate on a Lie generating set, and the flat tables."""
+centrality certificate on a Lie generating set, the flat tables on packed
+integer keys, and the kernel's bounds."""
 
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +17,7 @@ import pytest
 import oracle_kernel
 from kinexpand import uea
 from kinexpand.algfile import parse_algebra_file, parse_algebra_text
+from kinexpand.cli import main
 from kinexpand.coeffring import Poly
 from kinexpand.exprparse import parse_expression
 from kinexpand.liealg import catalog, catalog_names
@@ -433,10 +439,15 @@ class TestCommutatorKernel:
         rng = random.Random(f"{seed}-ad-{name}")
         for mono in random_monomials(rng, alg.dim):
             m = UEAElement(alg, {mono: 1})
+            packed = uea._pack(mono)
             for g in alg.generators:
                 x = UEAElement.generator(alg, g.name)
-                ad = uea._ad(tables, mono, alg.gen_index[g.name])
-                assert uea._group(alg, ad) == (m * x - x * m).terms, (str(m), g.name)
+                ad = uea._ad(tables, packed, alg.gen_index[g.name])
+                assert_flat(tables, ad)
+                grouped = uea._group(tables, ad)
+                assert grouped == (m * x - x * m).terms, (str(m), g.name)
+                # the top-degree term of m*x_g is never formed
+                assert all(sum(t) <= sum(mono) for t in grouped), (str(m), g.name)
 
 
 class TestMultiTermCoefficients:
@@ -494,42 +505,78 @@ class TestMultiTermCoefficients:
             assert_canonical(el)
 
 
-def assert_flat(value, dim, width):
-    """A kernel table value: {(monomial, exponents): rational}."""
+def assert_flat(tables, value):
+    """A kernel table value: {packed key: rational}, each key the packing of
+    a monomial and of an exponent vector of the context's width.  A borrow
+    out of a field would leave a monomial field near 2^16 or a negative
+    exponent on a parameter other than the Laurent one."""
     assert type(value) is dict
+    ctx = tables.ctx
     for key, c in value.items():
-        mono, exps = key
-        assert type(mono) is tuple and len(mono) == dim
-        assert type(exps) is tuple and len(exps) == width
+        assert type(key) is int
+        mono = tables.unpack_mono(key & tables.mask)
+        exps = tables.unpack_exps(key >> tables.bits)
+        assert len(mono) == tables.dim and sum(mono) < 1 << (uea.FIELD_BITS - 1)
+        assert type(exps) is tuple and len(exps) == len(ctx)
+        assert all(e >= 0 or n == ctx.laurent for n, e in zip(ctx.names, exps))
+        assert uea._pack(mono) + tables.pack_exps(exps) == key
         assert_rational(c)
 
 
 class TestFlatKernel:
-    """The kernel holds flat rationals and builds one Poly per result term."""
+    """The kernel holds flat rationals on packed keys and builds one Poly per
+    result term."""
 
     def test_every_table_value_after_c2_squared(self):
         alg = parse_algebra_file(DATA_DIR / "poincare.alg")
         assert is_central(alg, parse_expression("<C2>^2", alg)) == (True, None)
         tables = uea._tables(alg)
         width = len(alg.ctx)
-        assert tables.brackets
-        for triples in tables.brackets.values():
-            for l, exps, c in triples:
-                assert 0 <= l < alg.dim
-                assert type(exps) is tuple and len(exps) == width
-                assert_rational(c)
+        assert len(tables.brackets) == alg.dim
+        for k, row in enumerate(tables.brackets):
+            assert len(row) == alg.dim
+            for g, triples in enumerate(row):
+                expected = {
+                    (l, exps): c
+                    for l, p in alg.bracket_pair(k, g).items()
+                    for exps, c in p.terms.items()
+                }
+                got = {}
+                for l, e, c in triples:
+                    assert 0 <= l < alg.dim
+                    assert type(e) is int and not e & tables.mask
+                    exps = tables.unpack_exps(e >> tables.bits)
+                    assert len(exps) == width
+                    assert_rational(c)
+                    got[l, exps] = c
+                assert got == expected and len(triples) == len(expected), (k, g)
         checked = 0
         for name in KERNEL_TABLES:
-            for value in getattr(tables, name).values():
-                assert_flat(value, alg.dim, width)
-                checked += 1
+            table = getattr(tables, name)
+            for values in table if type(table) is list else [table]:
+                for value in values.values():
+                    assert_flat(tables, value)
+                    checked += 1
         assert checked == sum(kernel_stats(alg).values()) > 0
+        # every stored product and ad is the oracle's normal form of its key
+        for g, x in enumerate(alg.generators):
+            x = UEAElement.generator(alg, x.name)
+            for m, value in list(tables.products[g].items())[::31]:
+                m = UEAElement(alg, {tables.unpack_mono(m): 1})
+                assert uea._group(tables, value) == oracle_kernel.product(m, x).terms
+            for m, value in list(tables.ads[g].items())[::31]:
+                m = UEAElement(alg, {tables.unpack_mono(m): 1})
+                oracle = oracle_kernel.product(m, x) - oracle_kernel.product(x, m)
+                assert uea._group(tables, value) == oracle.terms
 
     def test_kernel_creates_no_poly(self, seed, monkeypatch):
         alg = parse_algebra_file(DATA_DIR / "poincare.alg")
         tables = uea._tables(alg)
         rng = random.Random(f"{seed}-no-poly")
-        monomials = list(random_monomials(rng, alg.dim, per_degree=4, max_degree=4))
+        monomials = [
+            uea._pack(m)
+            for m in random_monomials(rng, alg.dim, per_degree=4, max_degree=4)
+        ]
         a = oracle_normal_form(alg, multi_term_words(rng, alg))
         b = oracle_normal_form(alg, multi_term_words(rng, alg))
         words = multi_term_words(rng, alg, max_terms=4)
@@ -548,11 +595,11 @@ class TestFlatKernel:
         monkeypatch.setattr(Poly, "__init__", counting_init)
         for m1 in monomials:
             for g in range(alg.dim):
-                uea._times_generator(tables, m1, g)
-                uea._ad(tables, m1, g)
-            uea._fold(tables, {(m1, alg.ctx.zero): 1}, m1)
+                assert_flat(tables, uea._times_generator(tables, m1, g))
+                assert_flat(tables, uea._ad(tables, m1, g))
+            assert_flat(tables, uea._fold(tables, {m1: 1}, m1))
             for m2 in monomials[::3]:
-                uea._bracket(tables, m1, m2)
+                assert_flat(tables, uea._bracket(tables, m1, m2))
         assert not created
         # one Poly per term of each result, and nothing else
         for compute in (
@@ -563,3 +610,194 @@ class TestFlatKernel:
             created.clear()
             result = compute()
             assert len(created) == len(result.terms), (str(a), str(b))
+
+
+def random_exponents(rng, ctx):
+    """Seeded exponent vector: each parameter 0..3 (0 twice as often), the
+    Laurent parameter -3..3."""
+    return tuple(
+        rng.randint(-3, 3) if name == ctx.laurent else rng.choice((0, 0, 1, 2, 3))
+        for name in ctx.names
+    )
+
+
+class TestPackedKeys:
+    """One int per (monomial, exponents): exact round trip, and linear, so a
+    product of terms is an integer add."""
+
+    @pytest.mark.parametrize("name", ALL_ALGEBRAS)
+    def test_round_trip(self, seed, name):
+        alg = load(name)
+        tables = uea._tables(alg)
+        ctx = alg.ctx
+        rng = random.Random(f"{seed}-pack-{name}")
+        terms = [
+            (mono, random_exponents(rng, ctx))
+            for mono in random_monomials(rng, alg.dim, max_degree=6)
+        ]
+        if ctx.laurent:
+            eps = ctx.index[ctx.laurent]
+            assert {e[eps] for _, e in terms} == set(range(-3, 4))
+        for mono, exps in terms:
+            key = uea._pack(mono) + tables.pack_exps(exps)
+            assert tables.unpack_mono(key & tables.mask) == mono
+            assert tables.unpack_exps(key >> tables.bits) == exps
+            assert key - (key & tables.mask) == tables.pack_exps(exps)
+        for (m1, e1), (m2, e2) in zip(terms, terms[::-1]):
+            k1 = uea._pack(m1) + tables.pack_exps(e1)
+            k2 = uea._pack(m2) + tables.pack_exps(e2)
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            assert tables.unpack_mono((k1 + k2) & tables.mask) == mono
+            assert tables.unpack_exps((k1 + k2) >> tables.bits) == exps
+
+    @pytest.mark.parametrize("name", ALL_ALGEBRAS)
+    def test_zero_exponents_unpack_to_the_shared_tuple(self, name):
+        alg = load(name)
+        tables = uea._tables(alg)
+        zero = alg.ctx.zero
+        assert tables.pack_exps(zero) == 0
+        assert tables.unpack_exps(0) is zero
+        if alg.ctx.laurent:
+            # the exponents of eps * eps^-1 add up to the shared tuple
+            i = alg.ctx.index[alg.ctx.laurent]
+            up, down = ([0] * len(zero) for _ in range(2))
+            up[i], down[i] = 1, -1
+            e = tables.pack_exps(tuple(up)) + tables.pack_exps(tuple(down))
+            assert tables.unpack_exps(e >> tables.bits) is zero
+
+    def test_last_generator_and_bump(self):
+        alg = load("poincare.alg")
+        tables = uea._tables(alg)
+        width = uea.FIELD_BITS
+        for g in range(alg.dim):
+            mono = tuple(int(k <= g) * (k + 1) for k in range(alg.dim))
+            packed = uea._pack(mono)
+            assert (packed.bit_length() - 1) // width == g
+            assert not packed >> (width * (g + 1))
+            bumped = list(mono)
+            bumped[g] += 1
+            assert packed + tables.unit[g] == uea._pack(tuple(bumped))
+
+
+def run_python(*argv, timeout=120):
+    """A fresh interpreter with this checkout's ``src`` on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(DATA_DIR.parents[1]), env.get("PYTHONPATH")])
+    )
+    env.pop("KINEXPAND_OUTPUT_DIR", None)
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True,
+        timeout=timeout,
+    )
+
+
+class TestKernelBounds:
+    """The field-width guard and the table-entry cap end a computation with
+    KernelBoundError, which the CLI reports as a one-line exit 2."""
+
+    def test_overflowing_power_exits_2(self, capsys):
+        # H^65536 needs a monomial field of 17 bits; never another element
+        code = main(["normal-form", "galilei", "(((H^16)^16)^16)^16"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "kinexpand normal-form: operands of total degree 65536 exceed the "
+            "kernel's bound of 65535\n"
+        )
+
+    def test_largest_degree_sum_matches_the_oracle(self):
+        alg = catalog("galilei")
+        h = UEAElement.generator(alg, "H")
+        top = (1 << uea.FIELD_BITS) - 1
+        # H^(top-2)*K1 + H^(top-1), built without the kernel
+        powers = [[0] * alg.dim, [0] * alg.dim]
+        powers[0][alg.gen_index["H"]] = top - 2
+        powers[0][alg.gen_index["K1"]] = 1
+        powers[1][alg.gen_index["H"]] = top - 1
+        left = UEAElement(alg, {tuple(m): 1 for m in powers})
+        assert left.degree() == top - 1
+        product = left * h
+        assert product == oracle_kernel.product(left, h)
+        assert max(max(m) for m in product.terms) == top
+        stats = kernel_stats(alg)
+        with pytest.raises(uea.KernelBoundError):
+            product * h
+        with pytest.raises(uea.KernelBoundError):
+            left.commutator(h * h)
+        with pytest.raises(uea.KernelBoundError):
+            normal_form(alg, [((0,) * (top + 1), 1)])
+        assert kernel_stats(alg) == stats
+
+    def test_largest_parameter_exponent_matches_the_oracle(self):
+        alg = load("poincare.alg")
+        tables = uea._tables(alg)
+        assert tables.max_exp == 1
+        ctx = alg.ctx
+        limit = (1 << (uea.FIELD_BITS - 1)) - 1
+        k1 = UEAElement.generator(alg, "K1")
+        hp = normal_form(alg, [(("H", "P1", "K2"), 1)])
+        # p1 + p2 + D*s == limit, with D = 1 + 3 and s = 1: allowed
+        for name, power in (("omega", limit - 5), ("eps", 5 - limit)):
+            x = k1.smul(Poly.var(ctx, name, power))
+            y = hp.smul(Poly.var(ctx, "omega"))
+            assert x * y == oracle_kernel.product(x, y)
+            assert y.commutator(x) == oracle_kernel.product(
+                y, x
+            ) - oracle_kernel.product(x, y)
+            stats = kernel_stats(alg)
+            over = x.smul(Poly.var(ctx, name, 1 if power > 0 else -1))
+            with pytest.raises(uea.KernelBoundError):
+                over * y
+            with pytest.raises(uea.KernelBoundError):
+                y.commutator(over)
+            assert kernel_stats(alg) == stats
+        with pytest.raises(uea.KernelBoundError):
+            normal_form(alg, [(("K1", "H"), Poly.var(ctx, "omega", limit - 1))])
+
+    def test_c2_squared_entry_counts(self):
+        alg = parse_algebra_file(DATA_DIR / "poincare.alg")
+        assert is_central(alg, parse_expression("<C2>^2", alg)) == (True, None)
+        assert kernel_stats(alg) == {"products": 3963, "ads": 5060, "commutators": 0}
+
+    def test_c2_cubed_is_under_the_cap(self):
+        # the --slow benchmark row, in a process of its own
+        script = (
+            "from kinexpand.algfile import parse_algebra_file\n"
+            "from kinexpand.exprparse import parse_expression\n"
+            "from kinexpand.uea import is_central, kernel_stats\n"
+            f"alg = parse_algebra_file({str(DATA_DIR / 'poincare.alg')!r})\n"
+            "print(is_central(alg, parse_expression('<C2>^3', alg)), kernel_stats(alg))\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "(True, None) {'products': 62586, 'ads': 46972, 'commutators': 0}\n"
+        )
+
+    def test_c2_to_the_fourth_exits_2_within_seconds(self):
+        start = time.monotonic()
+        proc = run_python("-m", "kinexpand.cli", "normal-form", "poincare", "<C2>^4")
+        elapsed = time.monotonic() - start
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"kinexpand normal-form: normal ordering needs more than "
+            f"{uea.MAX_KERNEL_ENTRIES} kernel table entries\n"
+        )
+        assert elapsed < 60, elapsed
+
+    def test_cap_is_checked_where_a_miss_stores(self, monkeypatch):
+        alg = parse_algebra_file(DATA_DIR / "poincare.alg")
+        c2 = named_element(alg, "C2")
+        h = UEAElement.generator(alg, "H")
+        c2_h = c2 * h
+        cap = sum(kernel_stats(alg).values()) + 10
+        monkeypatch.setattr(uea, "MAX_KERNEL_ENTRIES", cap)
+        with pytest.raises(uea.KernelBoundError):
+            c2 * c2
+        assert sum(kernel_stats(alg).values()) == cap
+        # a product the tables already hold needs no new entry
+        assert c2 * h == c2_h
