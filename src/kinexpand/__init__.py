@@ -48,6 +48,7 @@ from .expansion import (
     closure_certificate,
     decompose_casimir,
     derive_generators,
+    run_driver,
     run_euclid,
     run_negative_nh,
     run_theorem1,
@@ -101,6 +102,7 @@ __all__ = [
     "closure_certificate",
     "decompose_casimir",
     "derive_generators",
+    "run_driver",
     "run_euclid",
     "run_negative_nh",
     "run_theorem1",

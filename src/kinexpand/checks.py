@@ -8,8 +8,8 @@ normal form); there are no tolerances anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .liealg import (
     _CYCLIC,
@@ -30,14 +30,10 @@ from .liealg import (
 from .uea import UEAElement, format_element, is_central, named_element
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     label: str
     passed: bool
     detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {"label": self.label, "passed": self.passed, "detail": self.detail}
 
 
 def identity_check(label: str, lhs: UEAElement, rhs: UEAElement) -> CheckResult:

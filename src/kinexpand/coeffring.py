@@ -11,13 +11,15 @@ allowed, giving Laurent behaviour for Inonu--Wigner style limits.
 
 Terms are ordered graded-lexicographically on exponent vectors, which fixes a
 canonical serialisation (see :func:`format_poly` / :func:`parse_poly`).
-All values are immutable after construction and all operations are pure.
+All values are immutable after construction (a polynomial's ``terms`` is a
+read-only view) and all operations are pure.
 """
 
 from __future__ import annotations
 
 import weakref
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 Exponents = tuple  # one int per context parameter
@@ -44,8 +46,9 @@ class ParamContext:
     """An ordered, immutable set of parameter names.
 
     Exponent tuples of every :class:`Poly` in this context are indexed by the
-    declared order.  ``laurent`` names the single parameter allowed to carry
-    negative exponents (or None).
+    declared order, and ``index`` (read-only) maps each name to its place.
+    ``laurent`` names the single parameter allowed to carry negative
+    exponents (or None).
 
     Contexts are interned: constructing a context with the names and
     ``laurent`` of a live one returns that object, so equal contexts are
@@ -64,7 +67,7 @@ class ParamContext:
             raise ValueError("duplicate parameter names")
         ctx = super().__new__(cls)
         ctx.names = names
-        ctx.index = {n: i for i, n in enumerate(names)}
+        ctx.index = MappingProxyType({n: i for i, n in enumerate(names)})
         if laurent is not None and laurent not in ctx.index:
             raise ValueError(f"laurent parameter {laurent!r} not declared")
         ctx.laurent = laurent
@@ -136,13 +139,14 @@ class Poly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
     ``terms`` maps exponent tuples to nonzero exact rationals, ``int`` when
-    integral and ``Fraction`` otherwise.  Use the constructors :meth:`const`,
-    :meth:`var` and the operators; the raw constructor normalises (drops
-    zeros, stores integral values as ``int``) and validates the
-    negative-exponent rule.
+    integral and ``Fraction`` otherwise; it is a read-only view of a private
+    dict, which the package's own arithmetic reads directly.  Use the
+    constructors :meth:`const`, :meth:`var` and the operators; the raw
+    constructor normalises (drops zeros, stores integral values as ``int``)
+    and validates the negative-exponent rule.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "_terms")
 
     def __init__(self, ctx: ParamContext, terms: Mapping[Exponents, ScalarLike] = ()):
         self.ctx = ctx
@@ -161,7 +165,11 @@ class Poly:
                         f"negative exponent for parameter {ctx.names[i]!r}"
                     )
             clean[ctx.zero if exps == ctx.zero else exps] = c
-        self.terms = clean
+        self._terms = clean
+
+    @property
+    def terms(self) -> Mapping[Exponents, ScalarLike]:
+        return MappingProxyType(self._terms)
 
     # -- constructors -----------------------------------------------------
 
@@ -179,10 +187,10 @@ class Poly:
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.ctx.zero in self.terms)
+        return not self._terms or (len(self._terms) == 1 and self.ctx.zero in self._terms)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (raises if non-constant)."""
@@ -190,7 +198,7 @@ class Poly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return Fraction(self.terms[self.ctx.zero])
+        return Fraction(self._terms[self.ctx.zero])
 
     # -- arithmetic -------------------------------------------------------
 
@@ -200,12 +208,12 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        if not other.terms:
+        if not other._terms:
             return self
-        if not self.terms:
+        if not self._terms:
             return other
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
+        out = dict(self._terms)
+        for exps, c in other._terms.items():
             s = out.get(exps, 0) + c
             if s:
                 out[exps] = _fold(s)
@@ -217,13 +225,13 @@ class Poly:
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly._raw(self.ctx, {e: -c for e, c in self.terms.items()})
+        return Poly._raw(self.ctx, {e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         ctx = self.ctx
         if ctx is not other.ctx:
             raise ContextMismatchError("polynomials from different parameter contexts")
-        st, ot = self.terms, other.terms
+        st, ot = self._terms, other._terms
         if len(st) == 1 and len(ot) == 1:
             # single term times single term: nearly every product the
             # expansion drivers and the closure checks make
@@ -269,14 +277,14 @@ class Poly:
         v = _exact(value)
         if v == 0:
             return Poly._raw(self.ctx, {})
-        return Poly._raw(self.ctx, {e: _fold(c * v) for e, c in self.terms.items()})
+        return Poly._raw(self.ctx, {e: _fold(c * v) for e, c in self._terms.items()})
 
     @classmethod
     def _raw(cls, ctx: ParamContext, terms: dict) -> "Poly":
         # internal: terms already normalised
         p = cls.__new__(cls)
         p.ctx = ctx
-        p.terms = terms
+        p._terms = terms
         return p
 
     # -- comparison / hashing --------------------------------------------
@@ -284,10 +292,10 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.ctx is other.ctx and self.terms == other.terms
+        return self.ctx is other.ctx and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.ctx, frozenset(self.terms.items())))
+        return hash((self.ctx, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)!r})"
@@ -324,12 +332,12 @@ class Poly:
             elif value.ctx is not ctx:
                 raise ContextMismatchError("assignment value from different context")
             elif value.is_constant():
-                rationals.append((i, value.terms.get(ctx.zero, 0)))
+                rationals.append((i, value._terms.get(ctx.zero, 0)))
             else:
                 polys.append((i, value))
         zero = ctx.zero
         out: dict = {}
-        for exps, coeff in self.terms.items():
+        for exps, coeff in self._terms.items():
             rest = None
             for i, v in rationals:
                 e = exps[i]
@@ -362,7 +370,7 @@ class Poly:
             term = Poly._raw(ctx, {key: coeff} if coeff else {})
             for factor in factors:
                 term = term * factor
-            for e, c in term.terms.items():
+            for e, c in term._terms.items():
                 _accumulate(out, e, c)
         return Poly._raw(
             ctx, {zero if e == zero else e: _fold(c) for e, c in out.items()}
@@ -380,7 +388,7 @@ class Poly:
         i = self.ctx.index[name]
         v = Fraction(value)
         out: dict = {}
-        for exps, coeff in self.terms.items():
+        for exps, coeff in self._terms.items():
             q, r = divmod(exps[i], power)
             if q:
                 coeff = coeff * v ** q
@@ -402,10 +410,10 @@ class Poly:
         i = ctx._laurent_idx
         if i < 0:
             raise ContextMismatchError("context has no contraction parameter")
-        worst = min((e[i] for e in self.terms), default=0)
+        worst = min((e[i] for e in self._terms), default=0)
         if worst < 0:
             raise DivergenceError(worst)
-        out = {e: c for e, c in self.terms.items() if e[i] == 0}
+        out = {e: c for e, c in self._terms.items() if e[i] == 0}
         return Poly._raw(ctx, out)
 
 
@@ -608,8 +616,8 @@ def format_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
     out = []
-    for exps in sorted(p.terms, key=grlex_key, reverse=True):
-        coeff = p.terms[exps]
+    for exps in sorted(p._terms, key=grlex_key, reverse=True):
+        coeff = p._terms[exps]
         mono = _format_monomial(p.ctx, exps, abs(coeff))
         if not out:
             out.append(mono if coeff > 0 else "-" + mono)

@@ -20,17 +20,17 @@ power-substitution rule), builds the expected brackets from the target
 structure constants, accepts exactly equal pairs, and otherwise scalarises
 the template with the witness (phase 2) and compares it with the target
 (phase 3).  The certificate depends only on the seed, so each driver family
-builds it once per process and every witness reuses it.  A witness check is
-rational coefficient arithmetic only: it compares before it subtracts, and
-a verdict renders its texts when they are read, not when it is made.
+builds it once per process and every witness reuses it; what it shares is
+read-only (NamedTuple records, mappings, element terms).  A witness check is
+rational arithmetic that compares before it subtracts, and renders no text.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -56,19 +56,6 @@ def _exps_sum(e1: tuple, e2: tuple, zero: tuple) -> tuple:
     return zero if e == zero else e
 
 
-def _group(alg: LieAlgebra, flat: dict) -> dict:
-    """{monomial: Poly} from a flat dict keyed by (monomial, exponents)."""
-    grouped: dict = {}
-    for (mono, exps), c in flat.items():
-        poly = grouped.get(mono)
-        if poly is None:
-            grouped[mono] = {exps: c}
-        else:
-            poly[exps] = c
-    ctx = alg.ctx
-    return {mono: Poly._raw(ctx, terms) for mono, terms in grouped.items()}
-
-
 class ConstraintViolationError(ValueError):
     """The witness does not satisfy a constraint equation."""
 
@@ -77,8 +64,7 @@ class DecompositionDegreeError(ValueError):
     """Target Casimir has curvature degree above two."""
 
 
-@dataclass
-class CasimirDecomposition:
+class CasimirDecomposition(NamedTuple):
     """Curvature-power split of a target Casimir over the initial algebra."""
 
     base: UEAElement
@@ -98,8 +84,8 @@ def decompose_casimir(target_casimir: UEAElement, curvature: str) -> CasimirDeco
     ctx = alg.ctx
     idx = ctx.index[curvature]
     parts = [{}, {}, {}]
-    for mono, poly in target_casimir.terms.items():
-        for exps, c in poly.terms.items():
+    for mono, poly in target_casimir._terms.items():
+        for exps, c in poly._terms.items():
             e = exps[idx]
             if e > 2:
                 raise DecompositionDegreeError(
@@ -117,8 +103,7 @@ def decompose_casimir(target_casimir: UEAElement, curvature: str) -> CasimirDeco
     )
 
 
-@dataclass
-class Seed:
+class Seed(NamedTuple):
     """Linear combination of the curvature-linear Casimir parts."""
 
     element: UEAElement
@@ -141,8 +126,7 @@ def build_seed(decomps: Sequence[CasimirDecomposition], alphas: Sequence[str]) -
     return Seed(element=element, alphas=tuple(alphas))
 
 
-@dataclass(frozen=True)
-class ExpandedGenerators:
+class ExpandedGenerators(NamedTuple):
     """Adjoint-derived generator set: name -> element, plus the fixed set.
 
     ``elements`` is a read-only mapping, because a driver's generators are
@@ -189,8 +173,8 @@ def expand_central(template: UEAElement, mapping: Mapping[str, UEAElement]) -> U
     ctx = alg.ctx
     idx = [ctx.index[name] for name in mapping]
     parts: dict = {}  # stand-in exponents -> {monomial: {other exponents: c}}
-    for mono, poly in template.terms.items():
-        for exps, c in poly.terms.items():
+    for mono, poly in template._terms.items():
+        for exps, c in poly._terms.items():
             rest = tuple(0 if i in idx else e for i, e in enumerate(exps))
             part = parts.setdefault(tuple(exps[i] for i in idx), {})
             part.setdefault(mono, {})[rest] = c
@@ -204,8 +188,7 @@ def expand_central(template: UEAElement, mapping: Mapping[str, UEAElement]) -> U
     return out
 
 
-@dataclass
-class PowerReduction:
+class PowerReduction(NamedTuple):
     """Substitution rule param**power -> value, derived from a constraint."""
 
     param: str
@@ -228,7 +211,7 @@ def _analyze_constraints(constraints, witness) -> list:
             continue
         ctx = r.ctx
         free = set()
-        for exps in r.terms:
+        for exps in r._terms:
             for i, e in enumerate(exps):
                 if e:
                     free.add(i)
@@ -241,7 +224,7 @@ def _analyze_constraints(constraints, witness) -> list:
         name = ctx.names[i]
         lead = None
         const = Fraction(0)
-        for exps, coeff in r.terms.items():
+        for exps, coeff in r._terms.items():
             if exps[i] == 0:
                 const = coeff
             elif lead is None:
@@ -259,7 +242,7 @@ def _reduce_element(el: UEAElement, reductions) -> UEAElement:
     if not reductions:
         return el
     out = {}
-    for mono, poly in el.terms.items():
+    for mono, poly in el._terms.items():
         for red in reductions:
             poly = red.apply_poly(poly)
         if not poly.is_zero():
@@ -267,34 +250,55 @@ def _reduce_element(el: UEAElement, reductions) -> UEAElement:
     return UEAElement(el.alg, out)
 
 
-@dataclass
+def _rendered(slot: str, empty):
+    """A read-only property: the text of the element in ``slot`` (``empty``
+    when it is None), formatted on first read and kept in ``slot + "_text"``."""
+    text_slot = slot + "_text"
+
+    def text(self):
+        try:
+            return getattr(self, text_slot)
+        except AttributeError:
+            element = getattr(self, slot)
+            value = empty if element is None else format_element(element)
+            setattr(self, text_slot, value)
+            return value
+
+    return property(text)
+
+
 class PairVerdict:
     """One pair's verdict.
 
+    ``verdict`` is ``exact_zero``, ``template_match`` or ``mismatch``, and
+    ``phase1`` is ``pass``, ``n/a`` or the phase-1 residual's text.
     ``target``, ``scalarized`` and ``residual`` are texts of the expected
     bracket, the scalarised template and the residual.  The verdict keeps
-    the elements and renders each text on first read, so a caller that
-    only reads verdicts formats nothing.
+    the elements and renders each text on first read, into a slot of its
+    own, so a caller that only reads verdicts formats nothing.  It is
+    read-only: every field is a property over a private slot.
     """
 
-    pair: tuple
-    verdict: str  # exact_zero | template_match | mismatch
-    phase1: str  # pass | n/a | residual text
-    _expected: UEAElement
-    _scalarized: UEAElement | None = None
-    _residual: UEAElement | None = None
+    __slots__ = (
+        "_pair", "_verdict", "_phase1", "_expected", "_scalarized", "_residual",
+        "_expected_text", "_scalarized_text", "_residual_text",
+    )
 
-    @functools.cached_property
-    def target(self) -> str:
-        return format_element(self._expected)
+    def __init__(self, pair, verdict, phase1, expected, scalarized=None, residual=None):
+        self._pair = pair
+        self._verdict = verdict
+        self._phase1 = phase1
+        self._expected = expected
+        self._scalarized = scalarized
+        self._residual = residual
 
-    @functools.cached_property
-    def scalarized(self) -> str:
-        return "" if self._scalarized is None else format_element(self._scalarized)
+    pair = property(attrgetter("_pair"))
+    verdict = property(attrgetter("_verdict"))
+    phase1 = property(attrgetter("_phase1"))
 
-    @functools.cached_property
-    def residual(self) -> str | None:
-        return None if self._residual is None else format_element(self._residual)
+    target = _rendered("_expected", "")
+    scalarized = _rendered("_scalarized", "")
+    residual = _rendered("_residual", None)
 
     def to_dict(self) -> dict:
         return {
@@ -307,15 +311,14 @@ class PairVerdict:
         }
 
 
-@dataclass
-class ClosureReport:
+class ClosureReport(NamedTuple):
     initial: str
     target: str
     fixed_set: tuple
     constraints: tuple
     witness: dict
     reductions: tuple
-    pairs: list
+    pairs: tuple
     passed: bool
     mismatches: tuple
 
@@ -420,7 +423,7 @@ def verify_closure(
     The witness is validated against the constraints first; an exactly
     satisfied constraint is consumed, an open one (single free constant)
     becomes a power-reduction rule.  For every pair of the certificate the
-    expected bracket is then built, as one flat sum, from the expanded
+    expected bracket is then built, as one sum, from the expanded
     elements times the target structure constants at the witness.  A pair
     whose commutator equals it is an ``exact_zero``: the two are compared
     first, and only an unequal pair is subtracted and reduced by the power
@@ -444,21 +447,25 @@ def verify_closure(
     witness = dict(witness or {})
     reductions = _analyze_constraints(constraints, witness)
 
-    zero = alg.ctx.zero
+    ctx = alg.ctx
+    zero = ctx.zero
     pairs = []
     mismatches = []
     for cert in certificate.pairs:
         na, nb = cert.pair
         row = target.bracket_pair(target.gen_index[na], target.gen_index[nb])
-        # one flat sum of the expanded elements times their witness coefficients
-        flat: dict = {}
+        # one sum of the expanded elements times their witness coefficients
+        grouped: dict = {}  # monomial -> {exponents: rational}
         for k, coeff in row.items():
-            terms = elements[names[k]].terms
-            for s_exps, s in coeff.substitute(witness).terms.items():
+            terms = elements[names[k]]._terms
+            for s_exps, s in coeff.substitute(witness)._terms.items():
                 for mono, poly in terms.items():
-                    for e, c in poly.terms.items():
-                        _add_term(flat, (mono, _exps_sum(e, s_exps, zero)), c * s)
-        expected = UEAElement._raw(alg, _group(alg, flat))
+                    out = grouped.setdefault(mono, {})
+                    for e, c in poly._terms.items():
+                        _add_term(out, _exps_sum(e, s_exps, zero), c * s)
+        expected = UEAElement._raw(
+            alg, {m: Poly._raw(ctx, t) for m, t in grouped.items() if t}
+        )
         if cert.actual == expected:
             # render the certificate's element: the verdict keeps no copy
             pairs.append(PairVerdict(cert.pair, "exact_zero", "n/a", cert.actual))
@@ -468,15 +475,13 @@ def verify_closure(
             pairs.append(PairVerdict(cert.pair, "exact_zero", "n/a", expected))
             continue
         if cert.template is None:
-            pairs.append(
-                PairVerdict(cert.pair, "mismatch", "n/a", expected, _residual=exact_res)
-            )
+            pairs.append(PairVerdict(cert.pair, "mismatch", "n/a", expected, None, exact_res))
             mismatches.append(cert.pair)
             continue
         # phase 2: scalarise the template with the witness
         scal = UEAElement(
             alg,
-            {m: p.substitute(witness) for m, p in cert.template.terms.items()},
+            {m: p.substitute(witness) for m, p in cert.template._terms.items()},
         )
         scal = _reduce_element(scal, reductions)
         degree_ok = scal.degree() <= 1
@@ -487,19 +492,11 @@ def verify_closure(
             p3_res = _reduce_element(scal - expected, reductions)
         p1_ok = cert.phase1.is_zero()
         if p1_ok and degree_ok and p3_res.is_zero():
-            pairs.append(
-                PairVerdict(cert.pair, "template_match", "pass", expected, scal)
-            )
+            pairs.append(PairVerdict(cert.pair, "template_match", "pass", expected, scal))
         else:
+            residual = p3_res if p1_ok else cert.phase1
             pairs.append(
-                PairVerdict(
-                    cert.pair,
-                    "mismatch",
-                    cert.phase1_text,
-                    expected,
-                    scal,
-                    p3_res if p1_ok else cert.phase1,
-                )
+                PairVerdict(cert.pair, "mismatch", cert.phase1_text, expected, scal, residual)
             )
             mismatches.append(cert.pair)
 
@@ -510,7 +507,7 @@ def verify_closure(
         constraints=tuple(format_poly(c) for c in constraints),
         witness=witness,
         reductions=tuple(reductions),
-        pairs=pairs,
+        pairs=tuple(pairs),
         passed=not mismatches,
         mismatches=tuple(mismatches),
     )
@@ -520,8 +517,7 @@ def verify_closure(
 # Drivers
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExpansionRun:
+class ExpansionRun(NamedTuple):
     """Bundle of one driver execution."""
 
     name: str
@@ -643,44 +639,45 @@ def _nh_templates(alg: LieAlgebra) -> dict:
     return entries
 
 
-THEOREM1_WITNESS = {
+THEOREM1_WITNESS = MappingProxyType({
     "c1": Fraction(1),
     "c2": Fraction(1, 4),
     "a2": Fraction(1),
     "a1": Fraction(-1, 4),
     "omega": Fraction(-1),
-}
+})
 
-EUCLID_WITNESS = {
+EUCLID_WITNESS = MappingProxyType({
     "c1": Fraction(1),
     "c2": Fraction(-1, 4),
     "a2": Fraction(1),
     "a1": Fraction(1, 4),
     "omega": Fraction(1),
-}
+})
 
-THEOREM2_WITNESS = {
+THEOREM2_WITNESS = MappingProxyType({
     "m": Fraction(1),
     "xi": Fraction(1, 2),
     "kappa": Fraction(-1),
     "a1": Fraction(1),
-}
+})
 
 # The witness each driver uses when given none, keyed by target; a target
-# missing here (negative-nh) takes no witness.
-DEFAULT_WITNESSES = {
+# missing here (negative-nh) takes no witness.  Every witness table here is
+# read-only: each later run in the process starts from it.
+DEFAULT_WITNESSES = MappingProxyType({
     "poincare": THEOREM1_WITNESS,
     "euclid4": EUCLID_WITNESS,
     "newton_hooke": THEOREM2_WITNESS,
-}
+})
 
 # For positive spacetime curvature the constraint forces a negative square,
 # so a1 stays formal and the constraint itself supplies the reduction rule.
-THEOREM2_POSITIVE_WITNESS = {
+THEOREM2_POSITIVE_WITNESS = MappingProxyType({
     "m": Fraction(1),
     "xi": Fraction(1, 2),
     "kappa": Fraction(1),
-}
+})
 
 
 def _theorem1_constraints(ctx) -> tuple:
@@ -885,3 +882,21 @@ DRIVERS = {
     "newton_hooke": run_theorem2,
     "negative-nh": run_negative_nh,
 }
+
+
+def run_driver(target: str, overrides: Mapping[str, Fraction] | None = None) -> ExpansionRun:
+    """Run ``target``'s driver, with ``overrides`` merged onto its default witness.
+
+    A ``newton_hooke`` override with ``kappa > 0`` starts from
+    :data:`THEOREM2_POSITIVE_WITNESS` instead.  Overrides for a target with
+    no default witness (negative-nh) raise :class:`ConstraintViolationError`.
+    """
+    driver = DRIVERS[target]
+    if not overrides:
+        return driver()
+    base = DEFAULT_WITNESSES.get(target)
+    if base is None:
+        raise ConstraintViolationError(f"{target} takes no --witness")
+    if target == "newton_hooke" and overrides.get("kappa", 0) > 0:
+        base = THEOREM2_POSITIVE_WITNESS
+    return driver({**base, **overrides})

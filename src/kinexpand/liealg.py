@@ -12,16 +12,14 @@ shipped ``kinexpand/data/*.alg`` files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .coeffring import DivergenceError, ParamContext, Poly, format_poly
 
 
-@dataclass(frozen=True)
-class GeneratorId:
+class GeneratorId(NamedTuple):
     index: int
     name: str
 
@@ -30,10 +28,12 @@ class LieAlgebra:
     """Lie algebra over exact polynomial coefficients.
 
     ``brackets`` maps (i, j) with i < j to {k: Poly}; lookups with i > j
-    negate.  The table, each of its rows and ``metadata`` are read-only
-    mappings, so a shared (catalog) instance cannot be changed.  The
-    normal-ordering kernel keeps its tables outside the instance, held
-    weakly per algebra (see :mod:`kinexpand.uea`).
+    negate.  The table, each of its rows, ``gen_index`` and ``metadata``
+    are read-only mappings, the generators are immutable records and each
+    coefficient's ``terms`` is a read-only view, so a shared (catalog)
+    instance cannot be changed through them.  The normal-ordering kernel
+    keeps its tables outside the instance, held weakly per algebra (see
+    :mod:`kinexpand.uea`).
     """
 
     def __init__(
@@ -50,7 +50,7 @@ class LieAlgebra:
         )
         if len({g.name for g in self.generators}) != len(self.generators):
             raise ValueError("duplicate generator names")
-        self.gen_index = {g.name: g.index for g in self.generators}
+        self.gen_index = MappingProxyType({g.name: g.index for g in self.generators})
         self.ctx = ctx
         table = {}
         for (i, j), comps in (brackets or {}).items():
@@ -106,8 +106,7 @@ def format_vector(alg: LieAlgebra, v: Mapping) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JacobiViolation:
+class JacobiViolation(NamedTuple):
     triple: tuple
     residual: dict
 
@@ -155,8 +154,7 @@ def automorphism_check(alg: LieAlgebra, scales: Mapping[str, int]):
     return True, None
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Partition of the basis into subalgebra part h and complement p."""
 
     h: frozenset
@@ -170,8 +168,7 @@ class Decomposition:
         return cls(h=h, p=p, label=label)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     hh_in_h: bool
     hp_in_p: bool
     pp: str  # "zero", "subset_h" or "other"
@@ -255,7 +252,7 @@ def parameter_contract(alg: LieAlgebra, param: str) -> LieAlgebra:
     """
     i = alg.ctx.index[param]
     coeffs = [c for comps in alg.brackets.values() for c in comps.values()]
-    worst = min((e[i] for c in coeffs for e in c.terms), default=0)
+    worst = min((e[i] for c in coeffs for e in c._terms), default=0)
     if worst < 0:
         raise DivergenceError(worst)
     return substitute_algebra(alg, {param: 0})

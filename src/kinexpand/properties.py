@@ -84,7 +84,7 @@ def check_pbw_canonicity(rng: random.Random, alg: LieAlgebra, samples: int) -> l
         length = rng.randint(2, 5)
         word = tuple(rng.randrange(alg.dim) for _ in range(length))
         nf = normal_form(alg, [(word, 1)])
-        renf = normal_form(alg, [(monomial_to_word(m), c) for m, c in nf.terms.items()])
+        renf = normal_form(alg, [(monomial_to_word(m), c) for m, c in nf._terms.items()])
         if nf != renf:
             failures.append(f"idempotence sample {n}: word {word}")
         # x_a x_b at position p equals x_b x_a + [x_a, x_b]

@@ -85,10 +85,11 @@ is the case ``D = n``.
 
 The tables belong to the kernel, held weakly per algebra, and
 :func:`kernel_stats` reports their sizes.  Together they hold at most
-:data:`MAX_KERNEL_ENTRIES` entries; a miss that would store one more raises
-:class:`KernelBoundError`, so a runaway normal form ends with an error
-instead of exhausting memory.  With them the kernel keeps the algebra's Lie
-generating set (:func:`lie_generating_set`), on which :func:`is_central`
+:data:`MAX_KERNEL_ENTRIES` entries; a miss that would store one more empties
+them and raises :class:`KernelBoundError`, so a runaway normal form ends with
+an error instead of exhausting memory, and the next call starts from empty
+tables.  With them the kernel keeps the algebra's Lie generating set
+(:func:`lie_generating_set`), on which :func:`is_central`
 certifies centrality: ``[x, -]`` is a derivation, the coefficient ring is a
 domain and the enveloping algebra is free over it (PBW), so an element that
 commutes with a generating set commutes with everything.  A failure names
@@ -100,7 +101,8 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 from .coeffring import ContextMismatchError, Poly, format_poly, grlex_key
 from .liealg import _CYCLIC, LieAlgebra
@@ -175,7 +177,7 @@ class _Tables:
                 [
                     (l, self.pack_exps(exps), c)
                     for l, p in alg.bracket_pair(k, g).items()
-                    for exps, c in p.terms.items()
+                    for exps, c in p._terms.items()
                 ]
                 for g in range(dim)
             ]
@@ -183,7 +185,7 @@ class _Tables:
         ]
         self.max_exp = max(
             (abs(e) for row in alg.brackets.values() for p in row.values()
-             for exps in p.terms for e in exps),
+             for exps in p._terms for e in exps),
             default=0,
         )
         self.products = [{} for _ in range(dim)]  # [g][m] -> normal form of m*x_g
@@ -218,7 +220,7 @@ class _Tables:
         zero = self.ctx.zero
         out = []
         spread = 0
-        for exps, c in poly.terms.items():
+        for exps, c in poly._terms.items():
             if exps is zero:
                 out.append((0, c))
                 continue
@@ -233,7 +235,7 @@ class _Tables:
         largest degree and largest absolute coefficient exponent."""
         out = []
         degree = spread = 0
-        for mono, poly in el.terms.items():
+        for mono, poly in el._terms.items():
             coeffs, s = self.pack_coeff(poly)
             out.append((_pack(mono), coeffs))
             degree = max(degree, sum(mono))
@@ -257,6 +259,10 @@ class _Tables:
 
     def store(self, table: dict, key: int, value: dict) -> None:
         if self.entries >= MAX_KERNEL_ENTRIES:
+            # a cache: empty it, so the next call starts afresh
+            for memo in (*self.products, *self.ads, self.commutators):
+                memo.clear()
+            self.entries = 0
             raise KernelBoundError(
                 f"normal ordering needs more than {MAX_KERNEL_ENTRIES} "
                 "kernel table entries"
@@ -454,7 +460,7 @@ def _bracket(tables: _Tables, m1: int, m2: int) -> dict:
 
 def normal_form_word(alg: LieAlgebra, word: WordLetters) -> dict:
     """Normal form of a single word as a fresh {monomial: Poly}."""
-    return normal_form(alg, [(word, 1)]).terms
+    return normal_form(alg, [(word, 1)])._terms
 
 
 def _coefficient(alg: LieAlgebra, value: CoeffLike) -> Poly:
@@ -467,9 +473,14 @@ def _coefficient(alg: LieAlgebra, value: CoeffLike) -> Poly:
 
 
 class UEAElement:
-    """Linear combination of PBW monomials with Poly coefficients."""
+    """Linear combination of PBW monomials with Poly coefficients.
 
-    __slots__ = ("alg", "terms")
+    ``terms``, {monomial: nonzero Poly}, is a read-only view of a private
+    dict that the package reads directly, so a shared element cannot be
+    changed through it.
+    """
+
+    __slots__ = ("alg", "_terms")
 
     def __init__(self, alg: LieAlgebra, terms=()):
         self.alg = alg
@@ -479,13 +490,17 @@ class UEAElement:
             if coeff.is_zero():
                 continue
             clean[tuple(mono)] = coeff
-        self.terms = clean
+        self._terms = clean
+
+    @property
+    def terms(self) -> Mapping[Monomial, Poly]:
+        return MappingProxyType(self._terms)
 
     @classmethod
     def _raw(cls, alg: LieAlgebra, terms: dict) -> "UEAElement":
         el = cls.__new__(cls)
         el.alg = alg
-        el.terms = terms
+        el._terms = terms
         return el
 
     @classmethod
@@ -512,10 +527,10 @@ class UEAElement:
     # -- structure --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
+        return max((sum(m) for m in self._terms), default=0)
 
     def _same_algebra(self, other: "UEAElement") -> bool:
         return self.alg is other.alg or self.alg.same_structure(other.alg)
@@ -527,7 +542,7 @@ class UEAElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, UEAElement):
             return NotImplemented
-        return self._same_algebra(other) and self.terms == other.terms
+        return self._same_algebra(other) and self._terms == other._terms
 
     def __hash__(self):
         raise TypeError("UEAElement is not hashable")
@@ -536,8 +551,8 @@ class UEAElement:
 
     def __add__(self, other: "UEAElement") -> "UEAElement":
         self._check(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
+        out = dict(self._terms)
+        for mono, c in other._terms.items():
             s = out.get(mono)
             s = c if s is None else s + c
             if s.is_zero():
@@ -550,7 +565,7 @@ class UEAElement:
         return self + (-other)
 
     def __neg__(self) -> "UEAElement":
-        return UEAElement._raw(self.alg, {m: -c for m, c in self.terms.items()})
+        return UEAElement._raw(self.alg, {m: -c for m, c in self._terms.items()})
 
     def smul(self, value: CoeffLike) -> "UEAElement":
         """Multiply by a scalar (rational or coefficient polynomial)."""
@@ -558,7 +573,7 @@ class UEAElement:
         if coeff.is_zero():
             return UEAElement.zero(self.alg)
         out = {}
-        for mono, c in self.terms.items():
+        for mono, c in self._terms.items():
             p = c * coeff
             if not p.is_zero():
                 out[mono] = p
@@ -714,8 +729,8 @@ def format_element(el: UEAElement) -> str:
         return "0"
     alg = el.alg
     parts = []
-    for mono in sorted(el.terms, key=grlex_key, reverse=True):
-        coeff = el.terms[mono]
+    for mono in sorted(el._terms, key=grlex_key, reverse=True):
+        coeff = el._terms[mono]
         factors = []
         for g, e in enumerate(mono):
             if e == 0:

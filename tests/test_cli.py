@@ -10,8 +10,11 @@ import pytest
 
 from kinexpand.cli import main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 DATA_DIR = SRC / "kinexpand" / "data"
+# The benchmark's stored report: the JSON report with both seeds blanked.
+EXPECTED_REPORT = ROOT / "bench" / "expected" / "report.json"
 
 # .alg files that are malformed, or that casimir-check cannot use
 BAD_FILES = {
@@ -339,6 +342,17 @@ class TestOutput:
 
 
 class TestReport:
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_report_matches_the_benchmark_copy(self, capsys, seed):
+        code, out = run_cli(capsys, "--format", "json", "--seed", str(seed), "report")
+        assert code == 0
+        doc = json.loads(out)
+        assert json.dumps(doc, indent=2) + "\n" == out
+        assert doc["seed"] == doc["properties"]["seed"] == seed
+        doc["seed"] = doc["properties"]["seed"] = None
+        canonical = json.dumps(doc, indent=2) + "\n"
+        assert canonical == EXPECTED_REPORT.read_text(encoding="utf-8")
+
     def test_full_report(self, capsys):
         code, out = run_cli(capsys, "--format", "json", "--seed", "12345", "report")
         assert code == 0

@@ -1,6 +1,5 @@
 """Curvature expansions: Casimir decomposition, seeds, closure drivers."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,6 +7,7 @@ import pytest
 
 import oracle_substitute
 from kinexpand import expansion, uea
+from kinexpand.cli import main
 from kinexpand.coeffring import Poly
 from kinexpand.expansion import (
     DRIVERS,
@@ -369,9 +369,29 @@ class TestSharedCertificate:
         run = run_theorem1()
         with pytest.raises(TypeError):
             run.generators.elements["H"] = run.generators.elements["J1"]
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             run.generators.elements = {}
         assert isinstance(expansion._certificate("worldline").certificate.pairs, tuple)
+        with pytest.raises(TypeError):
+            expansion.DEFAULT_WITNESSES["poincare"]["omega"] = Fraction(-5)
+        with pytest.raises(TypeError):
+            catalog("poincare").gen_index["K1"] = 0
+
+    def test_shared_terms_are_read_only(self, capsys):
+        # a driver's generators and a catalog bracket table are shared by
+        # the whole process: clearing their terms must raise and change
+        # nothing later runs see
+        docs = run_theorem1().to_dict(), run_euclid().to_dict()
+        with pytest.raises(AttributeError):
+            run_theorem1().generators.elements["P1"].terms.clear()
+        poincare = catalog("poincare")
+        row = poincare.brackets[poincare.gen_index["K1"], poincare.gen_index["K2"]]
+        with pytest.raises(AttributeError):
+            next(iter(row.values())).terms.clear()
+        assert (run_theorem1().to_dict(), run_euclid().to_dict()) == docs
+        assert run_theorem1().ok and run_euclid().ok
+        assert main(["bracket", "poincare", "K1", "K2"]) == 0
+        assert capsys.readouterr().out == "omega*J3\n"
 
 
 def _eager_pairs(certificate, target, constraints, witness) -> list:

@@ -798,6 +798,31 @@ class TestKernelBounds:
         monkeypatch.setattr(uea, "MAX_KERNEL_ENTRIES", cap)
         with pytest.raises(uea.KernelBoundError):
             c2 * c2
-        assert sum(kernel_stats(alg).values()) == cap
-        # a product the tables already hold needs no new entry
+        # the tables are emptied at the cap; the product is formed again
+        assert kernel_stats(alg) == dict.fromkeys(KERNEL_TABLES, 0)
         assert c2 * h == c2_h
+
+    def test_cap_releases_the_tables(self, monkeypatch):
+        # after one normal form stops at the cap, the next on the same
+        # algebra (as on a catalog algebra, shared by the whole process)
+        # starts from empty tables and gets its answer; the tables never
+        # pass the cap
+        alg = parse_algebra_file(DATA_DIR / "poincare.alg")
+        cap = 2000
+        monkeypatch.setattr(uea, "MAX_KERNEL_ENTRIES", cap)
+        sizes = []
+        store = uea._Tables.store
+
+        def counting_store(tables, table, key, value):
+            store(tables, table, key, value)
+            sizes.append(sum(kernel_stats(alg).values()))
+
+        monkeypatch.setattr(uea._Tables, "store", counting_store)
+        with pytest.raises(uea.KernelBoundError):
+            parse_expression("<C2>^2", alg)
+        assert kernel_stats(alg) == dict.fromkeys(KERNEL_TABLES, 0)
+        got = parse_expression("K3^3*P1^2*H", alg)
+        word = tuple(alg.gen_index[n] for n in ("K3",) * 3 + ("P1",) * 2 + ("H",))
+        assert got.terms == oracle_kernel.normal_form_word(alg, word)
+        assert sizes and max(sizes) <= cap
+        assert 0 < sum(kernel_stats(alg).values()) <= cap
