@@ -48,7 +48,7 @@ from .expansion import (
     closure_certificate,
     decompose_casimir,
     derive_generators,
-    run_driver,
+    override_witness,
     run_euclid,
     run_negative_nh,
     run_theorem1,
@@ -102,7 +102,7 @@ __all__ = [
     "closure_certificate",
     "decompose_casimir",
     "derive_generators",
-    "run_driver",
+    "override_witness",
     "run_euclid",
     "run_negative_nh",
     "run_theorem1",

@@ -44,7 +44,7 @@ from .checks import (
     structural_suite,
 )
 from .coeffring import KINEMATIC_CONTEXT, DivergenceError, ParseError
-from .expansion import DRIVERS, ConstraintViolationError, run_driver
+from .expansion import DRIVERS, ConstraintViolationError, override_witness
 from .exprparse import parse_expression
 from .liealg import (
     catalog,
@@ -116,11 +116,14 @@ def _parse_witness(pairs):
     return witness
 
 
-def _emit(doc: dict, args, text: str | None = None) -> None:
-    """Print the report; also write it when an output directory is set.
+def _emit(args, fields: dict, text: str | None = None) -> None:
+    """Print the report on ``fields``; also write it when an output directory
+    is set.
 
+    The report opens with the command's name and the schema version.
     ``text`` replaces the rendered document in text format.
     """
+    doc = {"command": args.command, "schema_version": SCHEMA_VERSION, **fields}
     if args.format == "json":
         text = json.dumps(doc, indent=2, sort_keys=False) + "\n"
     elif text is None:
@@ -178,9 +181,7 @@ def _check_section(results):
 def cmd_check_jacobi(args) -> int:
     alg = _load_algebra(args.algebra, allow_non_lie=True)
     violations = jacobi_check(alg)
-    doc = {
-        "command": "check-jacobi",
-        "schema_version": SCHEMA_VERSION,
+    fields = {
         "algebra": alg.name,
         "passed": not violations,
         "violations": [
@@ -191,7 +192,7 @@ def cmd_check_jacobi(args) -> int:
             for v in violations
         ],
     }
-    _emit(doc, args)
+    _emit(args, fields)
     return 0 if not violations else 1
 
 
@@ -202,29 +203,25 @@ def cmd_bracket(args) -> int:
             raise InputError(f"unknown generator {name!r} in {alg.name}")
     result = alg.bracket_pair(alg.gen_index[args.left], alg.gen_index[args.right])
     text = format_vector(alg, result)
-    doc = {
-        "command": "bracket",
-        "schema_version": SCHEMA_VERSION,
+    fields = {
         "algebra": alg.name,
         "left": args.left,
         "right": args.right,
         "bracket": text,
     }
-    _emit(doc, args, text + "\n")
+    _emit(args, fields, text + "\n")
     return 0
 
 
 def cmd_normal_form(args) -> int:
     alg = _load_algebra(args.algebra, allow_non_lie=args.allow_non_lie)
     text = format_element(parse_expression(args.expression, alg))
-    doc = {
-        "command": "normal-form",
-        "schema_version": SCHEMA_VERSION,
+    fields = {
         "algebra": alg.name,
         "expression": args.expression,
         "normal_form": text,
     }
-    _emit(doc, args, text + "\n")
+    _emit(args, fields, text + "\n")
     return 0
 
 
@@ -234,13 +231,11 @@ def cmd_casimir_check(args) -> int:
         section = _check_section(centrality_check(alg))
     except KeyError as exc:
         raise InputError(exc.args[0]) from None
-    doc = {
-        "command": "casimir-check",
-        "schema_version": SCHEMA_VERSION,
+    fields = {
         "algebra": alg.name,
         **section,
     }
-    _emit(doc, args)
+    _emit(args, fields)
     return 0 if section["passed"] else 1
 
 
@@ -249,21 +244,27 @@ def cmd_identity(args) -> int:
     lhs = parse_expression(args.lhs, alg)
     rhs = parse_expression(args.rhs, alg)
     result = identity_check(f"{args.lhs} = {args.rhs}", lhs, rhs)
-    doc = {
-        "command": "identity",
-        "schema_version": SCHEMA_VERSION,
+    fields = {
         "algebra": alg.name,
         "passed": result.passed,
         "residual": result.detail or "0",
     }
-    _emit(doc, args)
+    _emit(args, fields)
     return 0 if result.passed else 1
 
 
 def cmd_expand(args) -> int:
-    run = run_driver(args.target, _parse_witness(args.witness))
-    doc = {"command": "expand", "schema_version": SCHEMA_VERSION, **run.to_dict()}
-    _emit(doc, args)
+    driver = DRIVERS[args.target]
+    overrides = _parse_witness(args.witness)
+    if not overrides:
+        run = driver()
+    else:
+        try:
+            witness = override_witness(args.target, overrides)
+        except ValueError:
+            raise InputError(f"{args.target} takes no --witness") from None
+        run = driver(witness)
+    _emit(args, run.to_dict())
     return 0 if run.ok else 1
 
 
@@ -282,8 +283,7 @@ def cmd_contract(args) -> int:
         section = _check_section([CheckResult(label, ok, detail)])
     else:
         section = _check_section(contraction_suite())
-    doc = {"command": "contract", "schema_version": SCHEMA_VERSION, **section}
-    _emit(doc, args)
+    _emit(args, section)
     return 0 if section["passed"] else 1
 
 
@@ -291,14 +291,12 @@ def cmd_corpus(args) -> int:
     corpus = identity_corpus()
     centrality = casimir_centrality()
     passed = all(r.passed for r in corpus + centrality)
-    doc = {
-        "command": "corpus",
-        "schema_version": SCHEMA_VERSION,
+    fields = {
         "passed": passed,
         "identities": _check_section(corpus),
         "centrality": _check_section(centrality),
     }
-    _emit(doc, args)
+    _emit(args, fields)
     return 0 if passed else 1
 
 
@@ -311,7 +309,7 @@ def cmd_report(args) -> int:
         + check_associativity(rng, galilei, 5)
         + check_uea_jacobi(rng, galilei, 5)
     )
-    drivers = [run_driver(name).to_dict() for name in DRIVERS]
+    drivers = [driver().to_dict() for driver in DRIVERS.values()]
     sections = {
         "structural": _check_section(structural_suite()),
         "corpus": _check_section(identity_corpus()),
@@ -327,15 +325,13 @@ def cmd_report(args) -> int:
     passed = all(d["ok"] for d in drivers) and all(
         section["passed"] for key, section in sections.items() if key != "expansions"
     )
-    doc = {
-        "command": "report",
-        "schema_version": SCHEMA_VERSION,
+    fields = {
         "version": __version__,
         "seed": args.seed,
         "passed": passed,
         **sections,
     }
-    _emit(doc, args)
+    _emit(args, fields)
     return 0 if passed else 1
 
 

@@ -276,7 +276,8 @@ class PairVerdict:
     bracket, the scalarised template and the residual.  The verdict keeps
     the elements and renders each text on first read, into a slot of its
     own, so a caller that only reads verdicts formats nothing.  It is
-    read-only: every field is a property over a private slot.
+    read-only: every field is a property over a private slot.  Two verdicts
+    are equal when their fields and elements are; the texts play no part.
     """
 
     __slots__ = (
@@ -299,6 +300,17 @@ class PairVerdict:
     target = _rendered("_expected", "")
     scalarized = _rendered("_scalarized", "")
     residual = _rendered("_residual", None)
+
+    def __eq__(self, other):
+        if type(other) is not PairVerdict:
+            return NotImplemented
+        fields = self.__slots__[:6]  # the texts follow them
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"PairVerdict({self._pair!r}, {self._verdict!r}, {self._phase1!r})"
 
     def to_dict(self) -> dict:
         return {
@@ -475,7 +487,9 @@ def verify_closure(
             pairs.append(PairVerdict(cert.pair, "exact_zero", "n/a", expected))
             continue
         if cert.template is None:
-            pairs.append(PairVerdict(cert.pair, "mismatch", "n/a", expected, None, exact_res))
+            pairs.append(
+                PairVerdict(cert.pair, "mismatch", "n/a", expected, residual=exact_res)
+            )
             mismatches.append(cert.pair)
             continue
         # phase 2: scalarise the template with the witness
@@ -492,11 +506,19 @@ def verify_closure(
             p3_res = _reduce_element(scal - expected, reductions)
         p1_ok = cert.phase1.is_zero()
         if p1_ok and degree_ok and p3_res.is_zero():
-            pairs.append(PairVerdict(cert.pair, "template_match", "pass", expected, scal))
-        else:
-            residual = p3_res if p1_ok else cert.phase1
             pairs.append(
-                PairVerdict(cert.pair, "mismatch", cert.phase1_text, expected, scal, residual)
+                PairVerdict(cert.pair, "template_match", "pass", expected, scal)
+            )
+        else:
+            pairs.append(
+                PairVerdict(
+                    cert.pair,
+                    "mismatch",
+                    cert.phase1_text,
+                    expected,
+                    scal,
+                    p3_res if p1_ok else cert.phase1,
+                )
             )
             mismatches.append(cert.pair)
 
@@ -884,19 +906,16 @@ DRIVERS = {
 }
 
 
-def run_driver(target: str, overrides: Mapping[str, Fraction] | None = None) -> ExpansionRun:
-    """Run ``target``'s driver, with ``overrides`` merged onto its default witness.
+def override_witness(target: str, overrides: Mapping[str, Fraction]) -> dict:
+    """``target``'s default witness with ``overrides`` merged onto it.
 
     A ``newton_hooke`` override with ``kappa > 0`` starts from
-    :data:`THEOREM2_POSITIVE_WITNESS` instead.  Overrides for a target with
-    no default witness (negative-nh) raise :class:`ConstraintViolationError`.
+    :data:`THEOREM2_POSITIVE_WITNESS` instead.  A target with no default
+    witness (negative-nh) takes no overrides and raises ``ValueError``.
     """
-    driver = DRIVERS[target]
-    if not overrides:
-        return driver()
     base = DEFAULT_WITNESSES.get(target)
     if base is None:
-        raise ConstraintViolationError(f"{target} takes no --witness")
+        raise ValueError(f"{target} has no default witness to override")
     if target == "newton_hooke" and overrides.get("kappa", 0) > 0:
         base = THEOREM2_POSITIVE_WITNESS
-    return driver({**base, **overrides})
+    return {**base, **overrides}

@@ -114,6 +114,12 @@ class TestExitContract:
             "4*a1^2*m^2*xi^2 + kappa = 0 unsatisfied (residual 2)\n"
         )
 
+    def test_target_without_a_witness_takes_no_override(self, capsys):
+        assert main(["expand", "negative-nh", "--witness", "kappa=5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "kinexpand expand: negative-nh takes no --witness\n"
+
     def test_bad_witness_exits_nonzero(self, capsys):
         assert main(["expand", "poincare", "--witness", "omega=5"]) == 2
 

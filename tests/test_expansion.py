@@ -20,6 +20,7 @@ from kinexpand.expansion import (
     decompose_casimir,
     derive_generators,
     newton_hooke_closed_forms,
+    override_witness,
     poincare_closed_forms,
     run_euclid,
     run_negative_nh,
@@ -181,6 +182,17 @@ class TestDrivers:
         bad["omega"] = Fraction(5)
         with pytest.raises(ConstraintViolationError):
             run_theorem1(bad)
+
+    def test_override_witness(self):
+        omega = {"omega": Fraction(-2)}
+        assert override_witness("poincare", omega) == {**THEOREM1_WITNESS, **omega}
+        kappa = {"kappa": Fraction(3)}
+        assert override_witness("newton_hooke", kappa) == {
+            **THEOREM2_POSITIVE_WITNESS, **kappa
+        }
+        assert override_witness("newton_hooke", {"kappa": Fraction(-3)})["a1"] == 1
+        with pytest.raises(ValueError, match="^negative-nh has no default witness"):
+            override_witness("negative-nh", kappa)
 
     def test_alternate_valid_witness(self):
         witness = {
@@ -376,6 +388,28 @@ class TestSharedCertificate:
             expansion.DEFAULT_WITNESSES["poincare"]["omega"] = Fraction(-5)
         with pytest.raises(TypeError):
             catalog("poincare").gen_index["K1"] = 0
+
+    def test_runs_on_the_same_inputs_compare_equal(self):
+        # verdicts, reports and runs compare field by field, not by identity
+        entry = expansion._certificate("worldline")
+        first, second = (
+            verify_closure(
+                entry.certificate, catalog("poincare"), entry.constraints,
+                THEOREM1_WITNESS,
+            )
+            for _ in range(2)
+        )
+        assert first.pairs[0] is not second.pairs[0]
+        assert first.pairs == second.pairs and first == second
+        assert first.pairs[0] != first.pairs[1]
+        assert run_theorem1() == run_theorem1()
+        assert run_negative_nh() == run_negative_nh()
+        assert run_theorem1() != run_euclid()
+        with pytest.raises(TypeError):
+            hash(first.pairs[0])
+        assert repr(first.pairs[0]) == (
+            f"PairVerdict({first.pairs[0].pair!r}, 'exact_zero', 'n/a')"
+        )
 
     def test_shared_terms_are_read_only(self, capsys):
         # a driver's generators and a catalog bracket table are shared by

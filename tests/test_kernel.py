@@ -794,10 +794,25 @@ class TestKernelBounds:
         c2 = named_element(alg, "C2")
         h = UEAElement.generator(alg, "H")
         c2_h = c2 * h
-        cap = sum(kernel_stats(alg).values()) + 10
+        cap = sum(kernel_stats(alg).values())
         monkeypatch.setattr(uea, "MAX_KERNEL_ENTRIES", cap)
+        # full tables: a product made only of hits stores nothing and passes
+        assert c2 * h == c2_h
+        assert sum(kernel_stats(alg).values()) == cap
+        # ten entries of room: storing stops at exactly the cap, then raises
+        cap += 10
+        monkeypatch.setattr(uea, "MAX_KERNEL_ENTRIES", cap)
+        sizes = []
+        store = uea._Tables.store
+
+        def counting_store(tables, table, key, value):
+            store(tables, table, key, value)
+            sizes.append(sum(kernel_stats(alg).values()))
+
+        monkeypatch.setattr(uea._Tables, "store", counting_store)
         with pytest.raises(uea.KernelBoundError):
             c2 * c2
+        assert sizes == list(range(cap - 9, cap + 1))
         # the tables are emptied at the cap; the product is formed again
         assert kernel_stats(alg) == dict.fromkeys(KERNEL_TABLES, 0)
         assert c2 * h == c2_h
