@@ -42,7 +42,21 @@ class DivergenceError(ArithmeticError):
         self.power = power
 
 
-class ParamContext:
+class Frozen:
+    """Base of shared objects whose attributes are set once, in ``__new__``
+    or ``__init__`` through ``object.__setattr__``, and then refuse
+    assignment and deletion."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class ParamContext(Frozen):
     """An ordered, immutable set of parameter names.
 
     Exponent tuples of every :class:`Poly` in this context are indexed by the
@@ -65,15 +79,19 @@ class ParamContext:
             return ctx
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names")
-        ctx = super().__new__(cls)
-        ctx.names = names
-        ctx.index = MappingProxyType({n: i for i, n in enumerate(names)})
-        if laurent is not None and laurent not in ctx.index:
+        index = MappingProxyType({n: i for i, n in enumerate(names)})
+        if laurent is not None and laurent not in index:
             raise ValueError(f"laurent parameter {laurent!r} not declared")
-        ctx.laurent = laurent
-        ctx._laurent_idx = ctx.index[laurent] if laurent is not None else -1
-        # one shared all-zero exponent tuple: the key of every constant term
-        ctx.zero = (0,) * len(names)
+        ctx = super().__new__(cls)
+        for name, value in (
+            ("names", names),
+            ("index", index),
+            ("laurent", laurent),
+            ("_laurent_idx", index[laurent] if laurent is not None else -1),
+            # one shared all-zero exponent tuple: the key of every constant term
+            ("zero", (0,) * len(names)),
+        ):
+            object.__setattr__(ctx, name, value)
         _CONTEXTS[names, laurent] = ctx
         return ctx
 

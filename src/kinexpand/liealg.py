@@ -16,7 +16,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .coeffring import DivergenceError, ParamContext, Poly, format_poly
+from .coeffring import DivergenceError, Frozen, ParamContext, Poly, format_poly
 
 
 class GeneratorId(NamedTuple):
@@ -24,7 +24,7 @@ class GeneratorId(NamedTuple):
     name: str
 
 
-class LieAlgebra:
+class LieAlgebra(Frozen):
     """Lie algebra over exact polynomial coefficients.
 
     ``brackets`` maps (i, j) with i < j to {k: Poly}; lookups with i > j
@@ -33,8 +33,11 @@ class LieAlgebra:
     coefficient's ``terms`` is a read-only view, so a shared (catalog)
     instance cannot be changed through them.  The normal-ordering kernel
     keeps its tables outside the instance, held weakly per algebra (see
-    :mod:`kinexpand.uea`).
+    :mod:`kinexpand.uea`).  No attribute can be rebound or deleted after
+    ``__init__``.
     """
+
+    __slots__ = ("name", "generators", "gen_index", "ctx", "brackets", "metadata", "__weakref__")
 
     def __init__(
         self,
@@ -44,23 +47,25 @@ class LieAlgebra:
         brackets: Mapping[tuple, Mapping[int, Poly]] | None = None,
         metadata: Mapping[str, str] | None = None,
     ):
-        self.name = name
-        self.generators = tuple(
-            GeneratorId(i, n) for i, n in enumerate(generator_names)
-        )
-        if len({g.name for g in self.generators}) != len(self.generators):
+        generators = tuple(GeneratorId(i, n) for i, n in enumerate(generator_names))
+        if len({g.name for g in generators}) != len(generators):
             raise ValueError("duplicate generator names")
-        self.gen_index = MappingProxyType({g.name: g.index for g in self.generators})
-        self.ctx = ctx
         table = {}
         for (i, j), comps in (brackets or {}).items():
-            if not 0 <= i < j < len(self.generators):
+            if not 0 <= i < j < len(generators):
                 raise ValueError(f"bad bracket key ({i}, {j})")
             clean = {k: p for k, p in comps.items() if not p.is_zero()}
             if clean:
                 table[(i, j)] = MappingProxyType(clean)
-        self.brackets = MappingProxyType(table)
-        self.metadata = MappingProxyType(dict(metadata or {}))
+        for attr, value in (
+            ("name", name),
+            ("generators", generators),
+            ("gen_index", MappingProxyType({g.name: g.index for g in generators})),
+            ("ctx", ctx),
+            ("brackets", MappingProxyType(table)),
+            ("metadata", MappingProxyType(dict(metadata or {}))),
+        ):
+            object.__setattr__(self, attr, value)
 
     @property
     def dim(self) -> int:

@@ -7,16 +7,21 @@ primitives.  The first is the product of a PBW monomial ``m`` with a
 generator ``x_g`` from the right (the monomial-level multiplication of
 algebras of solvable type, after Kandri-Rody and Weispfenning).  Write
 ``m = m'*x_k`` with ``x_k`` the last generator present in ``m``.  If
-``k <= g`` the product is the monomial with the exponent of ``g`` raised by
-one.  Otherwise::
+``k <= g`` the product is a *bump*: the monomial with the exponent of ``g``
+raised by one.  Every caller tests for a bump inline and adds it to its sum
+in place, so only a true reorder reaches :func:`_product`::
 
     m*x_g = (m'*x_g)*x_k + sum_l c_l (m'*x_l),   [x_k, x_g] = sum_l c_l x_l
 
-Every call on the right has a monomial of lower degree, or is a bump, so
+Every product on the right has a monomial of lower degree, or is a bump, so
 the recursion terminates, and by the PBW theorem the result is the
-canonical representative.  Every normal form is a fold over this primitive
-(:func:`_fold`): a product folds its whole left factor through the letters
-of each right monomial, and a word is the unit folded through its letters.
+canonical representative.  Multiplying a sum of terms by one generator is
+one pass of bump-or-lookup over the terms (:func:`_times_letter`), and every
+normal form is built from such passes: a word is the unit multiplied by its
+letters in turn, and a product folds its whole left factor through the
+letters of each right monomial (:func:`_fold`).  A left factor of one
+generator term instead takes each right monomial ``m`` of degree two or more
+as ``x_g*m = m*x_g - [m, x_g]``, from the two memoised primitives.
 
 The second primitive is the adjoint action ``ad(m, g) = [m, x_g]``, with
 ``m = m'*x_k`` as above and ``[x_k, x_g]`` for either order of ``k`` and
@@ -31,7 +36,8 @@ last letter of the right one, ``m2 = m2'*x_j``::
 
     [m1, m2'*x_j] = [m1, m2']*x_j + m2'*[m1, x_j]
 
-with ``m2'*t`` a fold.  :meth:`UEAElement.commutator` sums these monomial
+with ``[m1, m2']*x_j`` one pass of :func:`_times_letter` and ``m2'*t`` a
+fold.  :meth:`UEAElement.commutator` sums these monomial
 brackets over pairs of terms.
 
 Per algebra the kernel memoises the product primitive and ``ad`` per
@@ -52,16 +58,18 @@ taken as an exact integer, with no bias.  Because the packing is linear,
 the product of two terms is ``key1 + key2``, a bump of generator ``g`` is
 ``key + (1 << W*g)``, ``m`` and the packed ``e`` are ``key & mask`` and
 ``key - (key & mask)`` with ``mask = (1 << W*dim) - 1``, "no generator
-after ``g``" is ``m >> W*(g + 1) == 0`` and the last generator of ``m`` is
+after ``g``" is ``m < 1 << W*(g + 1)`` and the last generator of ``m`` is
 ``(m.bit_length() - 1) // W``.  The parameter fields are read back low to
 high, each as the signed ``W``-bit residue of what is left.  A structure
 constant ``c * params^e`` is the triple ``(l, packed e, c)``, and a
 rational is an ``int`` when integral and a ``Fraction`` otherwise, as in
 :class:`~kinexpand.coeffring.Poly`.  No ``Poly`` is made inside the
-kernel.  A product, a commutator or :func:`normal_form` packs its operands
-once, sums the cross terms of their coefficients into one flat dict, and
-unpacks it into ``{monomial: Poly}`` once, at the end (:func:`_group`); an
-all-zero exponent vector becomes the context's shared ``zero`` tuple.
+kernel.  An element is packed the first time it is an operand and keeps
+its packed form, a read-only tuple, since elements are immutable.  A
+product, a commutator or :func:`normal_form` sums the cross terms of its
+operands' coefficients into one flat dict, and unpacks it into
+``{monomial: Poly}`` once, at the end (:func:`_group`); an all-zero exponent
+vector becomes the context's shared ``zero`` tuple.
 
 **The bound.**  The arithmetic above is exact only while no field leaves
 its range: ``0 <= m[g] < 2^W`` and ``-2^(W-1) <= e[i] < 2^(W-1)``; past
@@ -99,6 +107,7 @@ commute with, the witness a scan of the whole basis gives.
 
 from __future__ import annotations
 
+import struct
 import weakref
 from fractions import Fraction
 from types import MappingProxyType
@@ -158,7 +167,7 @@ class _Tables:
     """
 
     __slots__ = (
-        "dim", "ctx", "bits", "mask", "unit", "gen_of", "max_exp", "brackets",
+        "dim", "ctx", "bits", "mask", "mono_struct", "unit", "gen_of", "after", "max_exp", "brackets",
         "products", "ads", "commutators", "entries", "generating",
     )
 
@@ -167,9 +176,15 @@ class _Tables:
         self.ctx = alg.ctx
         self.bits = FIELD_BITS * dim
         self.mask = (1 << self.bits) - 1
+        # a packed monomial read back as bytes: one unsigned 16-bit field
+        # (FIELD_BITS) per generator
+        self.mono_struct = struct.Struct(f"<{dim}H")
         # the packed monomial x_g of each generator, and back
         self.unit = tuple(1 << (FIELD_BITS * g) for g in range(dim))
         self.gen_of = {u: g for g, u in enumerate(self.unit)}
+        # the least packed monomial with a generator after g: m has one
+        # exactly when m >= after[g]
+        self.after = tuple(1 << (FIELD_BITS * (g + 1)) for g in range(dim))
         # [x_k, x_g] for every ordered pair as (l, packed exponents, rational)
         # triples, read as brackets[k][g]
         self.brackets = [
@@ -199,7 +214,7 @@ class _Tables:
         return _pack(exps) << self.bits
 
     def unpack_mono(self, m: int) -> Monomial:
-        return tuple([(m >> s) & _FIELD for s in range(0, self.bits, FIELD_BITS)])
+        return self.mono_struct.unpack(m.to_bytes(self.mono_struct.size, "little"))
 
     def unpack_exps(self, e: int) -> tuple:
         """Exponent tuple of ``e = key >> bits``; 0 gives the shared zero."""
@@ -215,8 +230,8 @@ class _Tables:
         return tuple(out)
 
     def pack_coeff(self, poly: Poly):
-        """``[(packed exponents, rational)]`` of a coefficient, and its largest
-        absolute exponent."""
+        """``((packed exponents, rational), ...)`` of a coefficient, and its
+        largest absolute exponent."""
         zero = self.ctx.zero
         out = []
         spread = 0
@@ -228,11 +243,19 @@ class _Tables:
             if s > spread:
                 spread = s
             out.append((self.pack_exps(exps), c))
-        return out, spread
+        return tuple(out), spread
 
     def packed(self, el: "UEAElement"):
-        """``el`` as ``[(packed monomial, packed coefficient)]``, with its
-        largest degree and largest absolute coefficient exponent."""
+        """``el`` as a tuple of ``(packed monomial, packed coefficient)``, with
+        its largest degree and largest absolute coefficient exponent.
+
+        Packed once and kept on the element, which is immutable.  The packing
+        depends only on the dimension and the context, which operands of one
+        product or commutator share.
+        """
+        cached = el._packed
+        if cached is not None:
+            return cached
         out = []
         degree = spread = 0
         for mono, poly in el._terms.items():
@@ -240,7 +263,8 @@ class _Tables:
             out.append((_pack(mono), coeffs))
             degree = max(degree, sum(mono))
             spread = max(spread, s)
-        return out, degree, spread
+        cached = el._packed = (tuple(out), degree, spread)
+        return cached
 
     def check_bound(self, degree: int, spread: int) -> None:
         """Raise unless every field stays in range in a computation whose
@@ -325,76 +349,118 @@ def _group(tables: _Tables, flat: dict) -> dict:
     mask, bits = tables.mask, tables.bits
     unpack = tables.unpack_exps
     grouped: dict = {}
+    exps_of: dict = {}
     for key, c in flat.items():
         m = key & mask
         poly = grouped.get(m)
         if poly is None:
             poly = grouped[m] = {}
-        poly[unpack(key >> bits)] = c
+        e = key >> bits
+        exps = exps_of.get(e)
+        if exps is None:
+            exps = exps_of[e] = unpack(e)
+        poly[exps] = c
     ctx = tables.ctx
     mono = tables.unpack_mono
     return {mono(m): Poly._raw(ctx, terms) for m, terms in grouped.items()}
 
 
-def _times_generator(tables: _Tables, mono: int, g: int) -> dict:
-    """Normal form of mono * x_g as a flat dict, for a packed monomial.
+def _product(tables: _Tables, mono: int, g: int) -> dict:
+    """Normal form of mono * x_g as a flat dict, memoised, for a packed
+    monomial with a generator after ``g``.  Do not mutate.
 
-    Bumps are computed on the spot; every other product is memoised.
+    A bump, ``mono`` with no generator after ``g``, is never passed here:
+    every caller adds ``mono + x_g`` in place.  With ``mono = m'*x_k``, the
+    products ``m'*x_g``, ``(m'*x_g)*x_k`` and ``m'*x_l`` are each a bump or
+    a call on a monomial of lower degree.
     """
-    if not mono >> (FIELD_BITS * (g + 1)):
-        return {mono + tables.unit[g]: 1}
     memo = tables.products[g]
     out = memo.get(mono)
     if out is not None:
         return out
     k = (mono.bit_length() - 1) // FIELD_BITS
     lower = mono - tables.unit[k]
-    mask = tables.mask
-    out = {}
-    for key, c in _times_generator(tables, lower, g).items():
-        m = key & mask
-        _add_into(out, _times_generator(tables, m, k), key - m, c)
-    for l, e, c in tables.brackets[k][g]:
-        _add_into(out, _times_generator(tables, lower, l), e, c)
+    if lower >= tables.after[g]:
+        out = {}
+        _times_letter(tables, memo.get(lower) or _product(tables, lower, g), k, out)
+    else:
+        # m'*x_g is a bump, and so is (m'*x_g)*x_k, as g < k
+        out = {mono + tables.unit[g]: 1}
+    _add_brackets(tables, out, lower, tables.brackets[k][g])
     tables.store(memo, mono, out)
     return out
 
 
-def _fold(tables: _Tables, flat: dict, mono: int) -> dict:
-    """Normal form of flat * mono, for a packed monomial mono, as a flat dict.
+def _add_brackets(tables: _Tables, out: dict, lower: int, triples) -> None:
+    """out += lower * sum_l c_l x_l over the (l, packed exponents, c)
+    triples of one structure constant ``[x_k, x_g]``: each ``lower*x_l`` a
+    bump or a memoised :func:`_product`."""
+    products, after = tables.products, tables.after
+    for l, e, c in triples:
+        if lower >= after[l]:
+            _add_into(out, products[l].get(lower) or _product(tables, lower, l), e, c)
+        else:
+            _add_term(out, lower + tables.unit[l] + e, c)
 
-    The letters of mono are multiplied in one at a time, in basis order.  A
-    term whose last generator comes no later than the next letter takes the
-    rest of mono as one bump of its exponents.
+
+def _times_letter(tables: _Tables, flat: dict, g: int, out: dict) -> None:
+    """out += flat * x_g on flat dicts, in one pass over the terms: a term
+    with no generator after ``g`` is a bump, added in place, and any other
+    is a memoised :func:`_product`."""
+    mask, memo, unit, limit = tables.mask, tables.products[g], tables.unit[g], tables.after[g]
+    get = out.get
+    for key, c in flat.items():
+        m = key & mask
+        if m >= limit:
+            _add_into(out, memo.get(m) or _product(tables, m, g), key - m, c)
+            continue
+        key += unit
+        v = get(key, 0) + c
+        if not v:
+            del out[key]
+        elif type(v) is Fraction and v.denominator == 1:
+            out[key] = v.numerator
+        else:
+            out[key] = v
+
+
+def _fold(tables: _Tables, flat: dict, mono: int) -> dict:
+    """Normal form of flat * mono, for a packed monomial mono, as a fresh
+    flat dict.
+
+    The letters of mono are multiplied in one at a time, in basis order, the
+    last by :func:`_times_letter`.  Before it, a term whose last generator
+    comes no later than the next letter takes the rest of mono as one bump
+    of its exponents.
     """
-    mask = tables.mask
-    rest = mono
+    if not mono:
+        return dict(flat)
+    mask, unit = tables.mask, tables.unit
     out: dict = {}
-    while rest:
+    while True:
         # the first letter left: the lowest nonzero field
-        g = ((rest & -rest).bit_length() - 1) // FIELD_BITS
-        after = FIELD_BITS * (g + 1)
+        g = ((mono & -mono).bit_length() - 1) // FIELD_BITS
+        rest = mono
+        mono -= unit[g]
+        if not mono:
+            _times_letter(tables, flat, g, out)
+            return out
+        limit, memo = tables.after[g], tables.products[g]
         acc: dict = {}
         for key, c in flat.items():
             m = key & mask
-            if m >> after:
-                _add_into(acc, _times_generator(tables, m, g), key - m, c)
+            if m >= limit:
+                _add_into(acc, memo.get(m) or _product(tables, m, g), key - m, c)
             else:
                 _add_term(out, key + rest, c)
         if not acc:
             return out
         flat = acc
-        rest -= tables.unit[g]
-    if not out:
-        return dict(flat)
-    for key, c in flat.items():
-        _add_term(out, key, c)
-    return out
 
 
 def _ad(tables: _Tables, mono: int, g: int) -> dict:
     """Normal form of [mono, x_g] as a flat dict, for a packed monomial,
-    memoised.
+    memoised.  Do not mutate.
 
     With ``mono = m'*x_k``, ``x_k`` its last generator::
 
@@ -410,13 +476,12 @@ def _ad(tables: _Tables, mono: int, g: int) -> dict:
         return {}
     k = (mono.bit_length() - 1) // FIELD_BITS
     lower = mono - tables.unit[k]
-    mask = tables.mask
     out = {}
-    for l, e, c in tables.brackets[k][g]:
-        _add_into(out, _times_generator(tables, lower, l), e, c)
-    for key, c in _ad(tables, lower, g).items():
-        m = key & mask
-        _add_into(out, _times_generator(tables, m, k), key - m, c)
+    _add_brackets(tables, out, lower, tables.brackets[k][g])
+    inner = memo.get(lower)
+    if inner is None:
+        inner = _ad(tables, lower, g)
+    _times_letter(tables, inner, k, out)
     tables.store(memo, mono, out)
     return out
 
@@ -447,9 +512,9 @@ def _bracket(tables: _Tables, m1: int, m2: int) -> dict:
         out = {t: -c for t, c in _ad(tables, m2, g).items()}
     else:
         j = (m2.bit_length() - 1) // FIELD_BITS
-        unit = tables.unit[j]
-        lower = m2 - unit
-        out = _fold(tables, _bracket(tables, m1, lower), unit)
+        lower = m2 - tables.unit[j]
+        out = {}
+        _times_letter(tables, _bracket(tables, m1, lower), j, out)
         mask = tables.mask
         for t, c in _ad(tables, m1, j).items():
             m = t & mask
@@ -480,10 +545,11 @@ class UEAElement:
     changed through it.
     """
 
-    __slots__ = ("alg", "_terms")
+    __slots__ = ("alg", "_terms", "_packed")
 
     def __init__(self, alg: LieAlgebra, terms=()):
         self.alg = alg
+        self._packed = None
         clean: dict = {}
         for mono, coeff in dict(terms).items():
             coeff = _coefficient(alg, coeff)
@@ -501,6 +567,7 @@ class UEAElement:
         el = cls.__new__(cls)
         el.alg = alg
         el._terms = terms
+        el._packed = None
         return el
 
     @classmethod
@@ -582,15 +649,30 @@ class UEAElement:
     # -- multiplicative operations ---------------------------------------
 
     def __mul__(self, other: "UEAElement") -> "UEAElement":
-        """Associative product: ``self`` folded through each right monomial."""
+        """Associative product: ``self`` folded through each right monomial.
+
+        A left factor of one generator term ``a*x_g`` takes a right monomial
+        ``m`` of degree two or more as ``m*x_g - [m, x_g]``, two memoised
+        lookups, instead of folding ``x_g`` through every letter of ``m``.
+        """
         self._check(other)
         tables = _tables(self.alg)
         terms, d1, p1 = tables.packed(self)
         right, d2, p2 = tables.packed(other)
         tables.check_bound(d1 + d2, p1 + p2)
+        gen_of = tables.gen_of
+        g = gen_of.get(terms[0][0]) if len(terms) == 1 else None
         left = {m + e: c for m, coeffs in terms for e, c in coeffs}
         flat: dict = {}
         for m2, coeffs in right:
+            if g is not None and m2 and m2 not in gen_of:
+                # x_g*m2 = m2*x_g - [m2, x_g], each term with its coefficient
+                ad = _ad(tables, m2, g)
+                for e1, a in terms[0][1]:
+                    for e2, b in coeffs:
+                        _times_letter(tables, {m2 + e1 + e2: a * b}, g, flat)
+                        _add_into(flat, ad, e1 + e2, -a * b)
+                continue
             folded = _fold(tables, left, m2)
             for e2, b in coeffs:
                 _add_into(flat, folded, e2, b)
@@ -643,7 +725,6 @@ def normal_form(alg: LieAlgebra, words: Iterable[tuple]) -> UEAElement:
     generator indices or names and coeff is a Poly / rational.
     """
     tables = _tables(alg)
-    unit = tables.unit
     flat: dict = {}
     for letters, coeff in words:
         letters = [g if isinstance(g, int) else alg.gen_index[g] for g in letters]
@@ -651,7 +732,9 @@ def normal_form(alg: LieAlgebra, words: Iterable[tuple]) -> UEAElement:
         tables.check_bound(len(letters), spread)
         nf = {0: 1}
         for g in letters:
-            nf = _fold(tables, nf, unit[g])
+            acc: dict = {}
+            _times_letter(tables, nf, g, acc)
+            nf = acc
         for e, c in coeffs:
             _add_into(flat, nf, e, c)
     return UEAElement._raw(alg, _group(tables, flat))

@@ -450,6 +450,67 @@ class TestCommutatorKernel:
                 assert all(sum(t) <= sum(mono) for t in grouped), (str(m), g.name)
 
 
+class TestLeftGeneratorProduct:
+    """A left factor of one generator term takes each right monomial of
+    degree two or more as ``m*x_g - [m, x_g]``."""
+
+    @pytest.mark.parametrize("name", list(catalog_names()))
+    def test_against_the_oracle(self, seed, name):
+        alg = catalog(name)
+        rng = random.Random(f"{seed}-left-generator-{name}")
+        for g in alg.generators:
+            x = UEAElement.generator(alg, g.name)
+            for left in (x, x.smul(multi_term_coefficient(rng, alg.ctx))):
+                words = multi_term_words(rng, alg, max_terms=4, max_length=5)
+                right = oracle_normal_form(alg, words)
+                product = left * right
+                assert product == oracle_kernel.product(left, right), (
+                    str(left), str(right),
+                )
+                assert_canonical(product)
+
+    def test_no_fold_through_a_long_monomial(self, monkeypatch):
+        alg = load("poincare.alg")
+        right = parse_expression("<C1>*<C2> + 2*K1*P2^2", alg)
+        x = UEAElement.generator(alg, "J3")
+        expected = oracle_kernel.product(x, right)
+        folded = []
+        fold = uea._fold
+
+        def recording_fold(tables, flat, mono):
+            folded.append(mono)
+            return fold(tables, flat, mono)
+
+        monkeypatch.setattr(uea, "_fold", recording_fold)
+        assert x * right == expected
+        assert all(mono in uea._tables(alg).gen_of for mono in folded), folded
+
+
+class TestMixedOperands:
+    """Operands of one structure from distinct algebra objects: a catalog
+    algebra and the same algebra read from its file.  Each element is
+    packed first on its own algebra, then combined with the other."""
+
+    def test_products_and_commutators(self, seed):
+        cat = catalog("poincare")
+        fil = parse_algebra_file(DATA_DIR / "poincare.alg")
+        assert cat is not fil and cat.same_structure(fil)
+        rng = random.Random(f"{seed}-mixed")
+        a = oracle_normal_form(cat, multi_term_words(rng, cat, max_terms=4))
+        b = oracle_normal_form(fil, multi_term_words(rng, fil, max_terms=4))
+        j3 = UEAElement.generator(cat, "J3")
+        k1 = UEAElement.generator(fil, "K1")
+        for x in (a, b, j3, k1):
+            assert x * x == oracle_kernel.product(x, x)
+            assert x.commutator(x).is_zero()
+        for x, y in ((a, b), (j3, b), (k1, a), (j3, k1)):
+            for left, right in ((x, y), (y, x)):
+                ab = oracle_kernel.product(left, right)
+                ba = oracle_kernel.product(right, left)
+                assert left * right == ab, (str(left), str(right))
+                assert left.commutator(right) == ab - ba, (str(left), str(right))
+
+
 class TestMultiTermCoefficients:
     """Coefficients of several terms: exponent addition, cancellation and the
     folding of integral sums, against the oracle's Poly arithmetic."""
@@ -595,7 +656,11 @@ class TestFlatKernel:
         monkeypatch.setattr(Poly, "__init__", counting_init)
         for m1 in monomials:
             for g in range(alg.dim):
-                assert_flat(tables, uea._times_generator(tables, m1, g))
+                if m1 >> uea.FIELD_BITS * (g + 1):
+                    assert_flat(tables, uea._product(tables, m1, g))
+                out = {}
+                uea._times_letter(tables, {m1: 1}, g, out)
+                assert_flat(tables, out)
                 assert_flat(tables, uea._ad(tables, m1, g))
             assert_flat(tables, uea._fold(tables, {m1: 1}, m1))
             for m2 in monomials[::3]:

@@ -320,3 +320,37 @@ class TestAgainstKernelOracle:
                 assert why == f"f([x,y]) != [f(x),f(y)] on {failure}"
             verdicts.add(ok)
         assert verdicts == {True, False}
+
+
+class TestSharedObjectsCannotBeRebound:
+    """Catalog algebras and contexts are shared by the whole process: their
+    attributes refuse assignment and deletion, so no caller can change a
+    later verdict through them."""
+
+    def test_poincare_bracket_after_rebinding(self, capsys):
+        with pytest.raises(AttributeError):
+            catalog("poincare").brackets = {}
+        assert main(["bracket", "poincare", "K1", "K2"]) == 0
+        assert capsys.readouterr().out == "omega*J3\n"
+
+    def test_theorem1_after_rebinding(self):
+        from kinexpand.expansion import run_theorem1
+
+        with pytest.raises(AttributeError):
+            catalog("galilei").brackets = {}
+        assert run_theorem1().ok
+
+    @pytest.mark.parametrize("name", list(catalog_names()))
+    def test_every_attribute(self, name):
+        alg = catalog(name)
+        for obj in (alg, alg.ctx):
+            for attr in (*type(obj).__slots__, "extra"):
+                if attr == "__weakref__":
+                    continue
+                before = getattr(obj, attr, None)
+                with pytest.raises(AttributeError):
+                    setattr(obj, attr, None)
+                with pytest.raises(AttributeError):
+                    delattr(obj, attr)
+                assert getattr(obj, attr, None) is before
+        assert alg.ctx is KINEMATIC_CONTEXT
