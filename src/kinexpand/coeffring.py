@@ -43,11 +43,15 @@ class DivergenceError(ArithmeticError):
 
 
 class Frozen:
-    """Base of shared objects whose attributes are set once, in ``__new__``
-    or ``__init__`` through ``object.__setattr__``, and then refuse
+    """Base of shared objects whose attributes are set once, by
+    :meth:`_init_slots` in ``__new__`` or ``__init__``, and then refuse
     assignment and deletion."""
 
     __slots__ = ()
+
+    def _init_slots(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
@@ -83,15 +87,14 @@ class ParamContext(Frozen):
         if laurent is not None and laurent not in index:
             raise ValueError(f"laurent parameter {laurent!r} not declared")
         ctx = super().__new__(cls)
-        for name, value in (
-            ("names", names),
-            ("index", index),
-            ("laurent", laurent),
-            ("_laurent_idx", index[laurent] if laurent is not None else -1),
+        ctx._init_slots(
+            names=names,
+            index=index,
+            laurent=laurent,
+            _laurent_idx=index[laurent] if laurent is not None else -1,
             # one shared all-zero exponent tuple: the key of every constant term
-            ("zero", (0,) * len(names)),
-        ):
-            object.__setattr__(ctx, name, value)
+            zero=(0,) * len(names),
+        )
         _CONTEXTS[names, laurent] = ctx
         return ctx
 

@@ -57,15 +57,14 @@ class LieAlgebra(Frozen):
             clean = {k: p for k, p in comps.items() if not p.is_zero()}
             if clean:
                 table[(i, j)] = MappingProxyType(clean)
-        for attr, value in (
-            ("name", name),
-            ("generators", generators),
-            ("gen_index", MappingProxyType({g.name: g.index for g in generators})),
-            ("ctx", ctx),
-            ("brackets", MappingProxyType(table)),
-            ("metadata", MappingProxyType(dict(metadata or {}))),
-        ):
-            object.__setattr__(self, attr, value)
+        self._init_slots(
+            name=name,
+            generators=generators,
+            gen_index=MappingProxyType({g.name: g.index for g in generators}),
+            ctx=ctx,
+            brackets=MappingProxyType(table),
+            metadata=MappingProxyType(dict(metadata or {})),
+        )
 
     @property
     def dim(self) -> int:
