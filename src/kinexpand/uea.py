@@ -229,20 +229,20 @@ class _Tables:
             e = (e - f) >> FIELD_BITS
         return tuple(out)
 
-    def pack_coeff(self, poly: Poly):
+    def pack_coeff(self, poly: Poly, seen: dict):
         """``((packed exponents, rational), ...)`` of a coefficient, and its
-        largest absolute exponent."""
-        zero = self.ctx.zero
+        largest absolute exponent.  ``seen`` keeps each exponent tuple's
+        packed form and largest absolute exponent across one call's
+        coefficients, which share few exponent tuples."""
         out = []
         spread = 0
         for exps, c in poly._terms.items():
-            if exps is zero:
-                out.append((0, c))
-                continue
-            s = max(max(exps), -min(exps))
-            if s > spread:
-                spread = s
-            out.append((self.pack_exps(exps), c))
+            hit = seen.get(exps)
+            if hit is None:
+                hit = seen[exps] = (self.pack_exps(exps), max(map(abs, exps), default=0))
+            out.append((hit[0], c))
+            if hit[1] > spread:
+                spread = hit[1]
         return tuple(out), spread
 
     def packed(self, el: "UEAElement"):
@@ -257,9 +257,10 @@ class _Tables:
         if cached is not None:
             return cached
         out = []
+        seen: dict = {}
         degree = spread = 0
         for mono, poly in el._terms.items():
-            coeffs, s = self.pack_coeff(poly)
+            coeffs, s = self.pack_coeff(poly, seen)
             out.append((_pack(mono), coeffs))
             degree = max(degree, sum(mono))
             spread = max(spread, s)
@@ -726,9 +727,10 @@ def normal_form(alg: LieAlgebra, words: Iterable[tuple]) -> UEAElement:
     """
     tables = _tables(alg)
     flat: dict = {}
+    seen: dict = {}
     for letters, coeff in words:
         letters = [g if isinstance(g, int) else alg.gen_index[g] for g in letters]
-        coeffs, spread = tables.pack_coeff(_coefficient(alg, coeff))
+        coeffs, spread = tables.pack_coeff(_coefficient(alg, coeff), seen)
         tables.check_bound(len(letters), spread)
         nf = {0: 1}
         for g in letters:
