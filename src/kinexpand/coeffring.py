@@ -57,7 +57,9 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+        raise AttributeError(
+            f"{type(self).__name__} is immutable: cannot delete {name!r}"
+        )
 
 
 class ParamContext(Frozen):

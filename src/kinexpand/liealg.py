@@ -37,7 +37,9 @@ class LieAlgebra(Frozen):
     ``__init__``.
     """
 
-    __slots__ = ("name", "generators", "gen_index", "ctx", "brackets", "metadata", "__weakref__")
+    __slots__ = (
+        "name", "generators", "gen_index", "ctx", "brackets", "metadata", "__weakref__",
+    )
 
     def __init__(
         self,

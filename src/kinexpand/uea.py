@@ -167,8 +167,9 @@ class _Tables:
     """
 
     __slots__ = (
-        "dim", "ctx", "bits", "mask", "mono_struct", "unit", "gen_of", "after", "max_exp", "brackets",
-        "products", "ads", "commutators", "entries", "generating",
+        "dim", "ctx", "bits", "mask", "mono_struct", "unit", "gen_of", "after",
+        "max_exp", "brackets", "products", "ads", "commutators", "entries",
+        "generating",
     )
 
     def __init__(self, alg: LieAlgebra):
@@ -239,7 +240,8 @@ class _Tables:
         for exps, c in poly._terms.items():
             hit = seen.get(exps)
             if hit is None:
-                hit = seen[exps] = (self.pack_exps(exps), max(map(abs, exps), default=0))
+                spread_e = max(map(abs, exps), default=0)
+                hit = seen[exps] = (self.pack_exps(exps), spread_e)
             out.append((hit[0], c))
             if hit[1] > spread:
                 spread = hit[1]
@@ -408,7 +410,8 @@ def _times_letter(tables: _Tables, flat: dict, g: int, out: dict) -> None:
     """out += flat * x_g on flat dicts, in one pass over the terms: a term
     with no generator after ``g`` is a bump, added in place, and any other
     is a memoised :func:`_product`."""
-    mask, memo, unit, limit = tables.mask, tables.products[g], tables.unit[g], tables.after[g]
+    mask, memo = tables.mask, tables.products[g]
+    unit, limit = tables.unit[g], tables.after[g]
     get = out.get
     for key, c in flat.items():
         m = key & mask

@@ -24,7 +24,10 @@ _spec.loader.exec_module(write_records)
 
 @pytest.mark.parametrize(
     "filename,argv",
-    [pytest.param(f, argv, id=f.removesuffix(".json")) for f, argv in write_records.records()],
+    [
+        pytest.param(f, argv, id=f.removesuffix(".json"))
+        for f, argv in write_records.records()
+    ],
 )
 def test_record(filename, argv, monkeypatch):
     monkeypatch.delenv("KINEXPAND_OUTPUT_DIR", raising=False)
