@@ -329,75 +329,11 @@ class Poly:
     # -- substitution and limits -----------------------------------------
 
     def substitute(self, assignment: Mapping[str, Union[ScalarLike, "Poly"]]) -> "Poly":
-        """Replace assigned parameters by rationals or polynomials.
-
-        A ring homomorphism, applied in one pass over the terms.  The
-        assignment is validated once: an unknown name or a polynomial from
-        another context raises :class:`ContextMismatchError`, a float
-        ``TypeError``.  A rational value (or a constant polynomial)
-        multiplies each term's coefficient by its power; a negative power of
-        the laurent parameter is raised exactly as a ``Fraction``, and
-        raises ``ZeroDivisionError`` for 0.  A non-constant polynomial
-        value multiplies the term by its power, and raises ``ValueError``
-        in a negative power.  Unassigned parameters are kept.
-        """
+        """Replace assigned parameters by rationals or polynomials: the
+        :func:`substitution` of the assignment, applied to this polynomial."""
         if not assignment:
             return self
-        ctx = self.ctx
-        rationals = []  # (index, value)
-        polys = []  # (index, non-constant Poly)
-        for name, value in assignment.items():
-            i = ctx.index.get(name)
-            if i is None:
-                raise ContextMismatchError(f"unknown parameter {name!r}")
-            if not isinstance(value, Poly):
-                rationals.append((i, _exact(value)))
-            elif value.ctx is not ctx:
-                raise ContextMismatchError("assignment value from different context")
-            elif value.is_constant():
-                rationals.append((i, value._terms.get(ctx.zero, 0)))
-            else:
-                polys.append((i, value))
-        zero = ctx.zero
-        out: dict = {}
-        for exps, coeff in self._terms.items():
-            rest = None
-            for i, v in rationals:
-                e = exps[i]
-                if not e:
-                    continue
-                if rest is None:
-                    rest = list(exps)
-                rest[i] = 0
-                if e > 0:
-                    coeff = coeff * v**e
-                elif v == 0:
-                    raise ZeroDivisionError(
-                        f"substituting 0 into a negative power of {ctx.names[i]!r}"
-                    )
-                else:
-                    coeff = coeff * Fraction(v) ** e
-            factors = []
-            for i, value in polys:
-                e = exps[i]
-                if not e:
-                    continue
-                if rest is None:
-                    rest = list(exps)
-                rest[i] = 0
-                factors.append(value**e)  # ValueError for e < 0
-            key = exps if rest is None else tuple(rest)
-            if not factors:
-                _accumulate(out, key, coeff)
-                continue
-            term = Poly._raw(ctx, {key: coeff} if coeff else {})
-            for factor in factors:
-                term = term * factor
-            for e, c in term._terms.items():
-                _accumulate(out, e, c)
-        return Poly._raw(
-            ctx, {zero if e == zero else e: _fold(c) for e, c in out.items()}
-        )
+        return substitution(self.ctx, assignment)(self)
 
     def substitute_power(self, name: str, power: int, value: ScalarLike) -> "Poly":
         """Reduce every occurrence of ``name ** power`` to ``value``.
@@ -632,6 +568,81 @@ def _format_monomial(ctx: ParamContext, exps: Exponents, coeff: Fraction) -> str
             continue
         factors.append(name if e == 1 else f"{name}^{e}")
     return "*".join(factors)
+
+
+def substitution(ctx: ParamContext, assignment: Mapping[str, Union[ScalarLike, Poly]]):
+    """The map ``p -> p.substitute(assignment)`` on polynomials of ``ctx``.
+
+    A ring homomorphism, applied in one pass over the terms.  The
+    assignment is validated once, here: an unknown name or a polynomial from
+    another context raises :class:`ContextMismatchError`, a float
+    ``TypeError``.  A rational value (or a constant polynomial) multiplies
+    each term's coefficient by its power; a negative power of the laurent
+    parameter is raised exactly as a ``Fraction``, and raises
+    ``ZeroDivisionError`` for 0.  A non-constant polynomial value multiplies
+    the term by its power, and raises ``ValueError`` in a negative power.
+    Unassigned parameters are kept.
+    """
+    rationals = []  # (index, value)
+    polys = []  # (index, non-constant Poly)
+    for name, value in assignment.items():
+        i = ctx.index.get(name)
+        if i is None:
+            raise ContextMismatchError(f"unknown parameter {name!r}")
+        if not isinstance(value, Poly):
+            rationals.append((i, _exact(value)))
+        elif value.ctx is not ctx:
+            raise ContextMismatchError("assignment value from different context")
+        elif value.is_constant():
+            rationals.append((i, value._terms.get(ctx.zero, 0)))
+        else:
+            polys.append((i, value))
+    zero = ctx.zero
+
+    def apply(poly: Poly) -> Poly:
+        if poly.ctx is not ctx:
+            raise ContextMismatchError("polynomial from a different context")
+        out: dict = {}
+        for exps, coeff in poly._terms.items():
+            rest = None
+            for i, v in rationals:
+                e = exps[i]
+                if not e:
+                    continue
+                if rest is None:
+                    rest = list(exps)
+                rest[i] = 0
+                if e > 0:
+                    coeff = coeff * v**e
+                elif v == 0:
+                    raise ZeroDivisionError(
+                        f"substituting 0 into a negative power of {ctx.names[i]!r}"
+                    )
+                else:
+                    coeff = coeff * Fraction(v) ** e
+            factors = []
+            for i, value in polys:
+                e = exps[i]
+                if not e:
+                    continue
+                if rest is None:
+                    rest = list(exps)
+                rest[i] = 0
+                factors.append(value**e)  # ValueError for e < 0
+            key = exps if rest is None else tuple(rest)
+            if not factors:
+                _accumulate(out, key, coeff)
+                continue
+            term = Poly._raw(ctx, {key: coeff} if coeff else {})
+            for factor in factors:
+                term = term * factor
+            for e, c in term._terms.items():
+                _accumulate(out, e, c)
+        return Poly._raw(
+            ctx, {zero if e == zero else e: _fold(c) for e, c in out.items()}
+        )
+
+    return apply
 
 
 def format_poly(p: Poly) -> str:

@@ -34,7 +34,7 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .coeffring import Poly, format_poly
+from .coeffring import Poly, format_poly, substitution
 from .liealg import _CYCLIC, LieAlgebra, catalog
 from .uea import (
     UEAElement,
@@ -202,11 +202,12 @@ class PowerReduction(NamedTuple):
         return f"{self.param}^{self.power} -> {self.value}"
 
 
-def _analyze_constraints(constraints, witness) -> list:
-    """Check the witness and turn open constraints into power reductions."""
+def _analyze_constraints(constraints, substitute) -> list:
+    """Check the witness, applied by ``substitute``, and turn open
+    constraints into power reductions."""
     reductions = []
     for c in constraints:
-        r = c.substitute(witness)
+        r = substitute(c)
         if r.is_zero():
             continue
         ctx = r.ctx
@@ -457,9 +458,19 @@ def verify_closure(
     alg = certificate.alg
     elements = certificate.generators.elements
     witness = dict(witness or {})
-    reductions = _analyze_constraints(constraints, witness)
-
     ctx = alg.ctx
+    # the witness is validated once; each distinct coefficient is
+    # substituted once per call
+    substitute = substitution(ctx, witness)
+    substituted: dict = {}
+
+    def at_witness(p: Poly) -> Poly:
+        value = substituted.get(p)
+        if value is None:
+            value = substituted[p] = substitute(p)
+        return value
+
+    reductions = _analyze_constraints(constraints, substitute)
     zero = ctx.zero
     pairs = []
     mismatches = []
@@ -470,7 +481,7 @@ def verify_closure(
         grouped: dict = {}  # monomial -> {exponents: rational}
         for k, coeff in row.items():
             terms = elements[names[k]]._terms
-            for s_exps, s in coeff.substitute(witness)._terms.items():
+            for s_exps, s in at_witness(coeff)._terms.items():
                 for mono, poly in terms.items():
                     out = grouped.setdefault(mono, {})
                     for e, c in poly._terms.items():
@@ -495,7 +506,7 @@ def verify_closure(
         # phase 2: scalarise the template with the witness
         scal = UEAElement(
             alg,
-            {m: p.substitute(witness) for m, p in cert.template._terms.items()},
+            {m: at_witness(p) for m, p in cert.template._terms.items()},
         )
         scal = _reduce_element(scal, reductions)
         degree_ok = scal.degree() <= 1

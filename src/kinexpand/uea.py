@@ -20,8 +20,8 @@ one pass of bump-or-lookup over the terms (:func:`_times_letter`), and every
 normal form is built from such passes: a word is the unit multiplied by its
 letters in turn, and a product folds its whole left factor through the
 letters of each right monomial (:func:`_fold`).  A left factor of one
-generator term instead takes each right monomial ``m`` of degree two or more
-as ``x_g*m = m*x_g - [m, x_g]``, from the two memoised primitives.
+generator term times a right factor ``B`` of degree two or more is instead
+``x_g*B = B*x_g - [B, x_g]``: one such pass and one adjoint pass (below).
 
 The second primitive is the adjoint action ``ad(m, g) = [m, x_g]``, with
 ``m = m'*x_k`` as above and ``[x_k, x_g]`` for either order of ``k`` and
@@ -39,6 +39,19 @@ last letter of the right one, ``m2 = m2'*x_j``::
 with ``[m1, m2']*x_j`` one pass of :func:`_times_letter` and ``m2'*t`` a
 fold.  :meth:`UEAElement.commutator` sums these monomial
 brackets over pairs of terms.
+
+When one operand is a single generator term, the commutator is instead one
+adjoint pass over the other element (:func:`_ad_sum`).  It groups the terms
+of ``x`` by last generator, ``x = sum_k X_k*x_k``::
+
+    [X_k*x_k, x_g] = sum_l c_l (X_k*x_l) + [X_k, x_g]*x_k
+
+so each ``X_k*x_l`` is one pass of :func:`_times_letter` over the whole
+group, and ``[X_k, x_g]`` is the same grouped pass one level down, for the
+top :data:`GROUPED_LEVELS` levels, and then ``ad`` of each prefix.  So only
+proper prefixes of the monomials of ``x`` enter the ``ad`` memo, and in the
+top levels only those alone in their group: a monomial of a large element
+is met once, while deeper prefixes repeat across groups.
 
 Per algebra the kernel memoises the product primitive and ``ad`` per
 generator, keyed by monomial, and the brackets of monomial pairs that are
@@ -131,9 +144,17 @@ _FIELD = (1 << FIELD_BITS) - 1
 _SIGN = 1 << (FIELD_BITS - 1)
 
 # Most entries the kernel tables of one algebra hold together.  An entry
-# takes about 0.5 KiB, so full tables take about 100 MiB: the normal form of
-# <C2>^4 on poincare stops at the cap with a peak RSS of 130 MiB.
+# takes about 0.5 KiB (the tables after <C2>^3 centrality on poincare hold
+# 475 B per entry), so full tables take about 95 MiB: the normal form of
+# <C2>^4 on poincare stops at the cap with a peak RSS of 128 MiB.
 MAX_KERNEL_ENTRIES = 200_000
+
+# Levels of prefixes that :func:`_ad_sum` takes as grouped passes before it
+# reads the ad memo.  Centrality of <C2>^2 on poincare leaves 3136, 1564,
+# 724, 276 and 124 ad entries with 1, 2, 3, 4 and unbounded levels, and
+# takes 14% longer, as long, 6% and 25% longer than with 3: deep prefixes
+# repeat across groups, and only the memo shares them.
+GROUPED_LEVELS = 3
 
 
 class KernelBoundError(ValueError):
@@ -406,20 +427,24 @@ def _add_brackets(tables: _Tables, out: dict, lower: int, triples) -> None:
             _add_term(out, lower + tables.unit[l] + e, c)
 
 
-def _times_letter(tables: _Tables, flat: dict, g: int, out: dict) -> None:
-    """out += flat * x_g on flat dicts, in one pass over the terms: a term
-    with no generator after ``g`` is a bump, added in place, and any other
-    is a memoised :func:`_product`."""
+def _times_letter(
+    tables: _Tables, flat: dict, g: int, out: dict, shift: int = 0, scale=1
+) -> None:
+    """out += scale * t * flat * x_g on flat dicts, for the parameter term t
+    with packed exponents ``shift``, in one pass over the terms: a term with
+    no generator after ``g`` is a bump, added in place, and any other is a
+    memoised :func:`_product`."""
     mask, memo = tables.mask, tables.products[g]
-    unit, limit = tables.unit[g], tables.after[g]
+    step, limit = tables.unit[g] + shift, tables.after[g]
     get = out.get
     for key, c in flat.items():
         m = key & mask
         if m >= limit:
-            _add_into(out, memo.get(m) or _product(tables, m, g), key - m, c)
+            prod = memo.get(m) or _product(tables, m, g)
+            _add_into(out, prod, key - m + shift, c * scale)
             continue
-        key += unit
-        v = get(key, 0) + c
+        key += step
+        v = get(key, 0) + c * scale
         if not v:
             del out[key]
         elif type(v) is Fraction and v.denominator == 1:
@@ -490,6 +515,54 @@ def _ad(tables: _Tables, mono: int, g: int) -> dict:
     return out
 
 
+def _ad_sum(
+    tables: _Tables, terms: dict, g: int, out: dict, scale=1, levels=GROUPED_LEVELS
+) -> None:
+    """out += scale * [x, x_g] on flat dicts, for the flat dict ``terms`` of
+    ``x``.
+
+    The terms are grouped by last generator, ``x = sum_k X_k*x_k``::
+
+        [X_k*x_k, x_g] = sum_l c_l (X_k*x_l) + [X_k, x_g]*x_k
+
+    Each ``X_k*x_l`` is one :func:`_times_letter` pass over the whole group.
+    For a group of several prefixes, ``[X_k, x_g]`` is the same grouped
+    pass one level down, summed and then multiplied by ``x_k`` in one more
+    pass, for ``levels`` levels.  Below them, and for a group of one prefix,
+    it is the memoised :func:`_ad` of each prefix times ``x_k``.  So only
+    proper prefixes enter the ``ad`` memo: the deeper ones, which many
+    monomials share.  A term whose monomial is memoised already is read
+    from the memo.
+    """
+    mask, unit = tables.mask, tables.unit
+    memo = tables.ads[g]
+    groups: dict = {}
+    for key, c in terms.items():
+        m = key & mask
+        hit = memo.get(m)
+        if hit is not None:
+            _add_into(out, hit, key - m, scale * c)
+        elif m:
+            k = (m.bit_length() - 1) // FIELD_BITS
+            group = groups.get(k)
+            if group is None:
+                group = groups[k] = {}
+            group[key - unit[k]] = c
+    for k, group in groups.items():
+        for l, e, c in tables.brackets[k][g]:
+            _times_letter(tables, group, l, out, e, scale * c)
+        if levels > 1 and len(group) > 1:
+            inner: dict = {}
+            _ad_sum(tables, group, g, inner, 1, levels - 1)
+            _times_letter(tables, inner, k, out, 0, scale)
+            continue
+        for key, c in group.items():
+            m = key & mask
+            if m:
+                ad = memo.get(m) or _ad(tables, m, g)
+                _times_letter(tables, ad, k, out, key - m, scale * c)
+
+
 def _bracket(tables: _Tables, m1: int, m2: int) -> dict:
     """Normal form of [m1, m2] as a flat dict, for packed monomials.  Do not
     mutate.
@@ -525,6 +598,25 @@ def _bracket(tables: _Tables, m1: int, m2: int) -> dict:
             _add_into(out, _fold(tables, {lower: 1}, m), t - m, c)
     tables.store(tables.commutators, key, out)
     return out
+
+
+def _flat(packed: tuple, coeffs: tuple = ((0, 1),)) -> dict:
+    """A packed operand times the packed coefficient ``coeffs`` as one flat
+    dict ``{packed key: rational}``."""
+    if coeffs == ((0, 1),):
+        return {m + e: c for m, terms in packed for e, c in terms}
+    out: dict = {}
+    for m, terms in packed:
+        for e1, c in terms:
+            for e2, a in coeffs:
+                _add_term(out, m + e1 + e2, c * a)
+    return out
+
+
+def _single_generator(tables: _Tables, packed: tuple):
+    """The generator ``g`` of a packed operand of one term ``a*x_g``, else
+    None."""
+    return tables.gen_of.get(packed[0][0]) if len(packed) == 1 else None
 
 
 def normal_form_word(alg: LieAlgebra, word: WordLetters) -> dict:
@@ -655,28 +747,24 @@ class UEAElement:
     def __mul__(self, other: "UEAElement") -> "UEAElement":
         """Associative product: ``self`` folded through each right monomial.
 
-        A left factor of one generator term ``a*x_g`` takes a right monomial
-        ``m`` of degree two or more as ``m*x_g - [m, x_g]``, two memoised
-        lookups, instead of folding ``x_g`` through every letter of ``m``.
+        A left factor of one generator term ``a*x_g`` times a right factor
+        ``B`` of degree two or more is instead ``a*(B*x_g - [B, x_g])``: one
+        :func:`_times_letter` pass and one :func:`_ad_sum`.
         """
         self._check(other)
         tables = _tables(self.alg)
         terms, d1, p1 = tables.packed(self)
         right, d2, p2 = tables.packed(other)
         tables.check_bound(d1 + d2, p1 + p2)
-        gen_of = tables.gen_of
-        g = gen_of.get(terms[0][0]) if len(terms) == 1 else None
-        left = {m + e: c for m, coeffs in terms for e, c in coeffs}
         flat: dict = {}
+        g = _single_generator(tables, terms)
+        if g is not None and d2 > 1:
+            b = _flat(right, terms[0][1])
+            _times_letter(tables, b, g, flat)
+            _ad_sum(tables, b, g, flat, -1)
+            return UEAElement._raw(self.alg, _group(tables, flat))
+        left = _flat(terms)
         for m2, coeffs in right:
-            if g is not None and m2 and m2 not in gen_of:
-                # x_g*m2 = m2*x_g - [m2, x_g], each term with its coefficient
-                ad = _ad(tables, m2, g)
-                for e1, a in terms[0][1]:
-                    for e2, b in coeffs:
-                        _times_letter(tables, {m2 + e1 + e2: a * b}, g, flat)
-                        _add_into(flat, ad, e1 + e2, -a * b)
-                continue
             folded = _fold(tables, left, m2)
             for e2, b in coeffs:
                 _add_into(flat, folded, e2, b)
@@ -695,7 +783,11 @@ class UEAElement:
 
         Each monomial bracket comes from the kernel (:func:`_bracket`), so
         the top-degree terms of ``self*other`` and ``other*self``, which
-        cancel, are never formed; zero brackets are skipped.
+        cancel, are never formed; zero brackets are skipped.  When one
+        operand is a generator term ``a*x_g`` and the other, ``x``, has
+        several terms, the bracket is instead ``a*[x, x_g]`` from one
+        :func:`_ad_sum` over ``x``, negated when the generator is on the
+        left.
         """
         self._check(other)
         tables = _tables(self.alg)
@@ -703,6 +795,11 @@ class UEAElement:
         right, d2, p2 = tables.packed(other)
         tables.check_bound(d1 + d2, p1 + p2)
         flat: dict = {}
+        for x, gen, sign in ((left, right, 1), (right, left, -1)):
+            g = _single_generator(tables, gen)
+            if g is not None and len(x) > 1:
+                _ad_sum(tables, _flat(x, gen[0][1]), g, flat, sign)
+                return UEAElement._raw(self.alg, _group(tables, flat))
         for m1, coeffs1 in left:
             for m2, coeffs2 in right:
                 br = _bracket(tables, m1, m2)
@@ -925,7 +1022,8 @@ def _named_over(alg: LieAlgebra, key: str, like: LieAlgebra) -> UEAElement:
             return p2 + _dot(alg, ks, ks).smul(Poly.var(alg.ctx, "kappa"))
         return p2
     if key == "C2":
-        w2 = _dot(alg, [w(1), w(2), w(3)], [w(1), w(2), w(3)])
+        ws = [w(i) for i in (1, 2, 3)]
+        w2 = _dot(alg, ws, ws)
         if fam == "poincare":
             return w2 + (_dot(alg, js, ps) ** 2).smul(Poly.var(alg.ctx, "omega"))
         return w2

@@ -439,7 +439,7 @@ def _eager_pairs(certificate, target, constraints, witness) -> list:
     def subst(p):
         return oracle_substitute.substitute(p, witness)
 
-    reductions = expansion._analyze_constraints(constraints, witness)
+    reductions = expansion._analyze_constraints(constraints, subst)
 
     def reduce(el):
         return expansion._reduce_element(el, reductions)
@@ -524,6 +524,31 @@ class TestWarmRound:
         assert len(formatted) == 1
         assert mismatch.target and mismatch.residual and len(formatted) == 2
         assert mismatch.scalarized == "" and len(formatted) == 2
+
+    def test_one_validation_and_one_substitution_per_coefficient(self, monkeypatch):
+        for driver in DRIVERS.values():
+            driver()
+        made, applied = [], []
+        substitution = expansion.substitution
+
+        def counting(ctx, witness):
+            made.append(dict(witness))
+            apply = substitution(ctx, witness)
+
+            def counted(p):
+                applied.append((len(made), p))
+                return apply(p)
+
+            return counted
+
+        monkeypatch.setattr(expansion, "substitution", counting)
+        runs = self.witness_runs()
+        assert [run.ok for run in runs] == [True] * 5
+        assert made == [dict(run.report.witness) for run in runs]
+        # within a call, a coefficient is substituted once, whatever the
+        # number of pairs and templates that carry it
+        assert len(set(applied)) == len(applied)
+        assert len(applied) > len(made)
 
     def test_rendered_texts_equal_the_eager_path(self):
         runs = self.witness_runs()
