@@ -755,6 +755,7 @@ class TestFlatKernel:
         a = oracle_normal_form(alg, multi_term_words(rng, alg))
         b = oracle_normal_form(alg, multi_term_words(rng, alg))
         words = multi_term_words(rng, alg, max_terms=4)
+        h = UEAElement.generator(alg, "H").smul(multi_term_coefficient(rng, alg.ctx))
         created = []
         raw, init = Poly._raw, Poly.__init__
 
@@ -785,6 +786,8 @@ class TestFlatKernel:
             lambda: a * b,
             lambda: a.commutator(b),
             lambda: normal_form(alg, words),
+            lambda: a.commutator(h),
+            lambda: h * b,
         ):
             created.clear()
             result = compute()
