@@ -248,7 +248,7 @@ def _reduce_element(el: UEAElement, reductions) -> UEAElement:
             poly = red.apply_poly(poly)
         if not poly.is_zero():
             out[mono] = poly
-    return UEAElement(el.alg, out)
+    return UEAElement._raw(el.alg, out)
 
 
 def _rendered(slot: str, empty):
@@ -504,11 +504,12 @@ def verify_closure(
             mismatches.append(cert.pair)
             continue
         # phase 2: scalarise the template with the witness
-        scal = UEAElement(
-            alg,
-            {m: at_witness(p) for m, p in cert.template._terms.items()},
-        )
-        scal = _reduce_element(scal, reductions)
+        scalar_terms = {}
+        for m, p in cert.template._terms.items():
+            value = at_witness(p)
+            if not value.is_zero():
+                scalar_terms[m] = value
+        scal = _reduce_element(UEAElement._raw(alg, scalar_terms), reductions)
         degree_ok = scal.degree() <= 1
         # phase 3: compare with the target structure constants
         if scal == expected:

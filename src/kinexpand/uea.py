@@ -30,18 +30,8 @@ The second primitive is the adjoint action ``ad(m, g) = [m, x_g]``, with
     [m'*x_k, x_g] = sum_l c_l (m'*x_l) + [m', x_g]*x_k
 
 Its products are all the first primitive, so the top-degree term, which
-cancels in ``m*x_g - x_g*m``, is never formed.  The bracket of two monomials
-is ``ad`` when either is a generator, and otherwise the Leibniz rule on the
-last letter of the right one, ``m2 = m2'*x_j``::
-
-    [m1, m2'*x_j] = [m1, m2']*x_j + m2'*[m1, x_j]
-
-with ``[m1, m2']*x_j`` one pass of :func:`_times_letter` and ``m2'*t`` a
-fold.  :meth:`UEAElement.commutator` sums these monomial
-brackets over pairs of terms.
-
-When one operand is a single generator term, the commutator is instead one
-adjoint pass over the other element (:func:`_ad_sum`).  It groups the terms
+cancels in ``m*x_g - x_g*m``, is never formed.  ``[x, x_g]`` for an element
+``x`` is one adjoint pass over ``x`` (:func:`_ad_sum`).  It groups the terms
 of ``x`` by last generator, ``x = sum_k X_k*x_k``::
 
     [X_k*x_k, x_g] = sum_l c_l (X_k*x_l) + [X_k, x_g]*x_k
@@ -53,9 +43,19 @@ proper prefixes of the monomials of ``x`` enter the ``ad`` memo, and in the
 top levels only those alone in their group: a monomial of a large element
 is met once, while deeper prefixes repeat across groups.
 
+Every commutator ``[x, y]`` is one recursion over ``y`` (:func:`_commute`),
+grouped by last generator, ``y = sum_j Y_j*x_j``::
+
+    [x, Y_j*x_j] = Y_j*[x, x_j] + [x, Y_j]*x_j
+
+with one adjoint pass over ``x`` per ``j``, ``Y_j`` folded through the
+monomials of ``[x, x_j]``, and ``[x, Y_j]`` the same recursion times ``x_j``
+in one pass.  A generator term on the left is swapped to the right, so a
+generator term on either side is one adjoint pass over the other element.
+
 Per algebra the kernel memoises the product primitive and ``ad`` per
-generator, keyed by monomial, and the brackets of monomial pairs that are
-not generators; no word and no product of two monomials is stored.
+generator, keyed by monomial; no word, no product of two monomials and no
+bracket of two monomials is stored.
 
 **Packed keys.**  Inside the kernel a term ``c * params^e * x^m`` is one
 entry ``key: c`` of a flat dict, where ``key`` is a single ``int`` that
@@ -189,8 +189,7 @@ class _Tables:
 
     __slots__ = (
         "dim", "ctx", "bits", "mask", "mono_struct", "unit", "gen_of", "after",
-        "max_exp", "brackets", "products", "ads", "commutators", "entries",
-        "generating",
+        "max_exp", "brackets", "products", "ads", "entries", "generating",
     )
 
     def __init__(self, alg: LieAlgebra):
@@ -227,8 +226,7 @@ class _Tables:
         )
         self.products = [{} for _ in range(dim)]  # [g][m] -> normal form of m*x_g
         self.ads = [{} for _ in range(dim)]  # [g][m] -> normal form of [m, x_g]
-        self.commutators: dict = {}  # m1 << bits | m2 -> [m1, m2], neither a generator
-        self.entries = 0  # stored in the three tables, against MAX_KERNEL_ENTRIES
+        self.entries = 0  # stored in the two tables, against MAX_KERNEL_ENTRIES
         self.generating = lie_generating_set(alg)
 
     def pack_exps(self, exps: tuple) -> int:
@@ -308,7 +306,7 @@ class _Tables:
     def store(self, table: dict, key: int, value: dict) -> None:
         if self.entries >= MAX_KERNEL_ENTRIES:
             # a cache: empty it, so the next call starts afresh
-            for memo in (*self.products, *self.ads, self.commutators):
+            for memo in (*self.products, *self.ads):
                 memo.clear()
             self.entries = 0
             raise KernelBoundError(
@@ -332,11 +330,10 @@ def kernel_stats(alg: LieAlgebra) -> dict:
     """Entry counts of the algebra's kernel tables (a fresh dict)."""
     tables = _TABLES.get(alg)
     if tables is None:
-        return {"products": 0, "ads": 0, "commutators": 0}
+        return {"products": 0, "ads": 0}
     return {
         "products": sum(map(len, tables.products)),
         "ads": sum(map(len, tables.ads)),
-        "commutators": len(tables.commutators),
     }
 
 
@@ -563,41 +560,40 @@ def _ad_sum(
                 _times_letter(tables, ad, k, out, key - m, scale * c)
 
 
-def _bracket(tables: _Tables, m1: int, m2: int) -> dict:
-    """Normal form of [m1, m2] as a flat dict, for packed monomials.  Do not
-    mutate.
-
-    A generator on either side is an :func:`_ad` call; otherwise the
-    Leibniz rule on m2's last letter, ``m2 = m2'*x_j``::
-
-        [m1, m2'*x_j] = [m1, m2']*x_j + m2'*[m1, x_j]
-
-    memoised by (m1, m2).
-    """
-    gen_of = tables.gen_of
-    g = gen_of.get(m2)
-    if g is not None:
-        return _ad(tables, m1, g)
-    if not m1 or not m2:
-        return {}
-    key = (m1 << tables.bits) | m2
-    out = tables.commutators.get(key)
-    if out is not None:
-        return out
-    g = gen_of.get(m1)
-    if g is not None:
-        out = {t: -c for t, c in _ad(tables, m2, g).items()}
-    else:
-        j = (m2.bit_length() - 1) // FIELD_BITS
-        lower = m2 - tables.unit[j]
-        out = {}
-        _times_letter(tables, _bracket(tables, m1, lower), j, out)
-        mask = tables.mask
-        for t, c in _ad(tables, m1, j).items():
-            m = t & mask
-            _add_into(out, _fold(tables, {lower: 1}, m), t - m, c)
-    tables.store(tables.commutators, key, out)
-    return out
+def _commute(tables: _Tables, x: dict, y: dict, out: dict, scale, by_letter) -> None:
+    """out += scale * [x, y] on flat dicts, by the recursion of the module
+    docstring.  ``by_letter`` keeps ``[x, x_j]`` per ``j`` for the whole
+    recursion; ``Y_j*[x, x_j]`` folds ``Y_j`` through each of its monomials,
+    or adds it in place when ``Y_j`` is a constant."""
+    mask, unit = tables.mask, tables.unit
+    groups: dict = {}
+    for key, c in y.items():
+        m = key & mask
+        if m:
+            k = (m.bit_length() - 1) // FIELD_BITS
+            group = groups.get(k)
+            if group is None:
+                group = groups[k] = {}
+            group[key - unit[k]] = c
+    for j, group in groups.items():
+        ad = by_letter.get(j)
+        if ad is None:
+            ad = by_letter[j] = {}
+            _ad_sum(tables, x, j, ad)
+        if not any(key & mask for key in group):
+            for e, c in group.items():
+                _add_into(out, ad, e, scale * c)
+            continue
+        by_mono: dict = {}
+        for key, c in ad.items():
+            by_mono.setdefault(key & mask, []).append((key - (key & mask), c))
+        for m, coeffs in by_mono.items():
+            folded = _fold(tables, group, m)
+            for e, c in coeffs:
+                _add_into(out, folded, e, scale * c)
+        inner: dict = {}
+        _commute(tables, x, group, inner, 1, by_letter)
+        _times_letter(tables, inner, j, out, 0, scale)
 
 
 def _flat(packed: tuple, coeffs: tuple = ((0, 1),)) -> dict:
@@ -638,7 +634,8 @@ class UEAElement:
 
     ``terms``, {monomial: nonzero Poly}, is a read-only view of a private
     dict that the package reads directly, so a shared element cannot be
-    changed through it.
+    changed through it.  The constructor checks that each monomial has
+    ``dim`` nonnegative ``int`` exponents and raises ``ValueError`` if not.
     """
 
     __slots__ = ("alg", "_terms", "_packed")
@@ -648,10 +645,14 @@ class UEAElement:
         self._packed = None
         clean: dict = {}
         for mono, coeff in dict(terms).items():
+            mono = tuple(mono)
+            if len(mono) != alg.dim or not all(type(e) is int and e >= 0 for e in mono):
+                raise ValueError(
+                    f"monomial {mono!r} is not {alg.dim} nonnegative int exponents"
+                )
             coeff = _coefficient(alg, coeff)
-            if coeff.is_zero():
-                continue
-            clean[tuple(mono)] = coeff
+            if not coeff.is_zero():
+                clean[mono] = coeff
         self._terms = clean
 
     @property
@@ -779,35 +780,24 @@ class UEAElement:
         return result
 
     def commutator(self, other: "UEAElement") -> "UEAElement":
-        """[self, other] = sum c1*c2*[m1, m2] over pairs of terms.
-
-        Each monomial bracket comes from the kernel (:func:`_bracket`), so
-        the top-degree terms of ``self*other`` and ``other*self``, which
-        cancel, are never formed; zero brackets are skipped.  When one
-        operand is a generator term ``a*x_g`` and the other, ``x``, has
-        several terms, the bracket is instead ``a*[x, x_g]`` from one
-        :func:`_ad_sum` over ``x``, negated when the generator is on the
-        left.
+        """[self, other] from one grouped recursion (:func:`_commute`) over
+        the terms of ``other``, with one :func:`_ad_sum` over ``self`` per
+        last generator, so the top-degree terms of ``self*other`` and
+        ``other*self``, which cancel, are never formed.  A generator term
+        ``a*x_g`` on the left is swapped to the right, ``[a*x_g, y] =
+        -[y, a*x_g]``, so that a generator term on either side is one
+        :func:`_ad_sum` over the other element.
         """
         self._check(other)
         tables = _tables(self.alg)
-        left, d1, p1 = tables.packed(self)
-        right, d2, p2 = tables.packed(other)
+        x, d1, p1 = tables.packed(self)
+        y, d2, p2 = tables.packed(other)
         tables.check_bound(d1 + d2, p1 + p2)
+        sign = 1
+        if _single_generator(tables, x) is not None:
+            x, y, sign = y, x, -1
         flat: dict = {}
-        for x, gen, sign in ((left, right, 1), (right, left, -1)):
-            g = _single_generator(tables, gen)
-            if g is not None and len(x) > 1:
-                _ad_sum(tables, _flat(x, gen[0][1]), g, flat, sign)
-                return UEAElement._raw(self.alg, _group(tables, flat))
-        for m1, coeffs1 in left:
-            for m2, coeffs2 in right:
-                br = _bracket(tables, m1, m2)
-                if not br:
-                    continue
-                for e1, a in coeffs1:
-                    for e2, b in coeffs2:
-                        _add_into(flat, br, e1 + e2, a * b)
+        _commute(tables, _flat(x), _flat(y), flat, sign, {})
         return UEAElement._raw(self.alg, _group(tables, flat))
 
     # -- display ----------------------------------------------------------
@@ -823,13 +813,14 @@ def normal_form(alg: LieAlgebra, words: Iterable[tuple]) -> UEAElement:
     """Normal form of a linear combination of words.
 
     ``words`` yields (letters, coeff) pairs where letters is a sequence of
-    generator indices or names and coeff is a Poly / rational.
+    generator names or indices in ``range(dim)`` (not ``bool``) and coeff is
+    a Poly / rational; any other letter raises ``ValueError``.
     """
     tables = _tables(alg)
     flat: dict = {}
     seen: dict = {}
     for letters, coeff in words:
-        letters = [g if isinstance(g, int) else alg.gen_index[g] for g in letters]
+        letters = [_letter(alg, g) for g in letters]
         coeffs, spread = tables.pack_coeff(_coefficient(alg, coeff), seen)
         tables.check_bound(len(letters), spread)
         nf = {0: 1}
@@ -840,6 +831,15 @@ def normal_form(alg: LieAlgebra, words: Iterable[tuple]) -> UEAElement:
         for e, c in coeffs:
             _add_into(flat, nf, e, c)
     return UEAElement._raw(alg, _group(tables, flat))
+
+
+def _letter(alg: LieAlgebra, g) -> int:
+    """The generator index of a word letter: a name or an in-range index."""
+    if isinstance(g, int) and not isinstance(g, bool) and 0 <= g < alg.dim:
+        return g
+    if isinstance(g, str) and g in alg.gen_index:
+        return alg.gen_index[g]
+    raise ValueError(f"word letter {g!r} is not a generator of {alg.name}")
 
 
 def lie_generating_set(alg: LieAlgebra) -> Tuple[str, ...]:

@@ -60,6 +60,10 @@ RUNS = (
     ("identity-pass", ["identity", "galilei", "[J1,J2]", "J3"]),
     ("identity-fail", ["identity", "galilei", "[J1,J2]", "J2"]),
     ("identity-poincare-C1", ["identity", "poincare", "[<C1>,K1]", "0"]),
+    (
+        "identity-poincare-C2C1-JWKP",
+        ["identity", "poincare", "[<C2>*<C1>, <JW>*<KP>]", "0"],
+    ),
     ("normal-form-C2-squared", ["normal-form", "poincare", "<C2>^2"]),
     ("normal-form-degree-bound", ["normal-form", "galilei", "(((H^16)^16)^16)^16"]),
     ("alg-unknown-generator", ["check-jacobi", "alg/unknown_generator.alg"]),

@@ -506,6 +506,11 @@ class TestWarmRound:
 
         monkeypatch.setattr(UEAElement, "commutator", boom)
         monkeypatch.setattr(UEAElement, "__mul__", boom)
+
+        def validating(*args, **kwargs):
+            raise AssertionError("witness round checked monomials it already held")
+
+        monkeypatch.setattr(UEAElement, "__init__", validating)
         formatted = []
 
         def counting(el):

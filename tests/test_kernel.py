@@ -10,12 +10,13 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import oracle_kernel
-from kinexpand import uea
+from kinexpand import expansion, uea
 from kinexpand.algfile import parse_algebra_file, parse_algebra_text
 from kinexpand.cli import main
 from kinexpand.coeffring import Poly
@@ -45,7 +46,7 @@ PRODUCT_DIFFERENCE_KERNEL_ENTRIES = 12226
 # still memoised every requested word.
 WORD_MEMO_KERNEL_ENTRIES = 9867
 
-KERNEL_TABLES = ("products", "ads", "commutators")
+KERNEL_TABLES = ("products", "ads")
 
 ALGEBRAS = [*catalog_names(), "poincare.alg"]
 
@@ -419,8 +420,18 @@ class TestCentralityCertificate:
 
 
 class TestCommutatorKernel:
-    """[a, b] from memoised monomial brackets equals a*b - b*a, computed both
-    by the product path and by the word-rewriting oracle."""
+    """[a, b] from the grouped recursion over ``b`` (``uea._commute``) equals
+    a*b - b*a, computed both by the product path and by the word-rewriting
+    oracle, and -[b, a]: on random pairs, on deep multi-term pairs (the 45
+    worldline pairs, ``<C2>*<C1>`` with ``<JW>*<KP>``, random degree-4
+    operands), and ``ad`` alone."""
+
+    def assert_commutator(self, a, b):
+        actual = a.commutator(b)
+        assert actual == oracle_commutator(a, b), (str(a), str(b))
+        assert actual == a * b - b * a, (str(a), str(b))
+        assert b.commutator(a) == -actual, (str(a), str(b))
+        assert_canonical(actual)
 
     @pytest.mark.parametrize("name", [*catalog_names(), *FILE_ALGEBRAS, "sl2_aff1"])
     def test_random_elements(self, seed, name):
@@ -448,6 +459,38 @@ class TestCommutatorKernel:
                 assert grouped == (m * x - x * m).terms, (str(m), g.name)
                 # the top-degree term of m*x_g is never formed
                 assert all(sum(t) <= sum(mono) for t in grouped), (str(m), g.name)
+
+    def test_worldline_pairs(self):
+        elements = expansion._certificate("worldline").generators.elements
+        names = [g.name for g in catalog("poincare").generators]
+        assert len(list(combinations(names, 2))) == 45
+        for na, nb in combinations(names, 2):
+            self.assert_commutator(elements[na], elements[nb])
+
+    def test_casimir_product_with_rotation_scalars(self):
+        alg = catalog("poincare")
+        a = parse_expression("<C2>*<C1>", alg)
+        b = parse_expression("<JW>*<KP>", alg)
+        assert (len(a.terms), a.degree(), len(b.terms), b.degree()) == (102, 6, 43, 5)
+        self.assert_commutator(a, b)
+        assert a.commutator(b).is_zero()
+
+    @pytest.mark.parametrize("name", ALL_ALGEBRAS)
+    def test_random_degree_four_operands(self, seed, name):
+        alg = load(name)
+        rng = random.Random(f"{seed}-degree-four-{name}")
+        for _ in range(4):
+            a, b = (
+                oracle_normal_form(
+                    alg,
+                    [((), multi_term_coefficient(rng, alg.ctx))]
+                    + multi_term_words(rng, alg, max_terms=6, max_length=4)
+                    + [(tuple(rng.randrange(alg.dim) for _ in range(4)), 1)],
+                )
+                for _ in range(2)
+            )
+            assert a.degree() == b.degree() == 4
+            self.assert_commutator(a, b)
 
 
 class TestLeftGeneratorProduct:
@@ -727,8 +770,7 @@ class TestFlatKernel:
                 assert got == expected and len(triples) == len(expected), (k, g)
         checked = 0
         for name in KERNEL_TABLES:
-            table = getattr(tables, name)
-            for values in table if type(table) is list else [table]:
+            for values in getattr(tables, name):
                 for value in values.values():
                     assert_flat(tables, value)
                     checked += 1
@@ -756,6 +798,10 @@ class TestFlatKernel:
         b = oracle_normal_form(alg, multi_term_words(rng, alg))
         words = multi_term_words(rng, alg, max_terms=4)
         h = UEAElement.generator(alg, "H").smul(multi_term_coefficient(rng, alg.ctx))
+        c2_c1 = parse_expression("<C2>*<C1>", alg)
+        jw_kp = parse_expression("<JW>*<KP>", alg).smul(
+            multi_term_coefficient(rng, alg.ctx)
+        )
         created = []
         raw, init = Poly._raw, Poly.__init__
 
@@ -778,8 +824,6 @@ class TestFlatKernel:
                 assert_flat(tables, out)
                 assert_flat(tables, uea._ad(tables, m1, g))
             assert_flat(tables, uea._fold(tables, {m1: 1}, m1))
-            for m2 in monomials[::3]:
-                assert_flat(tables, uea._bracket(tables, m1, m2))
         assert not created
         # one Poly per term of each result, and nothing else
         for compute in (
@@ -788,6 +832,7 @@ class TestFlatKernel:
             lambda: normal_form(alg, words),
             lambda: a.commutator(h),
             lambda: h * b,
+            lambda: c2_c1.commutator(jw_kp),
         ):
             created.clear()
             result = compute()
@@ -942,7 +987,7 @@ class TestKernelBounds:
     def test_c2_squared_entry_counts(self):
         alg = parse_algebra_file(DATA_DIR / "poincare.alg")
         assert is_central(alg, parse_expression("<C2>^2", alg)) == (True, None)
-        assert kernel_stats(alg) == {"products": 3960, "ads": 724, "commutators": 0}
+        assert kernel_stats(alg) == {"products": 3960, "ads": 724}
 
     def test_c2_cubed_is_under_the_cap(self):
         # the --slow benchmark row, in a process of its own
@@ -956,7 +1001,30 @@ class TestKernelBounds:
         proc = run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (
-            "(True, None) {'products': 62576, 'ads': 9196, 'commutators': 0}\n"
+            "(True, None) {'products': 62576, 'ads': 9196}\n"
+        )
+
+    def test_galilei_tables_after_certificate_and_report(self):
+        # fresh process: the catalog algebras and their tables are shared
+        # by the whole process; a memo of monomial-pair brackets, or an ad
+        # entry per monomial, would show here
+        script = (
+            "import contextlib, io\n"
+            "from kinexpand import expansion\n"
+            "from kinexpand.cli import main\n"
+            "from kinexpand.liealg import catalog\n"
+            "from kinexpand.uea import kernel_stats\n"
+            "galilei = catalog('galilei')\n"
+            "expansion._certificate('worldline')\n"
+            "print(kernel_stats(galilei))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['--format', 'json', '--seed', '1', 'report'])\n"
+            "print(kernel_stats(galilei))\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "{'products': 636, 'ads': 164}\n{'products': 990, 'ads': 194}\n"
         )
 
     def test_c2_to_the_fourth_exits_2_within_seconds(self):

@@ -1,5 +1,6 @@
 """Enveloping algebra: normal ordering, named elements, identity corpus."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -96,6 +97,43 @@ class TestAlgebraIdentity:
             gen(alg, "H").smul(foreign)
         with pytest.raises(ContextMismatchError):
             normal_form(alg, [(("H", "P1"), foreign)])
+
+
+class TestMalformedInput:
+    """A word letter that is not a generator name or an in-range ``int``, and
+    a monomial that is not ``dim`` nonnegative ``int`` exponents, raise
+    ``ValueError`` naming them instead of wrapping, reading ``True`` as an
+    index or failing deep in the kernel."""
+
+    @pytest.mark.parametrize("letter", [-1, 10, True, False, 1.0, None, "Q1", ("H",)])
+    def test_normal_form_refuses_a_bad_letter(self, letter):
+        alg = catalog("galilei")
+        assert alg.dim == 10
+        with pytest.raises(ValueError, match=re.escape(f"word letter {letter!r}")):
+            normal_form(alg, [((0, letter), 1)])
+
+    def test_normal_form_takes_names_and_indices(self):
+        alg = catalog("galilei")
+        p1 = alg.gen_index["P1"]
+        by_index = normal_form(alg, [((p1, 0), 1), ((9,), 2)])
+        assert by_index == normal_form(alg, [(("P1", "H"), 1), (("J3",), 2)])
+        assert by_index == gen(alg, "P1") * gen(alg, "H") + gen(alg, "J3").smul(2)
+
+    @pytest.mark.parametrize(
+        "mono",
+        [(1, 0, 0), (0,) * 11, (-1,) + (0,) * 9, (True,) + (0,) * 9, (1.0,) + (0,) * 9],
+    )
+    def test_constructor_refuses_a_malformed_monomial(self, mono):
+        alg = catalog("galilei")
+        with pytest.raises(ValueError, match=re.escape(f"monomial {mono!r}")):
+            UEAElement(alg, {mono: 1})
+
+    def test_constructor_takes_exponent_vectors(self):
+        alg = catalog("galilei")
+        h = (1,) + (0,) * 9
+        assert UEAElement(alg, {h: 1}) == gen(alg, "H")
+        assert UEAElement(alg, [(h, 1), ((0,) * 10, 0)]) == gen(alg, "H")
+        assert UEAElement(alg, {h: 1}) * gen(alg, "H") == gen(alg, "H") ** 2
 
 
 class TestExpressionBounds:
