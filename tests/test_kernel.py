@@ -798,8 +798,8 @@ class TestFlatKernel:
         b = oracle_normal_form(alg, multi_term_words(rng, alg))
         words = multi_term_words(rng, alg, max_terms=4)
         h = UEAElement.generator(alg, "H").smul(multi_term_coefficient(rng, alg.ctx))
-        c2_c1 = parse_expression("<C2>*<C1>", alg)
-        jw_kp = parse_expression("<JW>*<KP>", alg).smul(
+        jw_k2 = parse_expression("<JW>*<K2>", alg)
+        jp_kp_h = parse_expression("<JP>*<KP>*H", alg).smul(
             multi_term_coefficient(rng, alg.ctx)
         )
         created = []
@@ -832,7 +832,7 @@ class TestFlatKernel:
             lambda: normal_form(alg, words),
             lambda: a.commutator(h),
             lambda: h * b,
-            lambda: c2_c1.commutator(jw_kp),
+            lambda: jw_k2.commutator(jp_kp_h),
         ):
             created.clear()
             result = compute()
