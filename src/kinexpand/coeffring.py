@@ -434,6 +434,13 @@ def _tokenize(text: str, symbols: str, error: type) -> list:
     return tokens
 
 
+# Most ``expr`` levels one text may nest, counting the whole text as one: a
+# level takes four Python frames, and the rest of the interpreter's default
+# limit of 1000 frames is left to the normal-ordering kernel (see
+# ``kinexpand.uea.MAX_DEGREE``).
+MAX_NESTING = 64
+
+
 class _TokenStream:
     """Recursive-descent base shared by the polynomial and expression parsers.
 
@@ -443,7 +450,8 @@ class _TokenStream:
         term := ('+' | '-')* factor ('*' factor)*
 
     Subclasses supply ``factor`` and the token set; values only need ``+``,
-    ``-``, ``*`` and unary minus.
+    ``-``, ``*`` and unary minus.  An ``expr`` nested more than
+    :data:`MAX_NESTING` levels deep is an error.
     """
 
     symbols = ""
@@ -452,6 +460,7 @@ class _TokenStream:
     def __init__(self, text: str):
         self.tokens = _tokenize(text, self.symbols, self.error)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -476,11 +485,17 @@ class _TokenStream:
         return value
 
     def expr(self):
+        if self.depth == MAX_NESTING:
+            raise self.error(
+                f"nesting deeper than {MAX_NESTING} levels", self.peek()[2]
+            )
+        self.depth += 1
         value = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
             rhs = self.term()
             value = value + rhs if op == "+" else value - rhs
+        self.depth -= 1
         return value
 
     def term(self):

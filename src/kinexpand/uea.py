@@ -18,10 +18,9 @@ the recursion terminates, and by the PBW theorem the result is the
 canonical representative.  Multiplying a sum of terms by one generator is
 one pass of bump-or-lookup over the terms (:func:`_times_letter`), and every
 normal form is built from such passes: a word is the unit multiplied by its
-letters in turn, and a product folds its whole left factor through the
-letters of each right monomial (:func:`_fold`).  A left factor of one
-generator term times a right factor ``B`` of degree two or more is instead
-``x_g*B = B*x_g - [B, x_g]``: one such pass and one adjoint pass (below).
+letters in turn, and every product, of two elements or inside a commutator,
+is one routine (:func:`_mul_into`) that folds its whole left factor through
+the letters of each right monomial (:func:`_fold`).
 
 The second primitive is the adjoint action ``ad(m, g) = [m, x_g]``, with
 ``m = m'*x_k`` as above and ``[x_k, x_g]`` for either order of ``k`` and
@@ -48,10 +47,9 @@ grouped by last generator, ``y = sum_j Y_j*x_j``::
 
     [x, Y_j*x_j] = Y_j*[x, x_j] + [x, Y_j]*x_j
 
-with one adjoint pass over ``x`` per ``j``, ``Y_j`` folded through the
-monomials of ``[x, x_j]``, and ``[x, Y_j]`` the same recursion times ``x_j``
-in one pass.  A generator term on the left is swapped to the right, so a
-generator term on either side is one adjoint pass over the other element.
+with one adjoint pass over ``x`` per ``j``, ``Y_j*[x, x_j]`` the product
+routine below, and ``[x, Y_j]`` the same recursion times ``x_j`` in one
+pass.
 
 Per algebra the kernel memoises the product primitive and ``ad`` per
 generator, keyed by monomial; no word, no product of two monomials and no
@@ -100,9 +98,17 @@ the degree.  So every term has degree at most ``D = d1 + d2``, whence every
 monomial field is at most ``D``, and at most ``D`` steps lie on the way to
 it, whence every parameter field is at most ``p1 + p2 + D*s`` in absolute
 value.  A stored table entry for ``m*x_g`` or ``[m, x_g]`` obeys the same
-bound with the degree of ``m`` plus one.  The check asks ``D < 2^W`` and
-``p1 + p2 + D*s < 2^(W-1)``.  A word of length ``n`` in :func:`normal_form`
-is the case ``D = n``.
+bound with the degree of ``m`` plus one.  The check asks ``D <=``
+:data:`MAX_DEGREE` and ``p1 + p2 + D*s < 2^(W-1)``.  A word of length ``n``
+in :func:`normal_form` is the case ``D = n``.
+
+``MAX_DEGREE = 256`` lies far below the ``2^W - 1`` a field holds, because
+the memo misses recurse: :func:`_product`, :func:`_ad` and :func:`_commute`
+each go one degree lower per call, so a miss at degree ``D`` stacks about
+``D + 8`` Python frames.  Under the interpreter's default limit of 1000
+frames, that leaves room for the frames of the caller, among them four per
+nesting level of the expression parser, whose nesting is bounded too
+(:data:`kinexpand.coeffring.MAX_NESTING`).
 
 The tables belong to the kernel, held weakly per algebra, and
 :func:`kernel_stats` reports their sizes.  Together they hold at most
@@ -149,6 +155,11 @@ _SIGN = 1 << (FIELD_BITS - 1)
 # <C2>^4 on poincare stops at the cap with a peak RSS of 128 MiB.
 MAX_KERNEL_ENTRIES = 200_000
 
+# Largest degree sum of the operands of one product, commutator or word: the
+# kernel's recursions take about one Python frame per degree (module
+# docstring).
+MAX_DEGREE = 256
+
 # Levels of prefixes that :func:`_ad_sum` takes as grouped passes before it
 # reads the ad memo.  Centrality of <C2>^2 on poincare leaves 3136, 1564,
 # 724, 276 and 124 ad entries with 1, 2, 3, 4 and unbounded levels, and
@@ -188,7 +199,7 @@ class _Tables:
     """
 
     __slots__ = (
-        "dim", "ctx", "bits", "mask", "mono_struct", "unit", "gen_of", "after",
+        "dim", "ctx", "bits", "mask", "mono_struct", "unit", "after",
         "max_exp", "brackets", "products", "ads", "entries", "generating",
     )
 
@@ -200,9 +211,8 @@ class _Tables:
         # a packed monomial read back as bytes: one unsigned 16-bit field
         # (FIELD_BITS) per generator
         self.mono_struct = struct.Struct(f"<{dim}H")
-        # the packed monomial x_g of each generator, and back
+        # the packed monomial x_g of each generator
         self.unit = tuple(1 << (FIELD_BITS * g) for g in range(dim))
-        self.gen_of = {u: g for g, u in enumerate(self.unit)}
         # the least packed monomial with a generator after g: m has one
         # exactly when m >= after[g]
         self.after = tuple(1 << (FIELD_BITS * (g + 1)) for g in range(dim))
@@ -292,10 +302,10 @@ class _Tables:
         """Raise unless every field stays in range in a computation whose
         operands have degree sum ``degree`` and whose largest absolute
         coefficient exponents sum to ``spread`` (module docstring)."""
-        if degree > _FIELD:
+        if degree > MAX_DEGREE:
             raise KernelBoundError(
                 f"operands of total degree {degree} exceed the kernel's "
-                f"bound of {_FIELD}"
+                f"bound of {MAX_DEGREE}"
             )
         if spread + degree * self.max_exp >= _SIGN:
             raise KernelBoundError(
@@ -560,11 +570,22 @@ def _ad_sum(
                 _times_letter(tables, ad, k, out, key - m, scale * c)
 
 
-def _commute(tables: _Tables, x: dict, y: dict, out: dict, scale, by_letter) -> None:
-    """out += scale * [x, y] on flat dicts, by the recursion of the module
-    docstring.  ``by_letter`` keeps ``[x, x_j]`` per ``j`` for the whole
-    recursion; ``Y_j*[x, x_j]`` folds ``Y_j`` through each of its monomials,
-    or adds it in place when ``Y_j`` is a constant."""
+def _mul_into(tables: _Tables, x: dict, y, out: dict) -> None:
+    """out += x * y, for a flat dict ``x`` and ``y`` grouped by monomial as
+    the ``(packed monomial, ((packed exponents, rational), ...))`` pairs of a
+    packed operand: ``x`` is folded once through each monomial of ``y``
+    (:func:`_fold`)."""
+    for m, coeffs in y:
+        folded = _fold(tables, x, m)
+        for e, c in coeffs:
+            _add_into(out, folded, e, c)
+
+
+def _commute(tables: _Tables, x: dict, y: dict, out: dict, by_letter) -> None:
+    """out += [x, y] on flat dicts, by the recursion of the module
+    docstring.  ``by_letter`` keeps ``[x, x_j]`` per ``j``, grouped by
+    monomial, for the whole recursion; ``Y_j*[x, x_j]`` is one
+    :func:`_mul_into`."""
     mask, unit = tables.mask, tables.unit
     groups: dict = {}
     for key, c in y.items():
@@ -578,41 +599,21 @@ def _commute(tables: _Tables, x: dict, y: dict, out: dict, scale, by_letter) -> 
     for j, group in groups.items():
         ad = by_letter.get(j)
         if ad is None:
-            ad = by_letter[j] = {}
-            _ad_sum(tables, x, j, ad)
-        if not any(key & mask for key in group):
-            for e, c in group.items():
-                _add_into(out, ad, e, scale * c)
-            continue
-        by_mono: dict = {}
-        for key, c in ad.items():
-            by_mono.setdefault(key & mask, []).append((key - (key & mask), c))
-        for m, coeffs in by_mono.items():
-            folded = _fold(tables, group, m)
-            for e, c in coeffs:
-                _add_into(out, folded, e, scale * c)
+            flat: dict = {}
+            _ad_sum(tables, x, j, flat)
+            by_mono: dict = {}
+            for key, c in flat.items():
+                by_mono.setdefault(key & mask, []).append((key - (key & mask), c))
+            ad = by_letter[j] = by_mono.items()
+        _mul_into(tables, group, ad, out)
         inner: dict = {}
-        _commute(tables, x, group, inner, 1, by_letter)
-        _times_letter(tables, inner, j, out, 0, scale)
+        _commute(tables, x, group, inner, by_letter)
+        _times_letter(tables, inner, j, out)
 
 
-def _flat(packed: tuple, coeffs: tuple = ((0, 1),)) -> dict:
-    """A packed operand times the packed coefficient ``coeffs`` as one flat
-    dict ``{packed key: rational}``."""
-    if coeffs == ((0, 1),):
-        return {m + e: c for m, terms in packed for e, c in terms}
-    out: dict = {}
-    for m, terms in packed:
-        for e1, c in terms:
-            for e2, a in coeffs:
-                _add_term(out, m + e1 + e2, c * a)
-    return out
-
-
-def _single_generator(tables: _Tables, packed: tuple):
-    """The generator ``g`` of a packed operand of one term ``a*x_g``, else
-    None."""
-    return tables.gen_of.get(packed[0][0]) if len(packed) == 1 else None
+def _flat(packed: tuple) -> dict:
+    """A packed operand as one flat dict ``{packed key: rational}``."""
+    return {m + e: c for m, terms in packed for e, c in terms}
 
 
 def normal_form_word(alg: LieAlgebra, word: WordLetters) -> dict:
@@ -746,29 +747,15 @@ class UEAElement:
     # -- multiplicative operations ---------------------------------------
 
     def __mul__(self, other: "UEAElement") -> "UEAElement":
-        """Associative product: ``self`` folded through each right monomial.
-
-        A left factor of one generator term ``a*x_g`` times a right factor
-        ``B`` of degree two or more is instead ``a*(B*x_g - [B, x_g])``: one
-        :func:`_times_letter` pass and one :func:`_ad_sum`.
-        """
+        """Associative product: ``self`` folded through each right monomial
+        (:func:`_mul_into`)."""
         self._check(other)
         tables = _tables(self.alg)
-        terms, d1, p1 = tables.packed(self)
+        left, d1, p1 = tables.packed(self)
         right, d2, p2 = tables.packed(other)
         tables.check_bound(d1 + d2, p1 + p2)
         flat: dict = {}
-        g = _single_generator(tables, terms)
-        if g is not None and d2 > 1:
-            b = _flat(right, terms[0][1])
-            _times_letter(tables, b, g, flat)
-            _ad_sum(tables, b, g, flat, -1)
-            return UEAElement._raw(self.alg, _group(tables, flat))
-        left = _flat(terms)
-        for m2, coeffs in right:
-            folded = _fold(tables, left, m2)
-            for e2, b in coeffs:
-                _add_into(flat, folded, e2, b)
+        _mul_into(tables, _flat(left), right, flat)
         return UEAElement._raw(self.alg, _group(tables, flat))
 
     def __pow__(self, n: int) -> "UEAElement":
@@ -783,21 +770,15 @@ class UEAElement:
         """[self, other] from one grouped recursion (:func:`_commute`) over
         the terms of ``other``, with one :func:`_ad_sum` over ``self`` per
         last generator, so the top-degree terms of ``self*other`` and
-        ``other*self``, which cancel, are never formed.  A generator term
-        ``a*x_g`` on the left is swapped to the right, ``[a*x_g, y] =
-        -[y, a*x_g]``, so that a generator term on either side is one
-        :func:`_ad_sum` over the other element.
+        ``other*self``, which cancel, are never formed.
         """
         self._check(other)
         tables = _tables(self.alg)
         x, d1, p1 = tables.packed(self)
         y, d2, p2 = tables.packed(other)
         tables.check_bound(d1 + d2, p1 + p2)
-        sign = 1
-        if _single_generator(tables, x) is not None:
-            x, y, sign = y, x, -1
         flat: dict = {}
-        _commute(tables, _flat(x), _flat(y), flat, sign, {})
+        _commute(tables, _flat(x), _flat(y), flat, {})
         return UEAElement._raw(self.alg, _group(tables, flat))
 
     # -- display ----------------------------------------------------------

@@ -66,6 +66,17 @@ RUNS = (
     ),
     ("normal-form-C2-squared", ["normal-form", "poincare", "<C2>^2"]),
     ("normal-form-degree-bound", ["normal-form", "galilei", "(((H^16)^16)^16)^16"]),
+    ("normal-form-deep-left", ["normal-form", "galilei", "K1*((H^16)^16)^4"]),
+    ("normal-form-deep-right", ["normal-form", "galilei", "((K1^16)^16)^4*H"]),
+    ("normal-form-deep-commutator", ["normal-form", "galilei", "[K1, ((H^16)^16)^4]"]),
+    (
+        "normal-form-nested-parentheses",
+        ["normal-form", "galilei", "(" * 300 + "H" + ")" * 300],
+    ),
+    (
+        "normal-form-nested-commutators",
+        ["normal-form", "galilei", "[" * 300 + "H" + ", H]" * 300],
+    ),
     ("alg-unknown-generator", ["check-jacobi", "alg/unknown_generator.alg"]),
     ("alg-repeated-bracket", ["bracket", "alg/repeated_bracket.alg", "A", "B"]),
     ("alg-negative-power", ["check-jacobi", "alg/negative_power.alg"]),

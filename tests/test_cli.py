@@ -35,6 +35,9 @@ BAD_FILES = {
     # the named elements of the poincare family need J1, P1, K1, ...
     "wrong_family": "name toy\ngenerators A B C\nbracket A B = 1*C\n"
     "metadata family poincare\n",
+    # a coefficient nested past the parser's bound
+    "deep_coefficient": "name toy\ngenerators A B C\nbracket A B = "
+    + "(" * 400 + "1" + ")" * 400 + "*C\n",
     # contracting eps diverges: the structure constant has eps^-1
     "eps_inverse": "name toy\nparameters eps\nlaurent eps\n"
     "generators A B C\nbracket A B = eps^-1*C\n",
@@ -140,6 +143,7 @@ class TestExitContract:
             ["check-jacobi", "{duplicate_generator}"],
             ["check-jacobi", "{undeclared_laurent}"],
             ["check-jacobi", "{negative_power}"],
+            ["check-jacobi", "{deep_coefficient}"],
             ["expand", "negative-nh", "--witness", "kappa=5"],
             ["bracket", "{repeated_bracket}", "A", "B"],
             ["check-jacobi", "{repeated_name}"],

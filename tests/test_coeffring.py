@@ -9,6 +9,7 @@ import pytest
 import oracle_substitute
 from kinexpand.coeffring import (
     KINEMATIC_CONTEXT,
+    MAX_NESTING,
     ContextMismatchError,
     DivergenceError,
     ParamContext,
@@ -305,6 +306,14 @@ class TestGrammar:
         with pytest.raises(PolyParseError):
             parse_poly("a1^-1", CTX)
         assert parse_poly("eps^-1", CTX) * var("eps") == const(1)
+
+    def test_nesting_bound(self):
+        inner = "(" * (MAX_NESTING - 1) + "a1" + ")" * (MAX_NESTING - 1)
+        assert parse_poly(inner, CTX) == var("a1")
+        with pytest.raises(PolyParseError, match="nesting deeper than 64"):
+            parse_poly("(" + inner + ")", CTX)
+        with pytest.raises(PolyParseError, match="nesting deeper than 64"):
+            parse_poly("(" * 400 + "a1" + ")" * 400, CTX)
 
     @pytest.mark.parametrize(
         "text",

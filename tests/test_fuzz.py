@@ -27,7 +27,7 @@ TOKENS = (
     "<", ">", ",", ".", "0", "1", "2", "1/0", "-1", "3/2", "0.5", "1e9",
     "99999999999999999999", "name", "generators", "bracket", "params",
     "H", "P1", "K2", "J3", "Xi", "x", "eps", "omega", "kappa", "a1", "m",
-    "<C1>", "<W2>", "<Q>", "$", "é", "\x00",
+    "<C1>", "<W2>", "<Q>", "$", "é", "\x00", "((H^16)^16)^4", "(" * 300,
 )
 
 EXPRESSIONS = (

@@ -494,8 +494,8 @@ class TestCommutatorKernel:
 
 
 class TestLeftGeneratorProduct:
-    """A left factor of one generator term times a right factor ``B`` of
-    degree two or more is ``B*x_g - [B, x_g]``."""
+    """A left factor of one generator term, with a unit or a multi-term
+    coefficient, times a multi-term right factor."""
 
     @pytest.mark.parametrize("name", list(catalog_names()))
     def test_against_the_oracle(self, seed, name):
@@ -511,22 +511,6 @@ class TestLeftGeneratorProduct:
                     str(left), str(right),
                 )
                 assert_canonical(product)
-
-    def test_no_fold_through_a_long_monomial(self, monkeypatch):
-        alg = load("poincare.alg")
-        right = parse_expression("<C1>*<C2> + 2*K1*P2^2", alg)
-        x = UEAElement.generator(alg, "J3")
-        expected = oracle_kernel.product(x, right)
-        folded = []
-        fold = uea._fold
-
-        def recording_fold(tables, flat, mono):
-            folded.append(mono)
-            return fold(tables, flat, mono)
-
-        monkeypatch.setattr(uea, "_fold", recording_fold)
-        assert x * right == expected
-        assert all(mono in uea._tables(alg).gen_of for mono in folded), folded
 
 
 def prefixes(mono):
@@ -548,8 +532,8 @@ def oracle_commutator(x, y):
 
 class TestGroupedAdjointPass:
     """``[x, x_g]`` as one grouped pass over the terms of ``x``
-    (``uea._ad_sum``), the generator commutators and left-generator
-    products it serves, against the word-rewriting oracle."""
+    (``uea._ad_sum``), and commutators and products of a generator term with
+    a wide element on either side, against the word-rewriting oracle."""
 
     ALGEBRAS = [*catalog_names(), "poincare.alg"]
 
@@ -925,20 +909,21 @@ class TestKernelBounds:
     KernelBoundError, which the CLI reports as a one-line exit 2."""
 
     def test_overflowing_power_exits_2(self, capsys):
-        # H^65536 needs a monomial field of 17 bits; never another element
-        code = main(["normal-form", "galilei", "(((H^16)^16)^16)^16"])
+        # H^256 * H is one degree past the bound
+        assert uea.MAX_DEGREE == 256
+        code = main(["normal-form", "galilei", "(H^16)^16*H"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err == (
-            "kinexpand normal-form: operands of total degree 65536 exceed the "
-            "kernel's bound of 65535\n"
+            "kinexpand normal-form: operands of total degree 257 exceed the "
+            "kernel's bound of 256\n"
         )
 
     def test_largest_degree_sum_matches_the_oracle(self):
         alg = catalog("galilei")
         h = UEAElement.generator(alg, "H")
-        top = (1 << uea.FIELD_BITS) - 1
+        top = uea.MAX_DEGREE
         # H^(top-2)*K1 + H^(top-1), built without the kernel
         powers = [[0] * alg.dim, [0] * alg.dim]
         powers[0][alg.gen_index["H"]] = top - 2
@@ -957,6 +942,54 @@ class TestKernelBounds:
         with pytest.raises(uea.KernelBoundError):
             normal_form(alg, [((0,) * (top + 1), 1)])
         assert kernel_stats(alg) == stats
+
+    def test_commutator_at_the_degree_bound(self, capsys):
+        # fresh tables, so every kernel recursion runs to its full depth
+        alg = load("galilei.alg")
+        top = uea.MAX_DEGREE
+        k1, h = (UEAElement.generator(alg, name) for name in ("K1", "H"))
+        power = h ** (top - 1)
+        # [K1, H] = P1, which commutes with H
+        mono = [0] * alg.dim
+        mono[alg.gen_index["H"]] = top - 2
+        mono[alg.gen_index["P1"]] = 1
+        assert k1.commutator(power) == UEAElement(alg, {tuple(mono): top - 1})
+        with pytest.raises(uea.KernelBoundError):
+            k1.commutator(power * h)
+        assert main(["normal-form", "galilei", "[K1, (H^16)^16]"]) == 2
+        assert capsys.readouterr().err == (
+            "kinexpand normal-form: operands of total degree 257 exceed the "
+            "kernel's bound of 256\n"
+        )
+
+    def test_nested_brackets_around_a_deep_operand(self):
+        # 60 nested commutators, four parser frames each, above a kernel
+        # recursion of degree 251 on fresh tables
+        alg = load("galilei.alg")
+        text = "[" * 60 + "K1, (H^16)^15*H^10]" + ", K1]" * 59
+        # [K1, H^250] = 250*H^249*P1, and [H^n, K1] = -n*H^(n-1)*P1
+        coeff = 250
+        for n in range(249, 190, -1):
+            coeff *= -n
+        mono = [0] * alg.dim
+        mono[alg.gen_index["H"]] = 190
+        mono[alg.gen_index["P1"]] = 60
+        assert parse_expression(text, alg) == UEAElement(alg, {tuple(mono): coeff})
+
+    def test_deep_input_exits_2_from_the_command_line(self):
+        # in-process, the golden records normal-form-deep-* and
+        # normal-form-nested-* pin the same runs
+        for text in (
+            "K1*((H^16)^16)^4",
+            "((K1^16)^16)^4*H",
+            "[K1, ((H^16)^16)^4]",
+            "(" * 300 + "H" + ")" * 300,
+            "[" * 300 + "H" + ", H]" * 300,
+        ):
+            proc = run_python("-m", "kinexpand.cli", "normal-form", "galilei", text)
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stdout == ""
+            assert proc.stderr.count("\n") == 1, proc.stderr
 
     def test_largest_parameter_exponent_matches_the_oracle(self):
         alg = load("poincare.alg")
@@ -1024,7 +1057,7 @@ class TestKernelBounds:
         proc = run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (
-            "{'products': 636, 'ads': 164}\n{'products': 990, 'ads': 194}\n"
+            "{'products': 640, 'ads': 160}\n{'products': 1008, 'ads': 190}\n"
         )
 
     def test_c2_to_the_fourth_exits_2_within_seconds(self):

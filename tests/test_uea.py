@@ -7,7 +7,7 @@ import pytest
 
 from kinexpand.algfile import parse_algebra_file, parse_algebra_text
 from kinexpand.checks import casimir_centrality, identity_check, identity_corpus
-from kinexpand.coeffring import ContextMismatchError, ParamContext, Poly
+from kinexpand.coeffring import MAX_NESTING, ContextMismatchError, ParamContext, Poly
 from kinexpand.exprparse import MAX_EXPONENT, ExprParseError, parse_expression
 from kinexpand.liealg import catalog
 from kinexpand.properties import (
@@ -150,6 +150,18 @@ class TestExpressionBounds:
         with pytest.raises(ExprParseError, match="exponent"):
             parse_expression(f"H^{exponent}", catalog("galilei"))
 
+
+    @pytest.mark.parametrize(
+        "opening,closing", [("(", ")"), ("[", ", H]")], ids=["parens", "brackets"]
+    )
+    def test_nesting_bound(self, opening, closing):
+        g = catalog("galilei")
+        # the whole text is one level, so MAX_NESTING - 1 pairs parse
+        depth = MAX_NESTING - 1
+        el = parse_expression(opening * depth + "H" + closing * depth, g)
+        assert el == (gen(g, "H") if opening == "(" else UEAElement.zero(g))
+        with pytest.raises(ExprParseError, match="nesting deeper than 64 levels"):
+            parse_expression(opening * (depth + 1) + "H" + closing * (depth + 1), g)
 
 class TestNamedElements:
     def test_keys(self):
