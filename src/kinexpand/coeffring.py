@@ -435,8 +435,8 @@ def _tokenize(text: str, symbols: str, error: type) -> list:
 
 
 # Most ``expr`` levels one text may nest, counting the whole text as one: a
-# level takes four Python frames, and the rest of the interpreter's default
-# limit of 1000 frames is left to the normal-ordering kernel (see
+# level takes up to four Python frames, and the rest of the interpreter's
+# default limit of 1000 frames is left to the normal-ordering kernel (see
 # ``kinexpand.uea.MAX_DEGREE``).
 MAX_NESTING = 64
 

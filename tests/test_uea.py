@@ -150,7 +150,6 @@ class TestExpressionBounds:
         with pytest.raises(ExprParseError, match="exponent"):
             parse_expression(f"H^{exponent}", catalog("galilei"))
 
-
     @pytest.mark.parametrize(
         "opening,closing", [("(", ")"), ("[", ", H]")], ids=["parens", "brackets"]
     )
@@ -162,6 +161,7 @@ class TestExpressionBounds:
         assert el == (gen(g, "H") if opening == "(" else UEAElement.zero(g))
         with pytest.raises(ExprParseError, match="nesting deeper than 64 levels"):
             parse_expression(opening * (depth + 1) + "H" + closing * (depth + 1), g)
+
 
 class TestNamedElements:
     def test_keys(self):
