@@ -20,7 +20,14 @@ produces the canonical form and reproduces canonical files byte-identically.
 
 from __future__ import annotations
 
-from .coeffring import ParamContext, Poly, PolyParseError, format_poly, parse_poly
+from .coeffring import (
+    ParamContext,
+    Poly,
+    PolyParseError,
+    _quoted,
+    format_poly,
+    parse_poly,
+)
 from .liealg import LieAlgebra, jacobi_check
 
 
@@ -66,7 +73,7 @@ def _names(text: str, what: str, line: int) -> list:
     seen = set()
     for n in names:
         if n in seen:
-            raise AlgebraFileError(f"duplicate {what} name {n!r}", line)
+            raise AlgebraFileError(f"duplicate {what} name {_quoted(n)}", line)
         seen.add(n)
     return names
 
@@ -105,14 +112,14 @@ def parse_algebra_text(text: str, allow_non_lie: bool = False) -> LieAlgebra:
             mkey, _, mval = rest.partition(" ")
             metadata[mkey] = mval.strip()
         else:
-            raise AlgebraFileError(f"unknown directive {key!r}", lineno)
+            raise AlgebraFileError(f"unknown directive {_quoted(key)}", lineno)
     if name is None:
         raise AlgebraFileError("missing 'name'", 1)
     if generators is None:
         raise AlgebraFileError("missing 'generators'", 1)
     if laurent is not None and laurent not in params:
         raise AlgebraFileError(
-            f"laurent parameter {laurent!r} not declared in 'parameters'",
+            f"laurent parameter {_quoted(laurent)} not declared in 'parameters'",
             once["laurent"],
         )
     ctx = ParamContext(params, laurent=laurent)
@@ -129,7 +136,7 @@ def parse_algebra_text(text: str, allow_non_lie: bool = False) -> LieAlgebra:
             raise AlgebraFileError("bracket needs exactly two generators", lineno)
         for g in pair:
             if g not in gen_index:
-                raise AlgebraFileError(f"unknown generator {g!r}", lineno)
+                raise AlgebraFileError(f"unknown generator {_quoted(g)}", lineno)
         i, j = gen_index[pair[0]], gen_index[pair[1]]
         if i == j:
             raise AlgebraFileError("bracket of a generator with itself", lineno)
@@ -153,11 +160,13 @@ def parse_algebra_text(text: str, allow_non_lie: bool = False) -> LieAlgebra:
                 coeff_text, gen_name = "1", term
             gen_name = gen_name.strip()
             if gen_name not in gen_index:
-                raise AlgebraFileError(f"unknown generator {gen_name!r}", lineno)
+                raise AlgebraFileError(f"unknown generator {_quoted(gen_name)}", lineno)
             try:
                 coeff = parse_poly(coeff_text, ctx)
             except PolyParseError as exc:
-                raise AlgebraFileError(f"bad coefficient {coeff_text!r}: {exc}", lineno)
+                raise AlgebraFileError(
+                    f"bad coefficient {_quoted(coeff_text)}: {exc}", lineno
+                )
             k = gen_index[gen_name]
             s = comps.get(k, Poly(ctx)) + coeff.scale(sign)
             if s.is_zero():

@@ -389,6 +389,18 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 
+# An error message quotes at most this many characters of the input, so a
+# malformed token of any length still gives one short line.
+MAX_QUOTED = 60
+
+
+def _quoted(text: str) -> str:
+    """``repr`` of ``text``, cut to :data:`MAX_QUOTED` characters and ``...``."""
+    if len(text) <= MAX_QUOTED:
+        return repr(text)
+    return repr(text[:MAX_QUOTED]) + "..."
+
+
 class ParseError(ValueError):
     """Malformed text; ``position`` is the offset of the offending token."""
 
@@ -473,7 +485,7 @@ class _TokenStream:
     def expect(self, kind: str):
         tok = self.advance()
         if tok[0] != kind:
-            raise self.error(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            raise self.error(f"expected {kind!r}, found {_quoted(tok[1])}", tok[2])
         return tok
 
     def parse(self):
@@ -481,7 +493,7 @@ class _TokenStream:
         value = self.expr()
         tok = self.peek()
         if tok[0] != "end":
-            raise self.error(f"trailing input {tok[1]!r}", tok[2])
+            raise self.error(f"trailing input {_quoted(tok[1])}", tok[2])
         return value
 
     def expr(self):
@@ -544,7 +556,7 @@ class _PolyParser(_TokenStream):
             return Poly.const(self.ctx, self.rational(tok))
         if tok[0] == "ident":
             if tok[1] not in self.ctx.index:
-                raise PolyParseError(f"unknown parameter {tok[1]!r}", tok[2])
+                raise PolyParseError(f"unknown parameter {_quoted(tok[1])}", tok[2])
             power = 1
             if self.peek()[0] == "^":
                 self.advance()
@@ -565,7 +577,7 @@ class _PolyParser(_TokenStream):
             p = self.expr()
             self.expect(")")
             return p
-        raise PolyParseError(f"unexpected token {tok[1]!r}", tok[2])
+        raise PolyParseError(f"unexpected token {_quoted(tok[1])}", tok[2])
 
 
 def parse_poly(text: str, ctx: ParamContext) -> Poly:

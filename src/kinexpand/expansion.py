@@ -9,20 +9,24 @@ bracket table.
 
 Closure verification is split in two.  The witness-free *certificate*
 (:func:`closure_certificate`) holds, per target generator pair, the actual
-commutator of the expanded generators and, where the pair has a central
+commutator of the expanded generators; where the pair has a central
 template, the phase-1 residual: the template is written with scalar
 stand-ins c1, c2, xi for central factors (Casimirs, the central generator),
 and the stand-ins are expanded to their defining elements and compared
-exactly.  The *witness check* (:func:`verify_closure`) then takes a rational
-witness: it validates the witness against the closure constraint equations
-(a constraint the witness leaves open, with one free constant, becomes a
-power-substitution rule), builds the expected brackets from the target
-structure constants, accepts exactly equal pairs, and otherwise scalarises
-the template with the witness (phase 2) and compares it with the target
-(phase 3).  The certificate depends only on the seed, so each driver family
-builds it once per process and every witness reuses it; what it shares is
-read-only (NamedTuple records, mappings, element terms).  A witness check is
-rational arithmetic that compares before it subtracts, and renders no text.
+exactly; and where the pair's target row has only constant coefficients,
+whether the commutator equals the expected bracket, which is then the same
+at every witness.  The *witness check* (:func:`verify_closure`) then takes a
+rational witness: it validates the witness against the closure constraint
+equations (a constraint the witness leaves open, with one free constant,
+becomes a power-substitution rule), gives each pair the certificate decided
+its ``exact_zero``, builds the other pairs' expected brackets from the
+target structure constants, accepts exactly equal pairs, and otherwise
+scalarises the template with the witness (phase 2) and compares it with the
+target (phase 3).  The certificate depends only on the seed, so each driver
+family builds it once per process and every witness reuses it; what it
+shares is read-only (NamedTuple records, mappings, element terms).  A
+witness check is rational arithmetic that compares before it subtracts, and
+renders no text.
 """
 
 from __future__ import annotations
@@ -72,11 +76,6 @@ class CasimirDecomposition(NamedTuple):
     quadratic: UEAElement
     curvature: str
 
-    def recombine(self) -> UEAElement:
-        alg = self.base.alg
-        w = Poly.var(alg.ctx, self.curvature)
-        return self.base + self.linear.smul(w) + self.quadratic.smul(w * w)
-
 
 def decompose_casimir(target_casimir: UEAElement, curvature: str) -> CasimirDecomposition:
     """Split coefficients by curvature power (degree <= 2)."""
@@ -108,10 +107,6 @@ class Seed(NamedTuple):
 
     element: UEAElement
     alphas: tuple
-
-    @property
-    def degenerate(self) -> bool:
-        return self.element.is_zero()
 
 
 def build_seed(decomps: Sequence[CasimirDecomposition], alphas: Sequence[str]) -> Seed:
@@ -374,6 +369,12 @@ class PairCertificate(NamedTuple):
     pair with a template, ``phase1`` is ``actual - expand_central(template)``
     and ``phase1_text`` is ``"pass"`` when it is zero, else its text; for a
     pair without one, ``phase1`` is None and ``phase1_text`` is ``"n/a"``.
+
+    ``exact_for`` is the witness-free verdict.  When the pair's target row
+    has only constant coefficients, its expected bracket is the same at
+    every witness, so it is built once; if ``actual`` equals it,
+    ``exact_for`` is ``(row, actual)``: the pair is an ``exact_zero`` for
+    that row and that commutator at any witness.  Otherwise it is None.
     """
 
     pair: tuple
@@ -381,6 +382,7 @@ class PairCertificate(NamedTuple):
     template: UEAElement | None
     phase1: UEAElement | None
     phase1_text: str
+    exact_for: tuple | None
 
 
 class ClosureCertificate(NamedTuple):
@@ -395,34 +397,75 @@ class ClosureCertificate(NamedTuple):
     pairs: tuple
 
 
+def _expected_bracket(alg, elements, names, row, coefficient) -> UEAElement:
+    """The expected bracket of a target ``row`` ``{k: Poly}``, as one sum:
+    each expanded element ``elements[names[k]]`` times ``coefficient`` of
+    its structure constant."""
+    zero = alg.ctx.zero
+    grouped: dict = {}  # monomial -> {exponents: rational}
+    for k, coeff in row.items():
+        terms = elements[names[k]]._terms
+        for s_exps, s in coefficient(coeff)._terms.items():
+            for mono, poly in terms.items():
+                out = grouped.setdefault(mono, {})
+                for e, c in poly._terms.items():
+                    _add_term(out, _exps_sum(e, s_exps, zero), c * s)
+    return UEAElement._raw(
+        alg, {m: Poly._raw(alg.ctx, t) for m, t in grouped.items() if t}
+    )
+
+
 def closure_certificate(
     alg: LieAlgebra,
     gens: ExpandedGenerators,
     target: LieAlgebra,
     templates: Mapping[tuple, UEAElement] | None = None,
 ) -> ClosureCertificate:
-    """Compute every commutator and phase-1 identity that needs no witness.
+    """Compute every commutator, phase-1 identity and verdict that needs no
+    witness.
 
     For each pair of target generators, in target basis order, the actual
     commutator of the expanded generators is formed once; where the pair
     has a central template, the template with its stand-ins expanded is
-    subtracted from it exactly (phase 1).  ``templates`` maps ordered name
+    subtracted from it exactly (phase 1).  Where the pair's row in
+    ``target`` has only constant coefficients, the expected bracket does
+    not depend on the witness: it is built once here and compared with the
+    commutator, and an equal pair records the row it was decided against
+    (:attr:`PairCertificate.exact_for`).  ``templates`` maps ordered name
     pairs (target basis order) to elements of the initial algebra's UEA
     whose coefficients may involve the stand-ins c1, c2, xi.
     """
     templates = templates or {}
     central_map = _central_map(alg)
+    names = [g.name for g in target.generators]
     pairs = []
-    for na, nb in combinations([g.name for g in target.generators], 2):
+    for na, nb in combinations(names, 2):
         actual = gens.elements[na].commutator(gens.elements[nb])
+        row = target.bracket_pair(target.gen_index[na], target.gen_index[nb])
+        exact_for = None
+        if all(c.is_constant() for c in row.values()):
+            # a constant structure constant is its own value at any witness
+            expected = _expected_bracket(alg, gens.elements, names, row, lambda c: c)
+            if actual == expected:
+                exact_for = (row, actual)
         template = templates.get((na, nb))
         if template is None:
-            pairs.append(PairCertificate((na, nb), actual, None, None, "n/a"))
+            pairs.append(
+                PairCertificate((na, nb), actual, None, None, "n/a", exact_for)
+            )
             continue
         phase1 = actual - expand_central(template, central_map)
         text = "pass" if phase1.is_zero() else format_element(phase1)
-        pairs.append(PairCertificate((na, nb), actual, template, phase1, text))
+        pairs.append(
+            PairCertificate((na, nb), actual, template, phase1, text, exact_for)
+        )
     return ClosureCertificate(alg, gens, tuple(pairs))
+
+
+@functools.lru_cache(maxsize=16)
+def _constraint_texts(constraints: tuple) -> tuple:
+    """The texts of a family's constraints, formatted once per process."""
+    return tuple(format_poly(c) for c in constraints)
 
 
 def verify_closure(
@@ -435,20 +478,25 @@ def verify_closure(
 
     The witness is validated against the constraints first; an exactly
     satisfied constraint is consumed, an open one (single free constant)
-    becomes a power-reduction rule.  For every pair of the certificate the
-    expected bracket is then built, as one sum, from the expanded
-    elements times the target structure constants at the witness.  A pair
-    whose commutator equals it is an ``exact_zero``: the two are compared
-    first, and only an unequal pair is subtracted and reduced by the power
-    rules.  Otherwise its template is scalarised at the witness (phase 2)
-    and compared with the expected bracket (phase 3) the same way; the pair
-    is a ``template_match`` only if the certificate's phase-1 residual is
-    zero too, and a ``mismatch`` otherwise or when it has no template.  No
-    commutator, product or text is computed here: the commutators and
-    phase-1 identities are the certificate's work, done once for every
-    witness, and each :class:`PairVerdict` renders its texts when read.
-    The target's generator pairs must be the certificate's, in the same
-    order.
+    becomes a power-reduction rule.  A pair whose certificate holds a
+    witness-free verdict for the very row ``target`` gives it (the row
+    compares equal to the recorded one, and the commutator is the one it
+    was decided for) is an ``exact_zero`` at once: ``euclid4`` shares the
+    ``poincare`` rows, so it shares those verdicts, and a target whose row
+    differs takes the full path below.  For every other pair the expected
+    bracket is built, as one sum, from the expanded elements times the
+    target structure constants at the witness.  A pair whose commutator
+    equals it is an ``exact_zero``: the two are compared first, and only an
+    unequal pair is subtracted and reduced by the power rules.  Otherwise
+    its template is scalarised at the witness (phase 2) and compared with
+    the expected bracket (phase 3) the same way; the pair is a
+    ``template_match`` only if the certificate's phase-1 residual is zero
+    too, and a ``mismatch`` otherwise or when it has no template.  No
+    commutator, product or text is computed here: the commutators, phase-1
+    identities, witness-free verdicts and constraint texts are done once
+    for every witness, and each :class:`PairVerdict`, made fresh per call,
+    renders its texts when read.  The target's generator pairs must be the
+    certificate's, in the same order.
     """
     names = [g.name for g in target.generators]
     if tuple(combinations(names, 2)) != tuple(p.pair for p in certificate.pairs):
@@ -458,10 +506,9 @@ def verify_closure(
     alg = certificate.alg
     elements = certificate.generators.elements
     witness = dict(witness or {})
-    ctx = alg.ctx
     # the witness is validated once; each distinct coefficient is
     # substituted once per call
-    substitute = substitution(ctx, witness)
+    substitute = substitution(alg.ctx, witness)
     substituted: dict = {}
 
     def at_witness(p: Poly) -> Poly:
@@ -471,24 +518,19 @@ def verify_closure(
         return value
 
     reductions = _analyze_constraints(constraints, substitute)
-    zero = ctx.zero
     pairs = []
     mismatches = []
     for cert in certificate.pairs:
         na, nb = cert.pair
         row = target.bracket_pair(target.gen_index[na], target.gen_index[nb])
-        # one sum of the expanded elements times their witness coefficients
-        grouped: dict = {}  # monomial -> {exponents: rational}
-        for k, coeff in row.items():
-            terms = elements[names[k]]._terms
-            for s_exps, s in at_witness(coeff)._terms.items():
-                for mono, poly in terms.items():
-                    out = grouped.setdefault(mono, {})
-                    for e, c in poly._terms.items():
-                        _add_term(out, _exps_sum(e, s_exps, zero), c * s)
-        expected = UEAElement._raw(
-            alg, {m: Poly._raw(ctx, t) for m, t in grouped.items() if t}
-        )
+        # the stored verdict holds for the row and commutator it was decided
+        # for; a replaced commutator or another row takes the full path
+        if cert.exact_for is not None:
+            decided_row, decided_actual = cert.exact_for
+            if decided_actual is cert.actual and decided_row == row:
+                pairs.append(PairVerdict(cert.pair, "exact_zero", "n/a", cert.actual))
+                continue
+        expected = _expected_bracket(alg, elements, names, row, at_witness)
         if cert.actual == expected:
             # render the certificate's element: the verdict keeps no copy
             pairs.append(PairVerdict(cert.pair, "exact_zero", "n/a", cert.actual))
@@ -538,7 +580,7 @@ def verify_closure(
         initial=alg.name,
         target=target.name,
         fixed_set=tuple(sorted(certificate.generators.fixed_set)),
-        constraints=tuple(format_poly(c) for c in constraints),
+        constraints=_constraint_texts(tuple(constraints)),
         witness=witness,
         reductions=tuple(reductions),
         pairs=tuple(pairs),

@@ -15,7 +15,7 @@ parameter context.  ``<W1>``, ``<C2>`` etc. are the named composite elements;
 
 from __future__ import annotations
 
-from .coeffring import ParseError, Poly, _TokenStream
+from .coeffring import ParseError, Poly, _quoted, _TokenStream
 from .liealg import LieAlgebra
 from .uea import UEAElement, named_element
 
@@ -61,7 +61,7 @@ class _Parser(_TokenStream):
                 return UEAElement.generator(alg, tok[1])
             if tok[1] in alg.ctx.index:
                 return UEAElement.scalar(alg, Poly.var(alg.ctx, tok[1]))
-            raise ExprParseError(f"unknown symbol {tok[1]!r}", tok[2])
+            raise ExprParseError(f"unknown symbol {_quoted(tok[1])}", tok[2])
         if tok[0] == "<":
             key = self.expect("ident")[1]
             self.expect(">")
@@ -79,7 +79,7 @@ class _Parser(_TokenStream):
             el = self.expr()
             self.expect(")")
             return el
-        raise ExprParseError(f"unexpected token {tok[1]!r}", tok[2])
+        raise ExprParseError(f"unexpected token {_quoted(tok[1])}", tok[2])
 
 
 def parse_expression(text: str, alg: LieAlgebra) -> UEAElement:

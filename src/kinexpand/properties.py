@@ -60,23 +60,6 @@ def check_ring_axioms(rng: random.Random, ctx: ParamContext, samples: int) -> li
     return failures
 
 
-def check_substitution_homomorphism(rng: random.Random, ctx: ParamContext, samples: int) -> list:
-    failures = []
-    for n in range(samples):
-        a = random_poly(rng, ctx)
-        b = random_poly(rng, ctx)
-        names = [p for p in ctx.names if p != ctx.laurent]
-        assignment = {
-            rng.choice(names): random_rational(rng)
-            for _ in range(rng.randint(1, 3))
-        }
-        if (a * b).substitute(assignment) != a.substitute(assignment) * b.substitute(assignment):
-            failures.append(f"substitute(a*b) != substitute(a)*substitute(b) sample {n}")
-        if (a + b).substitute(assignment) != a.substitute(assignment) + b.substitute(assignment):
-            failures.append(f"substitute(a+b) mismatch sample {n}")
-    return failures
-
-
 def check_pbw_canonicity(rng: random.Random, alg: LieAlgebra, samples: int) -> list:
     """Idempotence and transposition invariance of normal ordering."""
     failures = []

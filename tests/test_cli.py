@@ -1,5 +1,7 @@
 """Command-line interface: exit-status contract and output formats."""
 
+import collections
+import functools
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from kinexpand import algfile, checks, cli, expansion, liealg
 from kinexpand.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,6 +41,12 @@ BAD_FILES = {
     # a coefficient nested past the parser's bound
     "deep_coefficient": "name toy\ngenerators A B C\nbracket A B = "
     + "(" * 400 + "1" + ")" * 400 + "*C\n",
+    # a coefficient of 400 nested parentheses around -1, and one unknown
+    # parameter 5000 characters long: the message quotes a bounded prefix
+    "deep_negative_coefficient": "name toy\ngenerators A B C\nbracket A B = "
+    + "(" * 400 + "-1" + ")" * 400 + "*C\n",
+    "long_parameter": "name toy\ngenerators A B C\nbracket A B = "
+    + "z" * 5000 + "*C\n",
     # contracting eps diverges: the structure constant has eps^-1
     "eps_inverse": "name toy\nparameters eps\nlaurent eps\n"
     "generators A B C\nbracket A B = eps^-1*C\n",
@@ -179,6 +188,29 @@ class TestExitContract:
         assert code == 2
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-jacobi", "{deep_negative_coefficient}"],
+            ["check-jacobi", "{long_parameter}"],
+            ["normal-form", "poincare", "q" * 5000],
+        ],
+        ids=["deep-coefficient", "long-parameter", "long-symbol"],
+    )
+    def test_long_malformed_input_gives_one_short_line(self, capsys, tmp_path, argv):
+        # the message quotes a bounded prefix of the offending input
+        paths = {name: tmp_path / f"{name}.alg" for name in BAD_FILES}
+        for name, path in paths.items():
+            path.write_text(BAD_FILES[name])
+        argv = [a.format(**paths) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert "'..." in line
+        # the file's path aside, the line stays short
+        assert len(line.replace(str(tmp_path), "")) < 250
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -362,6 +394,32 @@ class TestReport:
         doc["seed"] = doc["properties"]["seed"] = None
         canonical = json.dumps(doc, indent=2) + "\n"
         assert canonical == EXPECTED_REPORT.read_text(encoding="utf-8")
+
+    def test_each_algebra_is_checked_for_jacobi_once(self, capsys, monkeypatch):
+        # a fresh catalog and fresh certificates, so the report loads every
+        # algebra itself; loading runs the Jacobi check, and the structural
+        # suite reuses that result
+        monkeypatch.setattr(liealg, "_catalog_cache", {})
+        fresh = functools.cache(expansion._certificate.__wrapped__)
+        monkeypatch.setattr(expansion, "_certificate", fresh)
+        calls = collections.Counter()
+        jacobi_check = liealg.jacobi_check
+
+        def counting(alg):
+            calls[alg.name] += 1
+            return jacobi_check(alg)
+
+        for module in (liealg, algfile, checks, cli):
+            if hasattr(module, "jacobi_check"):
+                monkeypatch.setattr(module, "jacobi_check", counting)
+        code, out = run_cli(capsys, "--format", "json", "--seed", "1", "report")
+        assert code == 0
+        assert calls == {name: 1 for name in liealg.catalog_names()}
+        doc = json.loads(out)
+        doc["seed"] = doc["properties"]["seed"] = None
+        assert json.dumps(doc, indent=2) + "\n" == EXPECTED_REPORT.read_text(
+            encoding="utf-8"
+        )
 
     def test_full_report(self, capsys):
         code, out = run_cli(capsys, "--format", "json", "--seed", "12345", "report")

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import oracle_substitute
 from kinexpand import expansion, uea
+from kinexpand.algfile import parse_algebra_text
 from kinexpand.cli import main
 from kinexpand.coeffring import Poly
 from kinexpand.expansion import (
@@ -30,6 +32,8 @@ from kinexpand.expansion import (
 )
 from kinexpand.liealg import catalog
 from kinexpand.uea import UEAElement, _named_over, format_element, named_element
+
+DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "kinexpand" / "data"
 
 
 def gen(alg, name):
@@ -67,7 +71,8 @@ class TestCasimirDecomposition:
         g = catalog("galilei")
         for casimir in target_casimirs(g, "poincare"):
             d = decompose_casimir(casimir, "omega")
-            assert d.recombine() == casimir
+            w = Poly.var(g.ctx, "omega")
+            assert d.base + d.linear.smul(w) + d.quadratic.smul(w * w) == casimir
 
     def test_spacetime_split_parts(self):
         ge = catalog("galilei_ext")
@@ -94,7 +99,7 @@ class TestSeed:
             (H * named_element(g, "JW")).smul(2) + named_element(g, "JP") ** 2
         ).smul(a2)
         assert seed.element == expected
-        assert not seed.degenerate
+        assert not seed.element.is_zero()
 
     def test_degenerate_seed(self):
         g = catalog("galilei")
@@ -556,17 +561,86 @@ class TestWarmRound:
         assert len(applied) > len(made)
 
     def test_rendered_texts_equal_the_eager_path(self):
-        runs = self.witness_runs()
-        families = ["worldline", "worldline", "spacetime", "spacetime", "negative"]
-        for run, family in zip(runs, families):
+        # 25 seeded rounds give 50 worldline and 25 spacetime witnesses on
+        # the varieties; then the positive-kappa witness, the negative
+        # control and a witness off the variety, checked without constraints
+        rng = random.Random(11)
+        families = {"theorem1": "worldline", "euclid": "worldline"}
+        cases = []
+        for _ in range(25):
+            witnesses = _witnesses_on_the_varieties(rng)
+            for name, driver in WITNESS_DRIVERS.items():
+                run = driver(witnesses[name])
+                cases.append((run.report, families.get(name, "spacetime"), True))
+        positive = run_theorem2(THEOREM2_POSITIVE_WITNESS).report
+        cases.append((positive, "spacetime", True))
+        cases.append((run_negative_nh().report, "negative", True))
+        off = {**THEOREM1_WITNESS, "omega": Fraction(-5)}
+        worldline = expansion._certificate("worldline").certificate
+        off_report = verify_closure(worldline, catalog("poincare"), (), off)
+        cases.append((off_report, "worldline", False))
+        for report, family, constrained in cases:
             entry = expansion._certificate(family)
-            target = catalog(run.report.target)
-            want = _eager_pairs(
-                entry.certificate, target, entry.constraints, run.report.witness
-            )
-            assert run.report.to_dict()["pairs"] == want, run.name
-        verdicts = {p.verdict for run in runs for p in run.report.pairs}
+            constraints = entry.constraints if constrained else ()
+            target = catalog(report.target)
+            want = _eager_pairs(entry.certificate, target, constraints, report.witness)
+            doc = report.to_dict()
+            assert doc["pairs"] == want, (report.target, report.witness)
+            mismatches = [p["pair"] for p in want if p["verdict"] == "mismatch"]
+            assert doc["mismatches"] == mismatches
+            assert doc["passed"] == (not mismatches)
+        verdicts = {p.verdict for report, _, _ in cases for p in report.pairs}
         assert verdicts == {"exact_zero", "template_match", "mismatch"}
+        assert cases[-1][0].mismatches and cases[-2][0].mismatches
+
+    def test_a_changed_constant_row_takes_the_full_path(self):
+        # poincare's table with the sign of [P1, J2] = P3 flipped: the row
+        # differs from the one the certificate decided against, so the pair
+        # is checked at the witness, and mismatches
+        text = (DATA_DIR / "poincare.alg").read_text(encoding="utf-8")
+        flipped_text = text.replace("bracket P1 J2 = 1*P3", "bracket P1 J2 = (-1)*P3")
+        assert flipped_text != text
+        flipped = parse_algebra_text(flipped_text, allow_non_lie=True)
+        entry = expansion._certificate("worldline")
+        args = (entry.certificate, flipped, entry.constraints, THEOREM1_WITNESS)
+        report = verify_closure(*args)
+        assert [p.to_dict() for p in report.pairs] == _eager_pairs(*args)
+        assert report.mismatches == (("P1", "J2"),)
+        verdict = next(p for p in report.pairs if p.pair == ("P1", "J2"))
+        assert verdict.verdict == "mismatch" and verdict.residual
+
+    def test_witness_free_pairs_build_no_expected_bracket(self, monkeypatch):
+        for driver in DRIVERS.values():
+            driver()
+        certificates = [
+            expansion._certificate(family).certificate
+            for family in ("worldline", "spacetime")
+        ]
+        decided = [
+            [p for p in certificate.pairs if p.exact_for is not None]
+            for certificate in certificates
+        ]
+        # only the curvature pairs are left to the witness
+        assert [len(pairs) for pairs in decided] == [39, 42]
+        assert all(p.exact_for[1] is p.actual for pairs in decided for p in pairs)
+        decided_actuals = {id(p.actual) for pairs in decided for p in pairs}
+        actuals = {id(p.actual) for c in certificates for p in c.pairs}
+        compared = []
+        eq = UEAElement.__eq__
+
+        def counting(self, other):
+            compared.append((self, other))
+            return eq(self, other)
+
+        monkeypatch.setattr(UEAElement, "__eq__", counting)
+        witnesses = _witnesses_on_the_varieties(random.Random(3))
+        runs = [driver(witnesses[name]) for name, driver in WITNESS_DRIVERS.items()]
+        assert [run.ok for run in runs] == [True] * 3
+        assert not any(
+            id(a) in decided_actuals or id(b) in decided_actuals for a, b in compared
+        )
+        # each pair left to the witness compares its commutator once
+        assert sum(id(a) in actuals for a, _ in compared) == 6 + 6 + 3
 
     @pytest.mark.parametrize(
         "target,witness",
