@@ -43,7 +43,7 @@ from .checks import (
     identity_corpus,
     structural_suite,
 )
-from .coeffring import KINEMATIC_CONTEXT, DivergenceError, ParseError
+from .coeffring import KINEMATIC_CONTEXT, DivergenceError, ParseError, _quoted
 from .expansion import DRIVERS, ConstraintViolationError, override_witness
 from .exprparse import parse_expression
 from .liealg import (
@@ -101,18 +101,48 @@ def _load_algebra(ref: str, allow_non_lie: bool = False):
         raise InputError(f"{ref!r}: {exc}") from None
 
 
+# Most decimal digits a ``--witness`` value may carry, its exponent counted
+# in.  A closure report holds products of up to six witness values, and up
+# to about ten times a value's digits once a power rule divides by them;
+# all of it must print within the 4,300 digits ``str`` writes.
+MAX_WITNESS_DIGITS = 256
+
+
+def _witness_digits(text: str) -> int:
+    """The digits of ``text`` plus its decimal exponent: a bound on the
+    digits of the numerator and denominator ``Fraction(text)`` would form,
+    read without forming them."""
+    digits = sum(ch.isdigit() for ch in text)
+    _, e, exponent = text.upper().rpartition("E")
+    if e and digits <= MAX_WITNESS_DIGITS:
+        try:
+            digits += abs(int(exponent))
+        except ValueError:
+            pass  # not an exponent: Fraction refuses the text
+    return digits
+
+
 def _parse_witness(pairs):
     witness = {}
     for item in pairs or ():
         name, eq, value = item.partition("=")
         if not eq:
-            raise InputError(f"bad witness override {item!r}: expected name=rational")
+            raise InputError(
+                f"bad witness override {_quoted(item)}: expected name=rational"
+            )
         if name not in KINEMATIC_CONTEXT.index:
-            raise InputError(f"unknown witness parameter {name!r}")
+            raise InputError(f"unknown witness parameter {_quoted(name)}")
+        if _witness_digits(value) > MAX_WITNESS_DIGITS:
+            raise InputError(
+                f"witness value {_quoted(value)} for {name} has more than "
+                f"{MAX_WITNESS_DIGITS} digits"
+            )
         try:
             witness[name] = Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise InputError(f"bad rational {value!r} in witness override") from None
+            raise InputError(
+                f"bad rational {_quoted(value)} in witness override"
+            ) from None
     return witness
 
 

@@ -150,12 +150,15 @@ def _fold(value):
 
 
 def _accumulate(out: dict, exps: Exponents, c) -> None:
-    """out[exps] += c, deleting a sum that cancels (values not yet folded)."""
-    s = out.get(exps, 0) + c
-    if s:
-        out[exps] = s
-    else:
-        out.pop(exps, None)
+    """out[exps] += c, deleting a sum that cancels (values not yet folded).
+    A first value is stored as it is, not added to 0."""
+    s = out.get(exps)
+    if s is not None:
+        c = s + c
+    if c:
+        out[exps] = c
+    elif s is not None:
+        del out[exps]
 
 
 class Poly:
@@ -452,6 +455,21 @@ def _tokenize(text: str, symbols: str, error: type) -> list:
 # ``kinexpand.uea.MAX_DEGREE``).
 MAX_NESTING = 64
 
+# Most bits the numerator or the denominator of a rational that a parser
+# forms may have.  A value's text then has at most 1,234 digits, so three
+# such values multiplied still print within the 4,300 digits ``str`` writes.
+MAX_RATIONAL_BITS = 4096
+
+
+def _rational_too_large(c) -> bool:
+    """Whether ``c``'s numerator or denominator exceeds :data:`MAX_RATIONAL_BITS`."""
+    if type(c) is int:
+        return c.bit_length() > MAX_RATIONAL_BITS
+    return (
+        c.numerator.bit_length() > MAX_RATIONAL_BITS
+        or c.denominator.bit_length() > MAX_RATIONAL_BITS
+    )
+
 
 class _TokenStream:
     """Recursive-descent base shared by the polynomial and expression parsers.
@@ -461,9 +479,12 @@ class _TokenStream:
         expr := term (('+' | '-') term)*
         term := ('+' | '-')* factor ('*' factor)*
 
-    Subclasses supply ``factor`` and the token set; values only need ``+``,
-    ``-``, ``*`` and unary minus.  An ``expr`` nested more than
-    :data:`MAX_NESTING` levels deep is an error.
+    Subclasses supply ``factor``, ``rationals`` and the token set; values
+    only need ``+``, ``-``, ``*`` and unary minus.  An ``expr`` nested more
+    than :data:`MAX_NESTING` levels deep is an error, and so is a factor,
+    product or sum with a rational past :data:`MAX_RATIONAL_BITS`: each is
+    checked as it is formed, so no value grows past the bound by more than
+    one operation.
     """
 
     symbols = ""
@@ -504,9 +525,9 @@ class _TokenStream:
         self.depth += 1
         value = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
+            op, _, position = self.advance()
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            value = self.bounded(value + rhs if op == "+" else value - rhs, position)
         self.depth -= 1
         return value
 
@@ -515,11 +536,27 @@ class _TokenStream:
         while self.peek()[0] in ("+", "-"):
             if self.advance()[0] == "-":
                 sign = -sign
-        value = self.factor()
+        value = self.bounded_factor()
         while self.peek()[0] == "*":
-            self.advance()
-            value = value * self.factor()
+            position = self.advance()[2]
+            value = self.bounded(value * self.bounded_factor(), position)
         return value if sign == 1 else -value
+
+    def bounded_factor(self):
+        position = self.peek()[2]
+        return self.bounded(self.factor(), position)
+
+    def rationals(self, value):
+        """The rational coefficients of a parsed value."""
+        raise NotImplementedError
+
+    def bounded(self, value, position: int):
+        """``value``, unless one of its rationals is past :data:`MAX_RATIONAL_BITS`."""
+        if any(map(_rational_too_large, self.rationals(value))):
+            raise self.error(
+                f"rational exceeds the bound of {MAX_RATIONAL_BITS} bits", position
+            )
+        return value
 
     def integer(self, tok) -> int:
         """The value of an ``int`` token."""
@@ -549,6 +586,9 @@ class _PolyParser(_TokenStream):
     def __init__(self, text: str, ctx: ParamContext):
         super().__init__(text)
         self.ctx = ctx
+
+    def rationals(self, value: Poly):
+        return value._terms.values()
 
     def factor(self) -> Poly:
         tok = self.advance()
@@ -604,49 +644,62 @@ def substitution(ctx: ParamContext, assignment: Mapping[str, Union[ScalarLike, P
     assignment is validated once, here: an unknown name or a polynomial from
     another context raises :class:`ContextMismatchError`, a float
     ``TypeError``.  A rational value (or a constant polynomial) multiplies
-    each term's coefficient by its power; a negative power of the laurent
-    parameter is raised exactly as a ``Fraction``, and raises
-    ``ZeroDivisionError`` for 0.  A non-constant polynomial value multiplies
-    the term by its power, and raises ``ValueError`` in a negative power.
-    Unassigned parameters are kept.
+    each term's coefficient by its power.  The map evaluates in integers: a
+    term's numerator and denominator are products of the powers' numerators
+    and denominators, and the term makes one ``Fraction`` (or ``int``) at
+    the end.  Each power of a value is computed once per map, on first use;
+    a negative power of the laurent parameter swaps numerator and
+    denominator, and raises ``ZeroDivisionError`` for 0.  A non-constant
+    polynomial value multiplies the term by its power, and raises
+    ``ValueError`` in a negative power.  Unassigned parameters are kept.
     """
-    rationals = []  # (index, value)
+    rationals = []  # (index, value, {exponent: (numerator, denominator)})
     polys = []  # (index, non-constant Poly)
     for name, value in assignment.items():
         i = ctx.index.get(name)
         if i is None:
             raise ContextMismatchError(f"unknown parameter {name!r}")
         if not isinstance(value, Poly):
-            rationals.append((i, _exact(value)))
+            rationals.append((i, _exact(value), {}))
         elif value.ctx is not ctx:
             raise ContextMismatchError("assignment value from different context")
         elif value.is_constant():
-            rationals.append((i, value._terms.get(ctx.zero, 0)))
+            rationals.append((i, value._terms.get(ctx.zero, 0), {}))
         else:
             polys.append((i, value))
     zero = ctx.zero
+
+    def power(i, v, e):
+        """``v ** e`` as (numerator, denominator)."""
+        if e > 0:
+            return v.numerator**e, v.denominator**e
+        if v == 0:
+            raise ZeroDivisionError(
+                f"substituting 0 into a negative power of {ctx.names[i]!r}"
+            )
+        return v.denominator**-e, v.numerator**-e
 
     def apply(poly: Poly) -> Poly:
         if poly.ctx is not ctx:
             raise ContextMismatchError("polynomial from a different context")
         out: dict = {}
         for exps, coeff in poly._terms.items():
-            rest = None
-            for i, v in rationals:
+            rest = num = None
+            for i, v, powers in rationals:
                 e = exps[i]
                 if not e:
                     continue
-                if rest is None:
+                if num is None:
                     rest = list(exps)
+                    num, den = coeff.numerator, coeff.denominator
                 rest[i] = 0
-                if e > 0:
-                    coeff = coeff * v**e
-                elif v == 0:
-                    raise ZeroDivisionError(
-                        f"substituting 0 into a negative power of {ctx.names[i]!r}"
-                    )
-                else:
-                    coeff = coeff * Fraction(v) ** e
+                p = powers.get(e)
+                if p is None:
+                    p = powers[e] = power(i, v, e)
+                num *= p[0]
+                den *= p[1]
+            if num is not None:
+                coeff = num if den == 1 else Fraction(num, den)
             factors = []
             for i, value in polys:
                 e = exps[i]

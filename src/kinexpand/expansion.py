@@ -16,22 +16,27 @@ and the stand-ins are expanded to their defining elements and compared
 exactly; and where the pair's target row has only constant coefficients,
 whether the commutator equals the expected bracket, which is then the same
 at every witness.  The *witness check* (:func:`verify_closure`) then takes a
-rational witness: it validates the witness against the closure constraint
-equations (a constraint the witness leaves open, with one free constant,
-becomes a power-substitution rule), gives each pair the certificate decided
-its ``exact_zero``, builds the other pairs' expected brackets from the
-target structure constants, accepts exactly equal pairs, and otherwise
-scalarises the template with the witness (phase 2) and compares it with the
-target (phase 3).  The certificate depends only on the seed, so each driver
-family builds it once per process and every witness reuses it; what it
-shares is read-only (NamedTuple records, mappings, element terms).  A
-witness check is rational arithmetic that compares before it subtracts, and
-renders no text.
+rational witness.  Once per (certificate, target) pair it makes a plan: the
+pair-order check, each pair's target row, the pairs the certificate decided
+``exact_zero`` for that row, and the distinct coefficients left to the
+witness.  Per witness it validates the witness against the closure
+constraint equations (a constraint the witness leaves open, with one free
+constant, becomes a power-substitution rule), substitutes each distinct
+coefficient once, builds the other pairs' expected brackets from the target
+structure constants, accepts exactly equal pairs, and otherwise scalarises
+the template with the witness (phase 2) and compares it with the target
+(phase 3).  The certificate depends only on the seed, so each driver family
+builds it once per process and every witness reuses it; what it shares is
+read-only (NamedTuple records, mappings, element terms).  A witness check is
+rational arithmetic that compares and does not subtract: without power
+rules a residual is nonzero exactly when its operands differ, so a
+mismatch's residual is formed, like every text, only when it is read.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from fractions import Fraction
 from itertools import combinations
 from operator import attrgetter
@@ -255,7 +260,7 @@ def _rendered(slot: str, empty):
         try:
             return getattr(self, text_slot)
         except AttributeError:
-            element = getattr(self, slot)
+            element = self._element(slot)
             value = empty if element is None else format_element(element)
             setattr(self, text_slot, value)
             return value
@@ -271,9 +276,12 @@ class PairVerdict:
     ``target``, ``scalarized`` and ``residual`` are texts of the expected
     bracket, the scalarised template and the residual.  The verdict keeps
     the elements and renders each text on first read, into a slot of its
-    own, so a caller that only reads verdicts formats nothing.  It is
-    read-only: every field is a property over a private slot.  Two verdicts
-    are equal when their fields and elements are; the texts play no part.
+    own, so a caller that only reads verdicts formats nothing.  ``residual``
+    may also be given as a ``(minuend, subtrahend)`` pair of elements: the
+    difference is then formed on the first read of its text or of the
+    verdict's equality, and kept in its place.  It is read-only: every field
+    is a property over a private slot.  Two verdicts are equal when their
+    fields and elements are; the texts play no part.
     """
 
     __slots__ = (
@@ -297,11 +305,23 @@ class PairVerdict:
     scalarized = _rendered("_scalarized", "")
     residual = _rendered("_residual", None)
 
+    def _element(self, slot: str):
+        """The element in ``slot``, with a residual's difference formed."""
+        element = getattr(self, slot)
+        if type(element) is tuple:
+            minuend, subtrahend = element
+            element = minuend - subtrahend
+            setattr(self, slot, element)
+        return element
+
     def __eq__(self, other):
         if type(other) is not PairVerdict:
             return NotImplemented
-        fields = self.__slots__[:6]  # the texts follow them
-        return all(getattr(self, f) == getattr(other, f) for f in fields)
+        fields = self.__slots__[:3]
+        elements = self.__slots__[3:6]  # the texts follow them
+        return all(getattr(self, f) == getattr(other, f) for f in fields) and all(
+            self._element(f) == other._element(f) for f in elements
+        )
 
     __hash__ = None
 
@@ -397,15 +417,15 @@ class ClosureCertificate(NamedTuple):
     pairs: tuple
 
 
-def _expected_bracket(alg, elements, names, row, coefficient) -> UEAElement:
-    """The expected bracket of a target ``row`` ``{k: Poly}``, as one sum:
-    each expanded element ``elements[names[k]]`` times ``coefficient`` of
-    its structure constant."""
+def _expected_bracket(alg, products) -> UEAElement:
+    """The expected bracket of a target row, as one sum: ``products`` gives,
+    per structure constant, the expanded element and the constant's value
+    (a ``Poly``)."""
     zero = alg.ctx.zero
     grouped: dict = {}  # monomial -> {exponents: rational}
-    for k, coeff in row.items():
-        terms = elements[names[k]]._terms
-        for s_exps, s in coefficient(coeff)._terms.items():
+    for element, value in products:
+        terms = element._terms
+        for s_exps, s in value._terms.items():
             for mono, poly in terms.items():
                 out = grouped.setdefault(mono, {})
                 for e, c in poly._terms.items():
@@ -445,7 +465,8 @@ def closure_certificate(
         exact_for = None
         if all(c.is_constant() for c in row.values()):
             # a constant structure constant is its own value at any witness
-            expected = _expected_bracket(alg, gens.elements, names, row, lambda c: c)
+            products = [(gens.elements[names[k]], c) for k, c in row.items()]
+            expected = _expected_bracket(alg, products)
             if actual == expected:
                 exact_for = (row, actual)
         template = templates.get((na, nb))
@@ -468,6 +489,101 @@ def _constraint_texts(constraints: tuple) -> tuple:
     return tuple(format_poly(c) for c in constraints)
 
 
+class _Check(NamedTuple):
+    """A pair :func:`verify_closure` checks at each witness.
+
+    ``row`` holds, per structure constant of the pair's target row, the
+    expanded element and the index of the constant in
+    :attr:`_Plan.coefficients`; ``template`` holds the template's
+    monomials with the indices of their coefficients, or is None.
+    """
+
+    index: int
+    cert: PairCertificate
+    row: tuple
+    template: tuple | None
+
+
+class _Plan(NamedTuple):
+    """What :func:`verify_closure` knows of one (certificate, target) pair
+    before it sees a witness.
+
+    ``decided`` has one entry per pair, in target basis order: the
+    certificate's commutator for a pair decided ``exact_zero`` for this
+    target's row, None for a pair in ``checks``.  ``coefficients`` are the
+    distinct structure constants and template coefficients of the checked
+    pairs, substituted once per witness.  ``pairs`` and ``generators`` are
+    the certificate's, kept so that the key they give stays theirs.
+    """
+
+    pairs: tuple
+    generators: ExpandedGenerators
+    decided: tuple
+    checks: tuple
+    coefficients: tuple
+    fixed_set: tuple
+
+
+# Plans per target algebra, held weakly as ``uea._TABLES`` holds the kernel
+# tables, and per certificate by the identity of its pairs and generators:
+# a certificate made with ``_replace`` gets a plan of its own.  A target
+# keeps its most recent few plans.
+_PLANS: "weakref.WeakKeyDictionary[LieAlgebra, dict]" = weakref.WeakKeyDictionary()
+_PLANS_PER_TARGET = 8
+
+
+def _plan(certificate: ClosureCertificate, target: LieAlgebra) -> _Plan:
+    """The (certificate, target) plan, built on first use."""
+    plans = _PLANS.get(target)
+    if plans is None:
+        plans = _PLANS[target] = {}
+    key = (id(certificate.pairs), id(certificate.generators))
+    plan = plans.get(key)
+    if plan is not None:
+        return plan
+    names = [g.name for g in target.generators]
+    if tuple(combinations(names, 2)) != tuple(p.pair for p in certificate.pairs):
+        raise ValueError(
+            f"target {target.name} does not have the certificate's generator pairs"
+        )
+    elements = certificate.generators.elements
+    coefficients: dict = {}  # Poly -> index
+
+    def indexed(p: Poly) -> int:
+        return coefficients.setdefault(p, len(coefficients))
+
+    decided = []
+    checks = []
+    for index, cert in enumerate(certificate.pairs):
+        na, nb = cert.pair
+        row = target.bracket_pair(target.gen_index[na], target.gen_index[nb])
+        # the stored verdict holds for the row and commutator it was decided
+        # for; a replaced commutator or another row is checked per witness
+        if cert.exact_for is not None:
+            decided_row, decided_actual = cert.exact_for
+            if decided_actual is cert.actual and decided_row == row:
+                decided.append(cert.actual)
+                continue
+        decided.append(None)
+        template = None
+        if cert.template is not None:
+            template = tuple((m, indexed(p)) for m, p in cert.template._terms.items())
+        products = tuple((elements[names[k]], indexed(c)) for k, c in row.items())
+        checks.append(_Check(index, cert, products, template))
+    plan = _Plan(
+        certificate.pairs,
+        certificate.generators,
+        tuple(decided),
+        tuple(checks),
+        tuple(coefficients),
+        tuple(sorted(certificate.generators.fixed_set)),
+    )
+    if len(plans) == _PLANS_PER_TARGET:
+        del plans[next(iter(plans))]
+    plans[key] = plan
+    return plan
+
+
 def verify_closure(
     certificate: ClosureCertificate,
     target: LieAlgebra,
@@ -476,110 +592,100 @@ def verify_closure(
 ) -> ClosureReport:
     """Check a closure certificate against the target bracket table at a witness.
 
-    The witness is validated against the constraints first; an exactly
-    satisfied constraint is consumed, an open one (single free constant)
-    becomes a power-reduction rule.  A pair whose certificate holds a
+    Once per (certificate, target) pair, a plan is made and kept: it checks
+    that the target's generator pairs are the certificate's, in the same
+    order; it gives an ``exact_zero`` to each pair whose certificate holds a
     witness-free verdict for the very row ``target`` gives it (the row
     compares equal to the recorded one, and the commutator is the one it
-    was decided for) is an ``exact_zero`` at once: ``euclid4`` shares the
-    ``poincare`` rows, so it shares those verdicts, and a target whose row
-    differs takes the full path below.  For every other pair the expected
-    bracket is built, as one sum, from the expanded elements times the
-    target structure constants at the witness.  A pair whose commutator
-    equals it is an ``exact_zero``: the two are compared first, and only an
-    unequal pair is subtracted and reduced by the power rules.  Otherwise
-    its template is scalarised at the witness (phase 2) and compared with
-    the expected bracket (phase 3) the same way; the pair is a
+    was decided for: ``euclid4`` shares the ``poincare`` rows, so it shares
+    those verdicts, and a target whose row differs checks the pair per
+    witness); and it collects, for the other pairs, their rows and the
+    distinct coefficients of their rows and templates.  A certificate whose
+    ``pairs`` or ``generators`` were replaced gets a plan of its own.
+
+    Per witness, the witness is validated against the constraints: an
+    exactly satisfied constraint is consumed, an open one (single free
+    constant) becomes a power-reduction rule.  Each distinct coefficient is
+    substituted once.  Each checked pair's expected bracket is built, as one
+    sum, from the expanded elements times the target structure constants at
+    the witness.  A pair whose commutator equals it is an ``exact_zero``.
+    Otherwise its template is scalarised at the witness (phase 2) and
+    compared with the expected bracket (phase 3); the pair is a
     ``template_match`` only if the certificate's phase-1 residual is zero
-    too, and a ``mismatch`` otherwise or when it has no template.  No
-    commutator, product or text is computed here: the commutators, phase-1
-    identities, witness-free verdicts and constraint texts are done once
-    for every witness, and each :class:`PairVerdict`, made fresh per call,
-    renders its texts when read.  The target's generator pairs must be the
-    certificate's, in the same order.
+    too, and a ``mismatch`` otherwise or when it has no template.  Only
+    power rules make a difference worth forming to decide a verdict: with
+    none, ``actual - expected`` and ``scalarised - expected`` are nonzero
+    exactly when their operands differ, so a mismatch's residual is given
+    to its :class:`PairVerdict` as a pair, and formed when read.  With power
+    rules, each unequal pair's difference is formed and reduced.  No
+    commutator, product or text is computed here, and each verdict, made
+    fresh per call, renders its texts when read.
     """
-    names = [g.name for g in target.generators]
-    if tuple(combinations(names, 2)) != tuple(p.pair for p in certificate.pairs):
-        raise ValueError(
-            f"target {target.name} does not have the certificate's generator pairs"
-        )
+    plan = _plan(certificate, target)
     alg = certificate.alg
-    elements = certificate.generators.elements
     witness = dict(witness or {})
     # the witness is validated once; each distinct coefficient is
     # substituted once per call
     substitute = substitution(alg.ctx, witness)
-    substituted: dict = {}
-
-    def at_witness(p: Poly) -> Poly:
-        value = substituted.get(p)
-        if value is None:
-            value = substituted[p] = substitute(p)
-        return value
-
     reductions = _analyze_constraints(constraints, substitute)
-    pairs = []
+    values = [substitute(p) for p in plan.coefficients]
+    pairs = [
+        None if actual is None else PairVerdict(cert.pair, "exact_zero", "n/a", actual)
+        for cert, actual in zip(certificate.pairs, plan.decided)
+    ]
     mismatches = []
-    for cert in certificate.pairs:
-        na, nb = cert.pair
-        row = target.bracket_pair(target.gen_index[na], target.gen_index[nb])
-        # the stored verdict holds for the row and commutator it was decided
-        # for; a replaced commutator or another row takes the full path
-        if cert.exact_for is not None:
-            decided_row, decided_actual = cert.exact_for
-            if decided_actual is cert.actual and decided_row == row:
-                pairs.append(PairVerdict(cert.pair, "exact_zero", "n/a", cert.actual))
-                continue
-        expected = _expected_bracket(alg, elements, names, row, at_witness)
+    for index, cert, row, template in plan.checks:
+        expected = _expected_bracket(alg, [(el, values[i]) for el, i in row])
         if cert.actual == expected:
             # render the certificate's element: the verdict keeps no copy
-            pairs.append(PairVerdict(cert.pair, "exact_zero", "n/a", cert.actual))
+            pairs[index] = PairVerdict(cert.pair, "exact_zero", "n/a", cert.actual)
             continue
-        exact_res = _reduce_element(cert.actual - expected, reductions)
-        if exact_res.is_zero():
-            pairs.append(PairVerdict(cert.pair, "exact_zero", "n/a", expected))
-            continue
-        if cert.template is None:
-            pairs.append(
-                PairVerdict(cert.pair, "mismatch", "n/a", expected, residual=exact_res)
+        if reductions:
+            exact_res = _reduce_element(cert.actual - expected, reductions)
+            if exact_res.is_zero():
+                pairs[index] = PairVerdict(cert.pair, "exact_zero", "n/a", expected)
+                continue
+        else:
+            exact_res = (cert.actual, expected)  # nonzero, formed when read
+        if template is None:
+            pairs[index] = PairVerdict(
+                cert.pair, "mismatch", "n/a", expected, residual=exact_res
             )
             mismatches.append(cert.pair)
             continue
         # phase 2: scalarise the template with the witness
-        scalar_terms = {}
-        for m, p in cert.template._terms.items():
-            value = at_witness(p)
-            if not value.is_zero():
-                scalar_terms[m] = value
-        scal = _reduce_element(UEAElement._raw(alg, scalar_terms), reductions)
-        degree_ok = scal.degree() <= 1
+        scal = UEAElement._raw(
+            alg, {m: values[i] for m, i in template if values[i]._terms}
+        )
+        scal = _reduce_element(scal, reductions)
         # phase 3: compare with the target structure constants
         if scal == expected:
-            p3_res = UEAElement.zero(alg)
-        else:
+            p3_ok, p3_res = True, UEAElement.zero(alg)
+        elif reductions:
             p3_res = _reduce_element(scal - expected, reductions)
+            p3_ok = p3_res.is_zero()
+        else:
+            p3_ok, p3_res = False, (scal, expected)  # formed when read
         p1_ok = cert.phase1.is_zero()
-        if p1_ok and degree_ok and p3_res.is_zero():
-            pairs.append(
-                PairVerdict(cert.pair, "template_match", "pass", expected, scal)
+        if p1_ok and p3_ok and scal.degree() <= 1:
+            pairs[index] = PairVerdict(
+                cert.pair, "template_match", "pass", expected, scal
             )
         else:
-            pairs.append(
-                PairVerdict(
-                    cert.pair,
-                    "mismatch",
-                    cert.phase1_text,
-                    expected,
-                    scal,
-                    p3_res if p1_ok else cert.phase1,
-                )
+            pairs[index] = PairVerdict(
+                cert.pair,
+                "mismatch",
+                cert.phase1_text,
+                expected,
+                scal,
+                p3_res if p1_ok else cert.phase1,
             )
             mismatches.append(cert.pair)
 
     return ClosureReport(
         initial=alg.name,
         target=target.name,
-        fixed_set=tuple(sorted(certificate.generators.fixed_set)),
+        fixed_set=plan.fixed_set,
         constraints=_constraint_texts(tuple(constraints)),
         witness=witness,
         reductions=tuple(reductions),

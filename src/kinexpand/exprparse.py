@@ -9,7 +9,9 @@ Grammar::
              | '[' expr ',' expr ']' | '(' expr ')'
 
 Identifiers resolve first against the algebra's generators, then against its
-parameter context.  ``<W1>``, ``<C2>`` etc. are the named composite elements;
+parameter context.  Rationals are bounded as in the polynomial grammar
+(``coeffring.MAX_RATIONAL_BITS``), and each factor, product and sum is
+checked as it is formed.  ``<W1>``, ``<C2>`` etc. are the named composite elements;
 ``[a,b]`` is the commutator.  The result is always normal-ordered.
 """
 
@@ -37,6 +39,9 @@ class _Parser(_TokenStream):
     def __init__(self, text: str, alg: LieAlgebra):
         super().__init__(text)
         self.alg = alg
+
+    def rationals(self, value: UEAElement):
+        return (c for poly in value._terms.values() for c in poly._terms.values())
 
     def factor(self) -> UEAElement:
         el = self.primary()

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from kinexpand import algfile, checks, cli, expansion, liealg
-from kinexpand.cli import main
+from kinexpand.cli import MAX_WITNESS_DIGITS, main
+from kinexpand.coeffring import _quoted
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -47,6 +48,10 @@ BAD_FILES = {
     + "(" * 400 + "-1" + ")" * 400 + "*C\n",
     "long_parameter": "name toy\ngenerators A B C\nbracket A B = "
     + "z" * 5000 + "*C\n",
+    # a coefficient whose product of two 700-digit literals is past the
+    # parser's bound on rationals
+    "long_product": "name toy\ngenerators A B C\nbracket A B = "
+    + "9" * 700 + "*" + "9" * 700 + "*C\n",
     # contracting eps diverges: the structure constant has eps^-1
     "eps_inverse": "name toy\nparameters eps\nlaurent eps\n"
     "generators A B C\nbracket A B = eps^-1*C\n",
@@ -173,6 +178,13 @@ class TestExitContract:
             ["expand", "poincare", "--witness", "a1=0", "--witness", "a2=0",
              "--witness", "omega=0"],
             ["expand", "newton_hooke", "--witness", "a1=0", "--witness", "kappa=0"],
+            # witness values past MAX_WITNESS_DIGITS
+            ["expand", "poincare", "--witness", "omega=-1e5000"],
+            ["expand", "poincare", "--witness", "a1=1e5000"],
+            # rationals past MAX_RATIONAL_BITS in either grammar
+            ["normal-form", "galilei", "((((2^16)^16)^16)^16)*H"],
+            ["normal-form", "galilei", "9" * 4000 + "*" + "9" * 4000],
+            ["check-jacobi", "{long_product}"],
         ],
         ids=lambda argv: " ".join(
             a if len(a) <= 20 else f"{len(a)}x{a[0]}" for a in argv
@@ -190,13 +202,38 @@ class TestExitContract:
         assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize(
+        "value", ["-1e4200", "1e999999999", "-1e-999999999", "-" + "1" * 300]
+    )
+    def test_oversized_witness_value_is_refused_from_its_text(self, capsys, value):
+        # refused before Fraction would build a power of ten of any size
+        assert main(["expand", "poincare", "--witness", f"omega={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"kinexpand expand: witness value {_quoted(value)} for omega "
+            f"has more than {MAX_WITNESS_DIGITS} digits\n"
+        )
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["check-jacobi", "{deep_negative_coefficient}"],
             ["check-jacobi", "{long_parameter}"],
             ["normal-form", "poincare", "q" * 5000],
+            ["expand", "poincare", "--witness", "omega" * 600],
+            ["expand", "poincare", "--witness", "q" * 3000 + "=1"],
+            ["expand", "poincare", "--witness", "omega=" + "7/" * 2000],
+            ["expand", "poincare", "--witness", "omega=" + "x" * 3000],
         ],
-        ids=["deep-coefficient", "long-parameter", "long-symbol"],
+        ids=[
+            "deep-coefficient",
+            "long-parameter",
+            "long-symbol",
+            "long-witness-override",
+            "long-witness-parameter",
+            "long-witness-value",
+            "long-witness-rational",
+        ],
     )
     def test_long_malformed_input_gives_one_short_line(self, capsys, tmp_path, argv):
         # the message quotes a bounded prefix of the offending input

@@ -10,6 +10,7 @@ import oracle_substitute
 from kinexpand.coeffring import (
     KINEMATIC_CONTEXT,
     MAX_NESTING,
+    MAX_RATIONAL_BITS,
     ContextMismatchError,
     DivergenceError,
     ParamContext,
@@ -17,6 +18,7 @@ from kinexpand.coeffring import (
     PolyParseError,
     format_poly,
     parse_poly,
+    substitution,
 )
 from kinexpand.properties import check_ring_axioms, random_poly, random_rational
 
@@ -231,6 +233,23 @@ class TestSubstituteAgainstOracle:
             self.assert_same(p, {"eps": nonzero_rational(rng)})
             self.assert_same(p, {"eps": nonzero_rational(rng), "m": const(0)})
 
+    def test_one_map_over_fraction_coefficients_and_negative_eps_powers(self, rng):
+        # one map is applied to many polynomials, so the powers it computes
+        # on first use serve later ones; a negative value in a negative power
+        # gives a negative denominator
+        for _ in range(60):
+            a = self.assignment(rng, nonzero_rational)
+            a["eps"] = nonzero_rational(rng)
+            apply = substitution(CTX, a)
+            for _ in range(5):
+                p = laurent_poly(rng) * Poly.var(CTX, "eps", -rng.randint(1, 3))
+                p = p.scale(Fraction(rng.randint(1, 5), rng.randint(2, 7)))
+                got, want = apply(p), oracle_substitute.substitute(p, a)
+                assert got == want, (p, a)
+                assert {e: type(c) for e, c in got.terms.items()} == {
+                    e: type(c) for e, c in want.terms.items()
+                }
+
     def test_empty_assignment_is_identity(self, rng):
         p = laurent_poly(rng)
         assert p.substitute({}) is p
@@ -318,6 +337,21 @@ class TestGrammar:
     def test_unreadable_number_is_a_parse_error(self, text):
         with pytest.raises(PolyParseError):
             parse_poly(text, CTX)
+
+    def test_rational_bound(self):
+        top = 2**MAX_RATIONAL_BITS - 1
+        assert parse_poly(f"{top}*a1", CTX) == var("a1").scale(top)
+        assert parse_poly(f"1/{top}", CTX) == const(Fraction(1, top))
+        # a literal, a denominator, a product and a sum past the bound
+        for text in (
+            f"{top + 1}",
+            f"1/{top + 1}",
+            f"a1*{top}*2",
+            f"{top} + {top}",
+            f"{top}*a1 + a1*{top}",
+        ):
+            with pytest.raises(PolyParseError, match="bound of 4096 bits"):
+                parse_poly(text, CTX)
 
 
 def check_substitution_homomorphism(rng, ctx, samples: int) -> list:

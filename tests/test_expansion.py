@@ -18,6 +18,7 @@ from kinexpand.expansion import (
     THEOREM2_POSITIVE_WITNESS,
     THEOREM2_WITNESS,
     ConstraintViolationError,
+    PairVerdict,
     build_seed,
     decompose_casimir,
     derive_generators,
@@ -641,6 +642,78 @@ class TestWarmRound:
         )
         # each pair left to the witness compares its commutator once
         assert sum(id(a) in actuals for a, _ in compared) == 6 + 6 + 3
+
+    def test_a_round_without_power_rules_subtracts_nothing(self, monkeypatch):
+        for driver in DRIVERS.values():
+            driver()
+        subtracted = []
+        sub = UEAElement.__sub__
+
+        def counting(self, other):
+            subtracted.append((self, other))
+            return sub(self, other)
+
+        monkeypatch.setattr(UEAElement, "__sub__", counting)
+        witnesses = _witnesses_on_the_varieties(random.Random(3))
+        runs = [driver(witnesses[name]) for name, driver in WITNESS_DRIVERS.items()]
+        runs.append(run_negative_nh())
+        assert [run.ok for run in runs] == [True] * 4
+        assert not any(run.report.reductions for run in runs)
+        assert len(subtracted) == 0
+        # a mismatch's residual is formed when its text is read, once
+        mismatched = [p for p in runs[-1].report.pairs if p.verdict == "mismatch"]
+        assert all(p.residual for p in mismatched)
+        assert all(p.residual for p in mismatched)
+        assert len(subtracted) == len(mismatched) == 6
+
+    def test_residuals_formed_on_read_equal_the_eager_ones(self):
+        # the negative control forms actual - expected, the off-variety
+        # witness scalarised - expected for its template pairs
+        worldline = expansion._certificate("worldline").certificate
+        off = {**THEOREM1_WITNESS, "omega": Fraction(-5)}
+
+        def reports():
+            return [
+                run_negative_nh().report,
+                verify_closure(worldline, catalog("poincare"), (), off),
+            ]
+
+        certificates = [expansion._certificate("negative").certificate, worldline]
+        lazy_left, lazy_right = reports(), reports()
+        checked = 0
+        for certificate, left, right in zip(certificates, lazy_left, lazy_right):
+            for cert, p, q in zip(certificate.pairs, left.pairs, right.pairs):
+                if p.verdict != "mismatch":
+                    continue
+                assert type(p._residual) is tuple and type(q._residual) is tuple
+                minuend = cert.actual if cert.template is None else p._scalarized
+                residual = minuend - p._expected
+                assert not residual.is_zero()
+                eager = PairVerdict(
+                    p.pair, p.verdict, p.phase1, p._expected, p._scalarized, residual
+                )
+                assert p == eager and eager == q
+                assert p.residual == q.residual == format_element(residual)
+                checked += 1
+        assert checked == 6 + 6
+
+    def test_plans_of_two_families_on_one_target_do_not_collide(self):
+        # spacetime and negative check against the same newton_hooke object
+        target = catalog("newton_hooke")
+        rng = random.Random(5)
+        for _ in range(3):
+            witness = _witnesses_on_the_varieties(rng)["theorem2"]
+            for family, run in (
+                ("spacetime", run_theorem2(witness)),
+                ("negative", run_negative_nh()),
+            ):
+                entry = expansion._certificate(family)
+                report = run.report
+                assert report.target == target.name and run.ok
+                want = _eager_pairs(
+                    entry.certificate, target, entry.constraints, report.witness
+                )
+                assert [p.to_dict() for p in report.pairs] == want
 
     @pytest.mark.parametrize(
         "target,witness",

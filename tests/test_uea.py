@@ -7,7 +7,13 @@ import pytest
 
 from kinexpand.algfile import parse_algebra_file, parse_algebra_text
 from kinexpand.checks import casimir_centrality, identity_check, identity_corpus
-from kinexpand.coeffring import MAX_NESTING, ContextMismatchError, ParamContext, Poly
+from kinexpand.coeffring import (
+    MAX_NESTING,
+    MAX_RATIONAL_BITS,
+    ContextMismatchError,
+    ParamContext,
+    Poly,
+)
 from kinexpand.exprparse import MAX_EXPONENT, ExprParseError, parse_expression
 from kinexpand.liealg import catalog
 from kinexpand.properties import (
@@ -161,6 +167,23 @@ class TestExpressionBounds:
         assert el == (gen(g, "H") if opening == "(" else UEAElement.zero(g))
         with pytest.raises(ExprParseError, match="nesting deeper than 64 levels"):
             parse_expression(opening * (depth + 1) + "H" + closing * (depth + 1), g)
+
+    def test_rational_bound(self):
+        # the bound of the polynomial grammar holds for powers, products and
+        # commutators of expressions too, each checked as it is formed
+        g = catalog("galilei")
+        assert parse_expression("(2^16)^16*H", g) == gen(g, "H").smul(2**256)
+        top = str(2**MAX_RATIONAL_BITS - 1)
+        assert parse_expression(f"{top}*K1", g) == gen(g, "K1").smul(int(top))
+        for text in (
+            "((2^16)^16)^16*H",
+            "((((2^16)^16)^16)^16)*H",
+            f"K1*{top}*2",
+            f"[{top}*H, 2*K1]",
+            "9" * 700 + "*" + "9" * 700,
+        ):
+            with pytest.raises(ExprParseError, match="bound of 4096 bits"):
+                parse_expression(text, g)
 
 
 class TestNamedElements:
