@@ -9,10 +9,11 @@ Grammar::
              | '[' expr ',' expr ']' | '(' expr ')'
 
 Identifiers resolve first against the algebra's generators, then against its
-parameter context.  Rationals are bounded as in the polynomial grammar
-(``coeffring.MAX_RATIONAL_BITS``), and each factor, product and sum is
-checked as it is formed.  ``<W1>``, ``<C2>`` etc. are the named composite elements;
+parameter context.  ``<W1>``, ``<C2>`` etc. are the named composite elements;
 ``[a,b]`` is the commutator.  The result is always normal-ordered.
+Rationals are bounded as in the polynomial grammar
+(``coeffring.MAX_RATIONAL_BITS``), each factor, product and sum checked as
+it is formed.
 """
 
 from __future__ import annotations

@@ -43,8 +43,14 @@ RUNS = (
     ("expand-no-equals", ["expand", "poincare", "--witness", "omega"]),
     ("expand-bad-rational", ["expand", "poincare", "--witness", "omega=1/0"]),
     ("expand-off-constraint", ["expand", "poincare", "--witness", "omega=5"]),
-    ("expand-witness-oversized", ["expand", "poincare", "--witness", "omega=-1e5000"]),
-    ("expand-witness-long-name", ["expand", "poincare", "--witness", "q" * 100 + "=1"]),
+    (
+        "expand-witness-oversized",
+        ["expand", "poincare", "--witness", "omega=-1e5000"],
+    ),
+    (
+        "expand-witness-long-name",
+        ["expand", "poincare", "--witness", "q" * 100 + "=1"],
+    ),
     ("expand-negative-nh-witness", ["expand", "negative-nh", "--witness", "kappa=5"]),
     ("expand-unknown-target", ["expand", "nosuch"]),
     ("corpus", ["corpus"]),
@@ -69,8 +75,14 @@ RUNS = (
     ("normal-form-C2-squared", ["normal-form", "poincare", "<C2>^2"]),
     ("normal-form-degree-bound", ["normal-form", "galilei", "(((H^16)^16)^16)^16"]),
     ("normal-form-deep-left", ["normal-form", "galilei", "K1*((H^16)^16)^4"]),
-    ("normal-form-rational-bound", ["normal-form", "galilei", "((((2^16)^16)^16)^16)*H"]),
-    ("normal-form-product-bound", ["normal-form", "galilei", "9" * 700 + "*" + "9" * 700]),
+    (
+        "normal-form-rational-bound",
+        ["normal-form", "galilei", "((((2^16)^16)^16)^16)*H"],
+    ),
+    (
+        "normal-form-product-bound",
+        ["normal-form", "galilei", "9" * 700 + "*" + "9" * 700],
+    ),
     ("normal-form-deep-right", ["normal-form", "galilei", "((K1^16)^16)^4*H"]),
     ("normal-form-deep-commutator", ["normal-form", "galilei", "[K1, ((H^16)^16)^4]"]),
     (
