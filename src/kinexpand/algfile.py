@@ -159,6 +159,12 @@ def parse_algebra_text(text: str, allow_non_lie: bool = False) -> LieAlgebra:
             if not star:
                 coeff_text, gen_name = "1", term
             gen_name = gen_name.strip()
+            if not gen_name:
+                raise AlgebraFileError(
+                    f"expected a generator after '*' in {_quoted(term)}, "
+                    "found end of input",
+                    lineno,
+                )
             if gen_name not in gen_index:
                 raise AlgebraFileError(f"unknown generator {_quoted(gen_name)}", lineno)
             try:

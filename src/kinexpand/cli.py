@@ -44,7 +44,12 @@ from .checks import (
     structural_suite,
 )
 from .coeffring import KINEMATIC_CONTEXT, DivergenceError, ParseError, _quoted
-from .expansion import DRIVERS, ConstraintViolationError, override_witness
+from .expansion import (
+    DEFAULT_WITNESSES,
+    DRIVERS,
+    ConstraintViolationError,
+    override_witness,
+)
 from .exprparse import parse_expression
 from .liealg import (
     catalog,
@@ -289,10 +294,12 @@ def cmd_expand(args) -> int:
     if not overrides:
         run = driver()
     else:
+        if args.target not in DEFAULT_WITNESSES:
+            raise InputError(f"{args.target} takes no --witness")
         try:
             witness = override_witness(args.target, overrides)
-        except ValueError:
-            raise InputError(f"{args.target} takes no --witness") from None
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
         run = driver(witness)
     _emit(args, run.to_dict())
     return 0 if run.ok else 1

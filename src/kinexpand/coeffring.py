@@ -506,8 +506,15 @@ class _TokenStream:
     def expect(self, kind: str):
         tok = self.advance()
         if tok[0] != kind:
-            raise self.error(f"expected {kind!r}, found {_quoted(tok[1])}", tok[2])
+            found = "end of input" if tok[0] == "end" else _quoted(tok[1])
+            raise self.error(f"expected {kind!r}, found {found}", tok[2])
         return tok
+
+    def unexpected(self, tok) -> ParseError:
+        """The error for a token that no rule accepts."""
+        if tok[0] == "end":
+            return self.error("unexpected end of input", tok[2])
+        return self.error(f"unexpected token {_quoted(tok[1])}", tok[2])
 
     def parse(self):
         """The whole text as one ``expr``; trailing tokens are an error."""
@@ -617,7 +624,7 @@ class _PolyParser(_TokenStream):
             p = self.expr()
             self.expect(")")
             return p
-        raise PolyParseError(f"unexpected token {_quoted(tok[1])}", tok[2])
+        raise self.unexpected(tok)
 
 
 def parse_poly(text: str, ctx: ParamContext) -> Poly:

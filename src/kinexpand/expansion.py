@@ -17,14 +17,16 @@ exactly; and where the pair's target row has only constant coefficients,
 whether the commutator equals the expected bracket, which is then the same
 at every witness.  The *witness check* (:func:`verify_closure`) then takes a
 rational witness.  Once per (certificate, target) pair it makes a plan: the
-pair-order check, each pair's target row, the pairs the certificate decided
-``exact_zero`` for that row, and the distinct coefficients left to the
-witness.  Per witness it validates the witness against the closure
-constraint equations (a constraint the witness leaves open, with one free
-constant, becomes a power-substitution rule), substitutes each distinct
-coefficient once, builds the other pairs' expected brackets from the target
-structure constants, accepts exactly equal pairs, and otherwise scalarises
-the template with the witness (phase 2) and compares it with the target
+pair-order check, one shared verdict for each pair decided without a
+witness (the certificate's ``exact_zero`` pairs for that row, and the
+constant-row pairs without a template), and, for the rest, each pair's
+target row and the distinct coefficients left to the witness.  Per witness
+it validates the witness against the closure constraint equations (a
+constraint the witness leaves open, with one free constant, becomes a
+power-substitution rule), substitutes each distinct coefficient once,
+builds the other pairs' expected brackets from the target structure
+constants, accepts exactly equal pairs, and otherwise scalarises the
+template with the witness (phase 2) and compares it with the target
 (phase 3).  The certificate depends only on the seed, so each driver family
 builds it once per process and every witness reuses it; what it shares is
 read-only (NamedTuple records, mappings, element terms).  A witness check is
@@ -280,8 +282,12 @@ class PairVerdict:
     may also be given as a ``(minuend, subtrahend)`` pair of elements: the
     difference is then formed on the first read of its text or of the
     verdict's equality, and kept in its place.  It is read-only: every field
-    is a property over a private slot.  Two verdicts are equal when their
-    fields and elements are; the texts play no part.
+    is a property over a private slot.  A verdict decided without a witness
+    is made once per :func:`verify_closure` plan and shared by every call
+    on it, with any residual already formed, so that only its texts are
+    filled in when first read; a verdict a witness decides is made by the
+    call.  Two verdicts are equal when their fields and elements are; the
+    texts play no part.
     """
 
     __slots__ = (
@@ -394,7 +400,10 @@ class PairCertificate(NamedTuple):
     has only constant coefficients, its expected bracket is the same at
     every witness, so it is built once; if ``actual`` equals it,
     ``exact_for`` is ``(row, actual)``: the pair is an ``exact_zero`` for
-    that row and that commutator at any witness.  Otherwise it is None.
+    that row and that commutator at any witness, and each
+    :func:`verify_closure` plan for a target with that row shares one
+    verdict for it.  Otherwise it is None; an unequal pair without a
+    template is then decided by the plan, once per target.
     """
 
     pair: tuple
@@ -496,29 +505,44 @@ class _Check(NamedTuple):
     expanded element and the index of the constant in
     :attr:`_Plan.coefficients`; ``template`` holds the template's
     monomials with the indices of their coefficients, or is None.
+    ``units`` holds the monomials of a row with one structure constant
+    whose element has only unit coefficients: the expected bracket is then
+    the constant on each of them.  Otherwise it is None.  ``linear`` is
+    True when the row's elements have degree at most 1, and so has any
+    template equal to the expected bracket.  ``constant`` is None, or, for
+    a pair without a template whose constant row's expected bracket differs
+    from the commutator, that bracket: the plan's ``mismatch`` then holds
+    at every witness that gives no power rule.
     """
 
     index: int
     cert: PairCertificate
     row: tuple
+    units: tuple | None
+    linear: bool
     template: tuple | None
+    constant: UEAElement | None
 
 
 class _Plan(NamedTuple):
     """What :func:`verify_closure` knows of one (certificate, target) pair
     before it sees a witness.
 
-    ``decided`` has one entry per pair, in target basis order: the
-    certificate's commutator for a pair decided ``exact_zero`` for this
-    target's row, None for a pair in ``checks``.  ``coefficients`` are the
-    distinct structure constants and template coefficients of the checked
-    pairs, substituted once per witness.  ``pairs`` and ``generators`` are
-    the certificate's, kept so that the key they give stays theirs.
+    ``verdicts`` has one entry per pair, in target basis order: the
+    shared, read-only :class:`PairVerdict` of a pair decided without a
+    witness, None for a pair only a witness decides.  ``checks`` holds the
+    pairs a witness decides, and the constant-row mismatches, which only a
+    power rule could reduce.  ``coefficients`` are the distinct structure
+    constants and template coefficients of the checked pairs, as
+    ``(poly, negates)``: ``negates`` is None for a coefficient substituted
+    once per witness, else the index of the earlier coefficient it is the
+    negative of.  ``pairs`` and ``generators`` are the certificate's, kept
+    so that the key they give stays theirs.
     """
 
     pairs: tuple
     generators: ExpandedGenerators
-    decided: tuple
+    verdicts: tuple
     checks: tuple
     coefficients: tuple
     fixed_set: tuple
@@ -546,36 +570,69 @@ def _plan(certificate: ClosureCertificate, target: LieAlgebra) -> _Plan:
         raise ValueError(
             f"target {target.name} does not have the certificate's generator pairs"
         )
+    alg = certificate.alg
     elements = certificate.generators.elements
-    coefficients: dict = {}  # Poly -> index
+    coefficients: dict = {}  # Poly -> (index, index of its negative or None)
 
     def indexed(p: Poly) -> int:
-        return coefficients.setdefault(p, len(coefficients))
+        entry = coefficients.get(p)
+        if entry is None:
+            negative = coefficients.get(-p)
+            entry = coefficients[p] = (
+                len(coefficients), None if negative is None else negative[0]
+            )
+        return entry[0]
 
-    decided = []
+    unit = {alg.ctx.zero: 1}
+    verdicts = []
     checks = []
     for index, cert in enumerate(certificate.pairs):
         na, nb = cert.pair
         row = target.bracket_pair(target.gen_index[na], target.gen_index[nb])
         # the stored verdict holds for the row and commutator it was decided
-        # for; a replaced commutator or another row is checked per witness
+        # for; a replaced commutator or another row is decided here or per
+        # witness
         if cert.exact_for is not None:
             decided_row, decided_actual = cert.exact_for
             if decided_actual is cert.actual and decided_row == row:
-                decided.append(cert.actual)
+                verdicts.append(PairVerdict(cert.pair, "exact_zero", "n/a", cert.actual))
                 continue
-        decided.append(None)
+        if cert.template is None and all(c.is_constant() for c in row.values()):
+            products = [(elements[names[k]], c) for k, c in row.items()]
+            expected = _expected_bracket(alg, products)
+            if cert.actual == expected:
+                verdicts.append(PairVerdict(cert.pair, "exact_zero", "n/a", cert.actual))
+                continue
+            verdicts.append(
+                PairVerdict(
+                    cert.pair, "mismatch", "n/a", expected,
+                    residual=cert.actual - expected,
+                )
+            )
+            checks.append(
+                _Check(
+                    index, cert, row=(), units=None, linear=False, template=None,
+                    constant=expected,
+                )
+            )
+            continue
+        verdicts.append(None)
         template = None
         if cert.template is not None:
             template = tuple((m, indexed(p)) for m, p in cert.template._terms.items())
         products = tuple((elements[names[k]], indexed(c)) for k, c in row.items())
-        checks.append(_Check(index, cert, products, template))
+        terms = [el._terms for el, _ in products]
+        units = None
+        if len(terms) == 1 and all(c._terms == unit for c in terms[0].values()):
+            units = tuple(terms[0])
+        linear = all(sum(m) <= 1 for t in terms for m in t)
+        checks.append(_Check(index, cert, products, units, linear, template, None))
     plan = _Plan(
         certificate.pairs,
         certificate.generators,
-        tuple(decided),
+        tuple(verdicts),
         tuple(checks),
-        tuple(coefficients),
+        tuple((p, negates) for p, (_, negates) in coefficients.items()),
         tuple(sorted(certificate.generators.fixed_set)),
     )
     if len(plans) == _PLANS_PER_TARGET:
@@ -594,32 +651,42 @@ def verify_closure(
 
     Once per (certificate, target) pair, a plan is made and kept: it checks
     that the target's generator pairs are the certificate's, in the same
-    order; it gives an ``exact_zero`` to each pair whose certificate holds a
-    witness-free verdict for the very row ``target`` gives it (the row
-    compares equal to the recorded one, and the commutator is the one it
-    was decided for: ``euclid4`` shares the ``poincare`` rows, so it shares
-    those verdicts, and a target whose row differs checks the pair per
-    witness); and it collects, for the other pairs, their rows and the
-    distinct coefficients of their rows and templates.  A certificate whose
-    ``pairs`` or ``generators`` were replaced gets a plan of its own.
+    order, and decides every pair it can without a witness.  A pair whose
+    certificate holds a witness-free verdict for the very row ``target``
+    gives it (the row compares equal to the recorded one, and the commutator
+    is the one it was decided for: ``euclid4`` shares the ``poincare`` rows,
+    so it shares those verdicts) is an ``exact_zero``.  A pair without a
+    template whose row has only constant coefficients has the same expected
+    bracket at every witness: the plan builds it and gives an
+    ``exact_zero`` when the commutator equals it, else a ``mismatch`` that
+    holds at every witness with no power rule.  Each decided pair gets one
+    :class:`PairVerdict`, shared read-only by every call.  For the other
+    pairs the plan collects their rows and the distinct coefficients of
+    their rows and templates, a coefficient that is another's negative
+    standing as that one's negation.  A certificate whose ``pairs`` or
+    ``generators`` were replaced gets a plan of its own.
 
     Per witness, the witness is validated against the constraints: an
     exactly satisfied constraint is consumed, an open one (single free
     constant) becomes a power-reduction rule.  Each distinct coefficient is
     substituted once.  Each checked pair's expected bracket is built, as one
     sum, from the expanded elements times the target structure constants at
-    the witness.  A pair whose commutator equals it is an ``exact_zero``.
-    Otherwise its template is scalarised at the witness (phase 2) and
-    compared with the expected bracket (phase 3); the pair is a
-    ``template_match`` only if the certificate's phase-1 residual is zero
-    too, and a ``mismatch`` otherwise or when it has no template.  Only
-    power rules make a difference worth forming to decide a verdict: with
-    none, ``actual - expected`` and ``scalarised - expected`` are nonzero
-    exactly when their operands differ, so a mismatch's residual is given
-    to its :class:`PairVerdict` as a pair, and formed when read.  With power
-    rules, each unequal pair's difference is formed and reduced.  No
-    commutator, product or text is computed here, and each verdict, made
-    fresh per call, renders its texts when read.
+    the witness; a row of one constant whose element has only unit
+    coefficients gives it without a product.  A pair whose commutator
+    equals it is an ``exact_zero``.  Otherwise its template is scalarised at
+    the witness (phase 2) and compared with the expected bracket (phase 3);
+    the pair is a ``template_match`` only if the certificate's phase-1
+    residual is zero and the scalarised template has degree at most 1,
+    known without a look when it equals an expected bracket of linear
+    elements, and a ``mismatch`` otherwise or when it has no template.
+    Only power rules make a difference worth forming to decide a verdict:
+    with none, ``actual - expected`` and ``scalarised - expected`` are
+    nonzero exactly when their operands differ, so a mismatch's residual is
+    given to its :class:`PairVerdict` as a pair, and formed when read.
+    With power rules, each unequal pair's difference is formed and reduced,
+    the plan's constant-row mismatches too.  No commutator, product or text
+    is computed here: a call makes verdicts only for the pairs its witness
+    decides, and each verdict renders its texts when read.
     """
     plan = _plan(certificate, target)
     alg = certificate.alg
@@ -628,18 +695,30 @@ def verify_closure(
     # substituted once per call
     substitute = substitution(alg.ctx, witness)
     reductions = _analyze_constraints(constraints, substitute)
-    values = [substitute(p) for p in plan.coefficients]
-    pairs = [
-        None if actual is None else PairVerdict(cert.pair, "exact_zero", "n/a", actual)
-        for cert, actual in zip(certificate.pairs, plan.decided)
-    ]
+    values = []
+    for p, negates in plan.coefficients:
+        values.append(substitute(p) if negates is None else -values[negates])
+    pairs = list(plan.verdicts)
     mismatches = []
-    for index, cert, row, template in plan.checks:
-        expected = _expected_bracket(alg, [(el, values[i]) for el, i in row])
-        if cert.actual == expected:
-            # render the certificate's element: the verdict keeps no copy
-            pairs[index] = PairVerdict(cert.pair, "exact_zero", "n/a", cert.actual)
-            continue
+    for index, cert, row, units, linear, template, constant in plan.checks:
+        if constant is not None:
+            if not reductions:
+                # the plan's mismatch: only a power rule could reduce it
+                mismatches.append(cert.pair)
+                continue
+            expected = constant
+        else:
+            if units is None:
+                expected = _expected_bracket(alg, [(el, values[i]) for el, i in row])
+            else:
+                value = values[row[0][1]]  # the row's one constant
+                expected = UEAElement._raw(
+                    alg, dict.fromkeys(units, value) if value._terms else {}
+                )
+            if cert.actual == expected:
+                # render the certificate's element: the verdict keeps no copy
+                pairs[index] = PairVerdict(cert.pair, "exact_zero", "n/a", cert.actual)
+                continue
         if reductions:
             exact_res = _reduce_element(cert.actual - expected, reductions)
             if exact_res.is_zero():
@@ -658,20 +737,25 @@ def verify_closure(
             alg, {m: values[i] for m, i in template if values[i]._terms}
         )
         scal = _reduce_element(scal, reductions)
-        # phase 3: compare with the target structure constants
+        # phase 3: compare with the target structure constants; equal to an
+        # expected bracket of linear elements, the template is linear too
         if scal == expected:
-            p3_ok, p3_res = True, UEAElement.zero(alg)
+            p3_res, low_degree = None, linear or scal.degree() <= 1
         elif reductions:
             p3_res = _reduce_element(scal - expected, reductions)
-            p3_ok = p3_res.is_zero()
+            if p3_res.is_zero():
+                p3_res = None
+            low_degree = scal.degree() <= 1
         else:
-            p3_ok, p3_res = False, (scal, expected)  # formed when read
+            p3_res, low_degree = (scal, expected), False  # formed when read
         p1_ok = cert.phase1.is_zero()
-        if p1_ok and p3_ok and scal.degree() <= 1:
+        if p1_ok and p3_res is None and low_degree:
             pairs[index] = PairVerdict(
                 cert.pair, "template_match", "pass", expected, scal
             )
         else:
+            if p3_res is None:
+                p3_res = UEAElement.zero(alg)
             pairs[index] = PairVerdict(
                 cert.pair,
                 "mismatch",
@@ -1071,11 +1155,19 @@ def override_witness(target: str, overrides: Mapping[str, Fraction]) -> dict:
 
     A ``newton_hooke`` override with ``kappa > 0`` starts from
     :data:`THEOREM2_POSITIVE_WITNESS` instead.  A target with no default
-    witness (negative-nh) takes no overrides and raises ``ValueError``.
+    witness (negative-nh) takes no overrides, and an override of a
+    parameter the default witness does not set is one the target never
+    reads: both raise ``ValueError``.
     """
     base = DEFAULT_WITNESSES.get(target)
     if base is None:
         raise ValueError(f"{target} has no default witness to override")
+    for name in overrides:
+        if name not in base:
+            raise ValueError(
+                f"{target} reads no witness parameter {name!r} "
+                f"(it reads {', '.join(base)})"
+            )
     if target == "newton_hooke" and overrides.get("kappa", 0) > 0:
         base = THEOREM2_POSITIVE_WITNESS
     return {**base, **overrides}

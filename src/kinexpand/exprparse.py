@@ -85,7 +85,7 @@ class _Parser(_TokenStream):
             el = self.expr()
             self.expect(")")
             return el
-        raise ExprParseError(f"unexpected token {_quoted(tok[1])}", tok[2])
+        raise self.unexpected(tok)
 
 
 def parse_expression(text: str, alg: LieAlgebra) -> UEAElement:

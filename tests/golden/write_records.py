@@ -52,6 +52,10 @@ RUNS = (
         ["expand", "poincare", "--witness", "q" * 100 + "=1"],
     ),
     ("expand-negative-nh-witness", ["expand", "negative-nh", "--witness", "kappa=5"]),
+    (
+        "expand-unread-witness",
+        ["expand", "poincare", "--witness", "kappa=3", "--witness", "eps=0"],
+    ),
     ("expand-unknown-target", ["expand", "nosuch"]),
     ("corpus", ["corpus"]),
     *((f"casimir-check-{a}", ["casimir-check", a]) for a in CATALOG),
@@ -84,6 +88,8 @@ RUNS = (
         ["normal-form", "galilei", "9" * 700 + "*" + "9" * 700],
     ),
     ("normal-form-deep-right", ["normal-form", "galilei", "((K1^16)^16)^4*H"]),
+    ("normal-form-end-of-input", ["normal-form", "poincare", "H*"]),
+    ("normal-form-missing-exponent", ["normal-form", "poincare", "H^"]),
     ("normal-form-deep-commutator", ["normal-form", "galilei", "[K1, ((H^16)^16)^4]"]),
     (
         "normal-form-nested-parentheses",
@@ -95,6 +101,7 @@ RUNS = (
     ),
     ("alg-unknown-generator", ["check-jacobi", "alg/unknown_generator.alg"]),
     ("alg-repeated-bracket", ["bracket", "alg/repeated_bracket.alg", "A", "B"]),
+    ("alg-missing-generator", ["check-jacobi", "alg/missing_generator.alg"]),
     ("alg-negative-power", ["check-jacobi", "alg/negative_power.alg"]),
     ("alg-wrong-family", ["casimir-check", "alg/wrong_family.alg"]),
     ("alg-not-lie", ["check-jacobi", "alg/not_lie.alg"]),

@@ -52,6 +52,8 @@ BAD_FILES = {
     # parser's bound on rationals
     "long_product": "name toy\ngenerators A B C\nbracket A B = "
     + "9" * 700 + "*" + "9" * 700 + "*C\n",
+    # a bracket term that ends at its '*'
+    "missing_generator": "name toy\ngenerators A B C\nbracket A B = 2*\n",
     # contracting eps diverges: the structure constant has eps^-1
     "eps_inverse": "name toy\nparameters eps\nlaurent eps\n"
     "generators A B C\nbracket A B = eps^-1*C\n",
@@ -137,6 +139,31 @@ class TestExitContract:
         assert captured.out == ""
         assert captured.err == "kinexpand expand: negative-nh takes no --witness\n"
 
+    @pytest.mark.parametrize(
+        "target,name,accepted",
+        [
+            ("poincare", "kappa", "c1, c2, a2, a1, omega"),
+            ("euclid4", "xi", "c1, c2, a2, a1, omega"),
+            ("newton_hooke", "omega", "m, xi, kappa, a1"),
+            ("newton_hooke", "c1", "m, xi, kappa, a1"),
+        ],
+    )
+    def test_witness_parameter_the_target_never_reads_exits_2(
+        self, capsys, target, name, accepted
+    ):
+        assert main(["expand", target, "--witness", f"{name}=3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"kinexpand expand: {target} reads no witness parameter {name!r} "
+            f"(it reads {accepted})\n"
+        )
+        # a name outside the parameter context is still unknown
+        assert main(["expand", target, "--witness", "foo=1"]) == 2
+        assert capsys.readouterr().err == (
+            "kinexpand expand: unknown witness parameter 'foo'\n"
+        )
+
     def test_bad_witness_exits_nonzero(self, capsys):
         assert main(["expand", "poincare", "--witness", "omega=5"]) == 2
 
@@ -185,6 +212,12 @@ class TestExitContract:
             ["normal-form", "galilei", "((((2^16)^16)^16)^16)*H"],
             ["normal-form", "galilei", "9" * 4000 + "*" + "9" * 4000],
             ["check-jacobi", "{long_product}"],
+            # input that ends where a token is due
+            ["normal-form", "poincare", "H*"],
+            ["normal-form", "poincare", "H^"],
+            ["check-jacobi", "{missing_generator}"],
+            # parameters of the context that the target's witness never reads
+            ["expand", "poincare", "--witness", "kappa=3", "--witness", "eps=0"],
         ],
         ids=lambda argv: " ".join(
             a if len(a) <= 20 else f"{len(a)}x{a[0]}" for a in argv
@@ -265,6 +298,20 @@ class TestExitContract:
                 "family 'poincare' needs generator 'J1', "
                 "and toy has no such generator",
             ),
+            (
+                ["normal-form", "poincare", "H*"],
+                "kinexpand normal-form: unexpected end of input (at position 2)",
+            ),
+            (
+                ["normal-form", "poincare", "H^"],
+                "kinexpand normal-form: expected 'int', found end of input "
+                "(at position 2)",
+            ),
+            (
+                ["check-jacobi", "{missing_generator}"],
+                "line 3: expected a generator after '*' in '2*', "
+                "found end of input",
+            ),
             (["nosuch"], "kinexpand: argument command: invalid choice: 'nosuch'"),
             (["expand", "nosuch"], "kinexpand expand: argument target: invalid choice"),
         ],
@@ -272,6 +319,9 @@ class TestExitContract:
             "repeated-bracket",
             "repeated-generators",
             "wrong-family",
+            "end-of-input",
+            "missing-exponent",
+            "missing-generator",
             "unknown-command",
             "unknown-target",
         ],

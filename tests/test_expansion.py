@@ -199,6 +199,9 @@ class TestDrivers:
         assert override_witness("newton_hooke", {"kappa": Fraction(-3)})["a1"] == 1
         with pytest.raises(ValueError, match="^negative-nh has no default witness"):
             override_witness("negative-nh", kappa)
+        unread = "^poincare reads no witness parameter 'kappa'"
+        with pytest.raises(ValueError, match=unread):
+            override_witness("poincare", kappa)
 
     def test_alternate_valid_witness(self):
         witness = {
@@ -396,7 +399,9 @@ class TestSharedCertificate:
             catalog("poincare").gen_index["K1"] = 0
 
     def test_runs_on_the_same_inputs_compare_equal(self):
-        # verdicts, reports and runs compare field by field, not by identity
+        # verdicts, reports and runs compare field by field, not by identity;
+        # a pair decided without a witness keeps one verdict across calls,
+        # a pair the witness decides gets a verdict of its own per call
         entry = expansion._certificate("worldline")
         first, second = (
             verify_closure(
@@ -405,7 +410,10 @@ class TestSharedCertificate:
             )
             for _ in range(2)
         )
-        assert first.pairs[0] is not second.pairs[0]
+        decided = [p.exact_for is not None for p in entry.certificate.pairs]
+        assert decided.count(False) == 6
+        for is_decided, p, q in zip(decided, first.pairs, second.pairs):
+            assert (p is q) == is_decided, p.pair
         assert first.pairs == second.pairs and first == second
         assert first.pairs[0] != first.pairs[1]
         assert run_theorem1() == run_theorem1()
@@ -597,7 +605,7 @@ class TestWarmRound:
     def test_a_changed_constant_row_takes_the_full_path(self):
         # poincare's table with the sign of [P1, J2] = P3 flipped: the row
         # differs from the one the certificate decided against, so the pair
-        # is checked at the witness, and mismatches
+        # is checked against the new row, and mismatches
         text = (DATA_DIR / "poincare.alg").read_text(encoding="utf-8")
         flipped_text = text.replace("bracket P1 J2 = 1*P3", "bracket P1 J2 = (-1)*P3")
         assert flipped_text != text
@@ -660,11 +668,19 @@ class TestWarmRound:
         assert [run.ok for run in runs] == [True] * 4
         assert not any(run.report.reductions for run in runs)
         assert len(subtracted) == 0
-        # a mismatch's residual is formed when its text is read, once
+        # a mismatch the witness decides forms its residual when its text is
+        # read, once; the plan's constant-row mismatches, [H, K1..3], hold
+        # the residual formed when the plan was made
         mismatched = [p for p in runs[-1].report.pairs if p.verdict == "mismatch"]
+        shared = [
+            p for p, q in zip(runs[-1].report.pairs, run_negative_nh().report.pairs)
+            if p.verdict == "mismatch" and p is q
+        ]
+        assert [p.pair for p in shared] == [("H", f"K{i}") for i in (1, 2, 3)]
+        assert not any(type(p._residual) is tuple for p in shared)
         assert all(p.residual for p in mismatched)
         assert all(p.residual for p in mismatched)
-        assert len(subtracted) == len(mismatched) == 6
+        assert len(subtracted) == len(mismatched) - len(shared) == 3
 
     def test_residuals_formed_on_read_equal_the_eager_ones(self):
         # the negative control forms actual - expected, the off-variety
@@ -680,12 +696,17 @@ class TestWarmRound:
 
         certificates = [expansion._certificate("negative").certificate, worldline]
         lazy_left, lazy_right = reports(), reports()
-        checked = 0
+        checked = shared = 0
         for certificate, left, right in zip(certificates, lazy_left, lazy_right):
             for cert, p, q in zip(certificate.pairs, left.pairs, right.pairs):
                 if p.verdict != "mismatch":
                     continue
-                assert type(p._residual) is tuple and type(q._residual) is tuple
+                if p is q:
+                    # a constant-row mismatch, decided and formed by the plan
+                    assert type(p._residual) is not tuple
+                    shared += 1
+                else:
+                    assert type(p._residual) is tuple and type(q._residual) is tuple
                 minuend = cert.actual if cert.template is None else p._scalarized
                 residual = minuend - p._expected
                 assert not residual.is_zero()
@@ -695,7 +716,93 @@ class TestWarmRound:
                 assert p == eager and eager == q
                 assert p.residual == q.residual == format_element(residual)
                 checked += 1
-        assert checked == 6 + 6
+        assert checked == 6 + 6 and shared == 3
+
+    def test_a_warm_round_makes_verdicts_only_for_checked_pairs(self, monkeypatch):
+        for driver in DRIVERS.values():
+            driver()
+        made = []
+        init = PairVerdict.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PairVerdict, "__init__", counting)
+        witnesses = _witnesses_on_the_varieties(random.Random(7))
+        counts = []
+        for name, driver in WITNESS_DRIVERS.items():
+            del made[:]
+            assert driver(witnesses[name]).ok
+            counts.append(len(made))
+        del made[:]
+        assert run_negative_nh().ok
+        counts.append(len(made))
+        # the P-K and K-K template pairs, [H, P1..3] twice
+        assert counts == [6, 6, 3, 3]
+        assert made == [("H", f"P{i}") for i in (1, 2, 3)]
+
+    def test_a_shared_verdict_refuses_assignment(self):
+        first, second = run_negative_nh().report, run_negative_nh().report
+        shared = [p for p, q in zip(first.pairs, second.pairs) if p is q]
+        assert len(shared) == 45 - 3
+        verdict = next(p for p in shared if p.verdict == "mismatch")
+        doc = verdict.to_dict()
+        for field in ("pair", "verdict", "phase1", "target", "scalarized", "residual"):
+            with pytest.raises(AttributeError):
+                setattr(verdict, field, None)
+        with pytest.raises(AttributeError):
+            verdict.note = "changed"
+        again = next(p for p in run_negative_nh().report.pairs if p.pair == verdict.pair)
+        assert again is verdict and again.to_dict() == doc
+
+    def test_power_rules_and_changed_rows_equal_the_eager_path(self):
+        # with power rules every pair left to the witness, the plan's
+        # constant-row mismatches too, goes through the reduced path
+        cases = []
+        spacetime = expansion._certificate("spacetime")
+        witness = override_witness("newton_hooke", {"kappa": Fraction(1)})
+        run = run_theorem2(witness)
+        assert run.report.reductions and run.report.passed
+        cases.append(
+            (run.report, (spacetime.certificate, catalog("newton_hooke"),
+                          spacetime.constraints, witness))
+        )
+        negative = expansion._certificate("negative").certificate
+        ctx = negative.alg.ctx
+        a1, kappa = Poly.var(ctx, "a1"), Poly.var(ctx, "kappa")
+        rule = (a1 * a1 * kappa + Poly.const(ctx, 1),)
+        target, kappa_one = catalog("newton_hooke"), {"kappa": Fraction(1)}
+        args = (negative, target, rule, kappa_one)
+        cases.append((verify_closure(*args), args))
+        # [H, K1] = -P1 + (a1^2 + 1)*K1: a mismatch the plan decides, which
+        # a1^2 -> -1 reduces to an exact zero
+        index = next(i for i, p in enumerate(negative.pairs) if p.pair == ("H", "K1"))
+        pairs = list(negative.pairs)
+        pairs[index] = pairs[index]._replace(
+            actual=gen(negative.alg, "K1").smul(a1 * a1 + Poly.const(ctx, 1))
+            - gen(negative.alg, "P1")
+        )
+        shifted = negative._replace(pairs=tuple(pairs))
+        unreduced = verify_closure(shifted, target, (), kappa_one)
+        assert unreduced.pairs[index].verdict == "mismatch"
+        args = (shifted, target, rule, kappa_one)
+        cases.append((verify_closure(*args), args))
+        assert cases[-1][0].pairs[index].verdict == "exact_zero"
+        text = (DATA_DIR / "poincare.alg").read_text(encoding="utf-8")
+        flipped = parse_algebra_text(
+            text.replace("bracket P1 J2 = 1*P3", "bracket P1 J2 = (-1)*P3"),
+            allow_non_lie=True,
+        )
+        # off the variety, where the checked rows stay symbolic
+        worldline = expansion._certificate("worldline").certificate
+        args = (worldline, flipped, (), {"c1": Fraction(1), "c2": Fraction(1)})
+        cases.append((verify_closure(*args), args))
+        for report, args in cases:
+            assert [p.to_dict() for p in report.pairs] == _eager_pairs(*args)
+            mismatches = [p.pair for p in report.pairs if p.verdict == "mismatch"]
+            assert list(report.mismatches) == mismatches
+        assert cases[1][0].reductions and cases[1][0].mismatches
 
     def test_plans_of_two_families_on_one_target_do_not_collide(self):
         # spacetime and negative check against the same newton_hooke object
