@@ -45,7 +45,11 @@ class JacobiViolationError(ValueError):
 
 
 def _split_terms(text: str, line: int):
-    """Split a bracket RHS on top-level '+' (parenthesis aware)."""
+    """Split a bracket RHS on top-level '+' (parenthesis aware).
+
+    An empty term, such as an empty right-hand side or a '+' with nothing
+    after it, is an error: a zero bracket is written ``0``.
+    """
     parts = []
     depth = 0
     current = []
@@ -64,7 +68,13 @@ def _split_terms(text: str, line: int):
     if depth:
         raise AlgebraFileError("unbalanced parentheses", line)
     parts.append("".join(current))
-    return [p.strip() for p in parts if p.strip()]
+    terms = [p.strip() for p in parts]
+    if not all(terms):
+        raise AlgebraFileError(
+            f"empty bracket term in {_quoted(text.strip())}; write 0 for a zero bracket",
+            line,
+        )
+    return terms
 
 
 def _names(text: str, what: str, line: int) -> list:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
+from itertools import compress
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -645,39 +646,50 @@ def _format_monomial(ctx: ParamContext, exps: Exponents, coeff: Fraction) -> str
 
 
 def substitution(ctx: ParamContext, assignment: Mapping[str, Union[ScalarLike, Poly]]):
-    """The map ``p -> p.substitute(assignment)`` on polynomials of ``ctx``.
+    """The map ``p -> p.substitute(assignment)`` on polynomials of ``ctx``:
+    the package's one evaluator of polynomials at a point.
 
     A ring homomorphism, applied in one pass over the terms.  The
     assignment is validated once, here: an unknown name or a polynomial from
     another context raises :class:`ContextMismatchError`, a float
     ``TypeError``.  A rational value (or a constant polynomial) multiplies
-    each term's coefficient by its power.  The map evaluates in integers: a
-    term's numerator and denominator are products of the powers' numerators
-    and denominators, and the term makes one ``Fraction`` (or ``int``) at
-    the end.  Each power of a value is computed once per map, on first use;
-    a negative power of the laurent parameter swaps numerator and
+    each term's coefficient by its power.  The map evaluates in integers and
+    visits only a term's nonzero exponents: a term's numerator and
+    denominator are products of the powers' numerators and denominators,
+    and a term left with no parameter is added to one integer sum over a
+    common denominator, which makes the constant term's one ``Fraction`` (or
+    ``int``) at the end; so a fully assigned polynomial makes no ``Fraction``
+    before its value.  Each power of a value is computed once per map, on
+    first use; a negative power of the laurent parameter swaps numerator and
     denominator, and raises ``ZeroDivisionError`` for 0.  A non-constant
     polynomial value multiplies the term by its power, and raises
     ``ValueError`` in a negative power.  Unassigned parameters are kept.
     """
-    rationals = []  # (index, value, {exponent: (numerator, denominator)})
-    polys = []  # (index, non-constant Poly)
+    # per parameter: None when unassigned, {exponent: (numerator,
+    # denominator)} for a rational value, filled on first use, or the Poly
+    # of a non-constant value
+    table: list = [None] * len(ctx.names)
+    rationals = {}  # index -> rational value
     for name, value in assignment.items():
         i = ctx.index.get(name)
         if i is None:
             raise ContextMismatchError(f"unknown parameter {name!r}")
         if not isinstance(value, Poly):
-            rationals.append((i, _exact(value), {}))
+            rationals[i] = _exact(value)
         elif value.ctx is not ctx:
             raise ContextMismatchError("assignment value from different context")
         elif value.is_constant():
-            rationals.append((i, value._terms.get(ctx.zero, 0), {}))
+            rationals[i] = value._terms.get(ctx.zero, 0)
         else:
-            polys.append((i, value))
+            table[i] = value
+    for i in rationals:
+        table[i] = {}
     zero = ctx.zero
+    positions = range(len(ctx.names))
 
-    def power(i, v, e):
-        """``v ** e`` as (numerator, denominator)."""
+    def power(i, e):
+        """The value of parameter ``i`` to the ``e``, as (numerator, denominator)."""
+        v = rationals[i]
         if e > 0:
             return v.numerator**e, v.denominator**e
         if v == 0:
@@ -689,35 +701,37 @@ def substitution(ctx: ParamContext, assignment: Mapping[str, Union[ScalarLike, P
     def apply(poly: Poly) -> Poly:
         if poly.ctx is not ctx:
             raise ContextMismatchError("polynomial from a different context")
+        num, den = 0, 1  # the terms left with no parameter, summed
         out: dict = {}
         for exps, coeff in poly._terms.items():
-            rest = num = None
-            for i, v, powers in rationals:
-                e = exps[i]
-                if not e:
-                    continue
-                if num is None:
-                    rest = list(exps)
-                    num, den = coeff.numerator, coeff.denominator
-                rest[i] = 0
-                p = powers.get(e)
-                if p is None:
-                    p = powers[e] = power(i, v, e)
-                num *= p[0]
-                den *= p[1]
-            if num is not None:
-                coeff = num if den == 1 else Fraction(num, den)
-            factors = []
-            for i, value in polys:
-                e = exps[i]
-                if not e:
-                    continue
-                if rest is None:
-                    rest = list(exps)
-                rest[i] = 0
-                factors.append(value**e)  # ValueError for e < 0
-            key = exps if rest is None else tuple(rest)
-            if not factors:
+            n, d = coeff.numerator, coeff.denominator
+            factors = None
+            kept = False  # an unassigned parameter stays in the term
+            for i in compress(positions, exps):
+                entry = table[i]
+                if entry is None:
+                    kept = True
+                elif type(entry) is dict:
+                    e = exps[i]
+                    p = entry.get(e)
+                    if p is None:
+                        p = entry[e] = power(i, e)
+                    n *= p[0]
+                    d *= p[1]
+                elif factors is None:
+                    factors = [entry ** exps[i]]  # ValueError for e < 0
+                else:
+                    factors.append(entry ** exps[i])
+            if not (kept or factors):
+                if d == den:
+                    num += n
+                else:
+                    num, den = num * d + n * den, den * d
+                continue
+            coeff = n if d == 1 else Fraction(n, d)
+            # the term's monomial with the assigned parameters taken out
+            key = tuple([0 if table[i] is not None else e for i, e in enumerate(exps)])
+            if factors is None:
                 _accumulate(out, key, coeff)
                 continue
             term = Poly._raw(ctx, {key: coeff} if coeff else {})
@@ -725,6 +739,11 @@ def substitution(ctx: ParamContext, assignment: Mapping[str, Union[ScalarLike, P
                 term = term * factor
             for e, c in term._terms.items():
                 _accumulate(out, e, c)
+        if num:
+            constant = num // den if num % den == 0 else Fraction(num, den)
+            if not out:
+                return Poly._raw(ctx, {zero: constant})
+            _accumulate(out, zero, constant)
         return Poly._raw(
             ctx, {zero if e == zero else e: _fold(c) for e, c in out.items()}
         )

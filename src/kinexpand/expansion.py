@@ -20,19 +20,24 @@ rational witness.  Once per (certificate, target) pair it makes a plan: the
 pair-order check, one shared verdict for each pair decided without a
 witness (the certificate's ``exact_zero`` pairs for that row, and the
 constant-row pairs without a template), and, for the rest, each pair's
-target row and the distinct coefficients left to the witness.  Per witness
-it validates the witness against the closure constraint equations (a
-constraint the witness leaves open, with one free constant, becomes a
-power-substitution rule), substitutes each distinct coefficient once,
-builds the other pairs' expected brackets from the target structure
-constants, accepts exactly equal pairs, and otherwise scalarises the
-template with the witness (phase 2) and compares it with the target
-(phase 3).  The certificate depends only on the seed, so each driver family
-builds it once per process and every witness reuses it; what it shares is
-read-only (NamedTuple records, mappings, element terms).  A witness check is
-rational arithmetic that compares and does not subtract: without power
-rules a residual is nonzero exactly when its operands differ, so a
-mismatch's residual is formed, like every text, only when it is read.
+target row and the distinct coefficients left to the witness; a pair whose
+row is one structure constant on unit coefficients, as every curvature
+pair's is, has its comparisons compiled into conditions on those
+coefficients' values.  Per witness it validates the witness against the
+closure constraint equations (a constraint the witness leaves open, with
+one free constant, becomes a power-substitution rule), evaluates each
+distinct coefficient once, and decides the checked pairs: a compiled pair
+from the values alone, another by building its expected bracket from the
+target structure constants, accepting an exactly equal pair, and otherwise
+scalarising the template with the witness (phase 2) and comparing it with
+the target (phase 3).  The certificate depends only on the seed, so each
+driver family builds it once per process and every witness reuses it; what
+it shares is read-only (NamedTuple records, mappings, element terms).  A
+witness check is rational arithmetic that compares and does not subtract:
+without power rules a residual is nonzero exactly when its operands
+differ, so a mismatch's residual is formed, like every text, only when it
+is read, and a compiled pair's expected bracket and scalarised template
+are built only then too.
 """
 
 from __future__ import annotations
@@ -241,13 +246,18 @@ def _analyze_constraints(constraints, substitute) -> list:
     return reductions
 
 
+def _reduce_poly(p: Poly, reductions) -> Poly:
+    for red in reductions:
+        p = red.apply_poly(p)
+    return p
+
+
 def _reduce_element(el: UEAElement, reductions) -> UEAElement:
     if not reductions:
         return el
     out = {}
     for mono, poly in el._terms.items():
-        for red in reductions:
-            poly = red.apply_poly(poly)
+        poly = _reduce_poly(poly, reductions)
         if not poly.is_zero():
             out[mono] = poly
     return UEAElement._raw(el.alg, out)
@@ -270,6 +280,37 @@ def _rendered(slot: str, empty):
     return property(text)
 
 
+def _value(values: list, ref: tuple) -> Poly:
+    """The value a coefficient reference ``(index, negated)`` points to."""
+    index, negated = ref
+    return -values[index] if negated else values[index]
+
+
+def _units_element(verdict, alg, monomials, ref, values) -> UEAElement:
+    """A recipe's element: the value ``ref`` points to on each of ``monomials``."""
+    value = _value(values, ref)
+    return UEAElement._raw(alg, dict.fromkeys(monomials, value) if value._terms else {})
+
+
+def _template_element(verdict, alg, template, values) -> UEAElement:
+    """A recipe's element: the template scalarised, each of its monomials
+    carrying the value its coefficient reference points to."""
+    terms = {}
+    for m, ref in template:
+        value = _value(values, ref)
+        if value._terms:
+            terms[m] = value
+    return UEAElement._raw(alg, terms)
+
+
+def _residual(verdict, minuend, reductions=()) -> UEAElement:
+    """A recipe's element: ``minuend - expected``, reduced by ``reductions``;
+    ``minuend`` is an element, or the name of the verdict's slot holding it."""
+    if type(minuend) is str:
+        minuend = verdict._element(minuend)
+    return _reduce_element(minuend - verdict._element("_expected"), reductions)
+
+
 class PairVerdict:
     """One pair's verdict.
 
@@ -278,10 +319,14 @@ class PairVerdict:
     ``target``, ``scalarized`` and ``residual`` are texts of the expected
     bracket, the scalarised template and the residual.  The verdict keeps
     the elements and renders each text on first read, into a slot of its
-    own, so a caller that only reads verdicts formats nothing.  ``residual``
-    may also be given as a ``(minuend, subtrahend)`` pair of elements: the
-    difference is then formed on the first read of its text or of the
-    verdict's equality, and kept in its place.  It is read-only: every field
+    own, so a caller that only reads verdicts formats nothing.  Each element
+    may also be given as a recipe, a tuple ``(function, *args)``: the element
+    is then ``function(verdict, *args)``, made on the first read of its text
+    or of the verdict's equality and kept in its place.  A witness round
+    gives its expected brackets and scalarised templates as recipes
+    (:func:`_units_element`, :func:`_template_element`) and its residuals as
+    :func:`_residual`, which reads the expected bracket from the verdict, so
+    a verdict nobody reads builds no element.  It is read-only: every field
     is a property over a private slot.  A verdict decided without a witness
     is made once per :func:`verify_closure` plan and shared by every call
     on it, with any residual already formed, so that only its texts are
@@ -312,11 +357,10 @@ class PairVerdict:
     residual = _rendered("_residual", None)
 
     def _element(self, slot: str):
-        """The element in ``slot``, with a residual's difference formed."""
+        """The element in ``slot``, made from its recipe on first read."""
         element = getattr(self, slot)
         if type(element) is tuple:
-            minuend, subtrahend = element
-            element = minuend - subtrahend
+            element = element[0](self, *element[1:])
             setattr(self, slot, element)
         return element
 
@@ -492,33 +536,92 @@ def closure_certificate(
     return ClosureCertificate(alg, gens, tuple(pairs))
 
 
-@functools.lru_cache(maxsize=16)
-def _constraint_texts(constraints: tuple) -> tuple:
-    """The texts of a family's constraints, formatted once per process."""
-    return tuple(format_poly(c) for c in constraints)
+# Constraint texts per constraints tuple, kept with the tuple so that its
+# identity stays the key: each family's drivers pass the family's tuple.
+_CONSTRAINT_TEXTS: dict = {}
+_CONSTRAINT_TEXTS_KEPT = 16
+
+
+def _constraint_texts(constraints: Sequence[Poly]) -> tuple:
+    """The texts of ``constraints``, formatted once per constraints tuple."""
+    entry = _CONSTRAINT_TEXTS.get(id(constraints))
+    if entry is not None and entry[0] is constraints:
+        return entry[1]
+    texts = tuple(format_poly(c) for c in constraints)
+    if type(constraints) is tuple:
+        if len(_CONSTRAINT_TEXTS) == _CONSTRAINT_TEXTS_KEPT:
+            del _CONSTRAINT_TEXTS[next(iter(_CONSTRAINT_TEXTS))]
+        _CONSTRAINT_TEXTS[id(constraints)] = (constraints, texts)
+    return texts
+
+
+def _facts(conditions: tuple, values: list) -> int:
+    """The plan's conditions that hold at these coefficient values, as a
+    bit mask: bit ``k`` is set when condition ``k`` holds."""
+    facts = 0
+    for k, (index, other, opposite) in enumerate(conditions):
+        terms = values[index]._terms
+        if other is None:
+            holds = not terms
+        elif type(other) is int:
+            other = values[other]
+            holds = terms == (-other if opposite else other)._terms
+        else:
+            holds = terms == other._terms
+        if holds:
+            facts |= 1 << k
+    return facts
+
+
+class _Units(NamedTuple):
+    """A checked pair compiled to conditions on coefficient values.
+
+    The pair's target row is one structure constant, the coefficient
+    ``value`` (a reference ``(index, negated)`` into
+    :attr:`_Plan.coefficients`), on an element whose coefficients are all 1:
+    the expected bracket is that value on each of ``monomials``.  ``exact``,
+    ``matched`` and ``low`` are sets of the plan's conditions
+    (:attr:`_Plan.conditions`), as bit masks.  The commutator equals the
+    expected bracket exactly when every condition of ``exact`` holds;
+    ``exact`` is None when no value makes them equal.  The scalarised
+    template equals it exactly when every condition of ``matched`` holds,
+    and has degree at most 1 exactly when every condition of ``low`` does.
+    ``on`` holds the commutator's coefficient on each monomial (zero where
+    it has none) and ``off`` its distinct coefficients on other monomials:
+    power rules reduce these as they reduce values.
+    """
+
+    value: tuple
+    monomials: tuple
+    exact: int | None
+    matched: int
+    low: int
+    on: tuple
+    off: tuple
 
 
 class _Check(NamedTuple):
     """A pair :func:`verify_closure` checks at each witness.
 
     ``row`` holds, per structure constant of the pair's target row, the
-    expanded element and the index of the constant in
-    :attr:`_Plan.coefficients`; ``template`` holds the template's
-    monomials with the indices of their coefficients, or is None.
-    ``units`` holds the monomials of a row with one structure constant
-    whose element has only unit coefficients: the expected bracket is then
-    the constant on each of them.  Otherwise it is None.  ``linear`` is
-    True when the row's elements have degree at most 1, and so has any
-    template equal to the expected bracket.  ``constant`` is None, or, for
-    a pair without a template whose constant row's expected bracket differs
-    from the commutator, that bracket: the plan's ``mismatch`` then holds
-    at every witness that gives no power rule.
+    expanded element and a reference ``(index, negated)`` to the constant
+    in :attr:`_Plan.coefficients`; ``template`` holds the template's
+    monomials with references to their coefficients, or is None.
+    ``units`` is the pair compiled to conditions on values
+    (:class:`_Units`) when its row is one structure constant on an element
+    with only unit coefficients, as every curvature pair's is; otherwise it
+    is None, and the pair is checked on elements.  ``linear`` is True when
+    the row's elements have degree at most 1, and so has any template equal
+    to the expected bracket.  ``constant`` is None, or, for a pair without
+    a template whose constant row's expected bracket differs from the
+    commutator, that bracket: the plan's ``mismatch`` then holds at every
+    witness that gives no power rule.
     """
 
     index: int
     cert: PairCertificate
     row: tuple
-    units: tuple | None
+    units: _Units | None
     linear: bool
     template: tuple | None
     constant: UEAElement | None
@@ -532,12 +635,16 @@ class _Plan(NamedTuple):
     shared, read-only :class:`PairVerdict` of a pair decided without a
     witness, None for a pair only a witness decides.  ``checks`` holds the
     pairs a witness decides, and the constant-row mismatches, which only a
-    power rule could reduce.  ``coefficients`` are the distinct structure
-    constants and template coefficients of the checked pairs, as
-    ``(poly, negates)``: ``negates`` is None for a coefficient substituted
-    once per witness, else the index of the earlier coefficient it is the
-    negative of.  ``pairs`` and ``generators`` are the certificate's, kept
-    so that the key they give stays theirs.
+    power rule could reduce.  ``coefficients`` are the structure constants
+    and template coefficients of the checked pairs, distinct up to sign:
+    each is substituted once per witness, and a coefficient that is
+    another's negative is referred to as that one, negated.
+    ``conditions`` are the distinct comparisons the compiled pairs need,
+    each ``(index, other, opposite)``: the value of coefficient ``index``
+    is zero (``other`` None), equals the value of coefficient ``other``
+    (an index; its negative when ``opposite``), or equals the ``Poly``
+    ``other``.  ``pairs`` and ``generators`` are the certificate's, kept so
+    that the key they give stays theirs.
     """
 
     pairs: tuple
@@ -545,6 +652,7 @@ class _Plan(NamedTuple):
     verdicts: tuple
     checks: tuple
     coefficients: tuple
+    conditions: tuple
     fixed_set: tuple
 
 
@@ -554,6 +662,65 @@ class _Plan(NamedTuple):
 # keeps its most recent few plans.
 _PLANS: "weakref.WeakKeyDictionary[LieAlgebra, dict]" = weakref.WeakKeyDictionary()
 _PLANS_PER_TARGET = 8
+
+
+class _Compiler:
+    """The coefficients and conditions of one plan, as they are collected."""
+
+    def __init__(self):
+        self.coefficients: dict = {}  # Poly -> index
+        self.conditions: dict = {}  # (index, other, opposite) -> index
+
+    def ref(self, p: Poly) -> tuple:
+        """The reference ``(index, negated)`` of coefficient ``p``."""
+        index = self.coefficients.get(p)
+        if index is not None:
+            return index, False
+        index = self.coefficients.get(-p)
+        if index is not None:
+            return index, True
+        index = self.coefficients[p] = len(self.coefficients)
+        return index, False
+
+    def condition(self, ref: tuple, other=None) -> int:
+        """The condition "the value of ``ref`` is ``other``", as a bit mask:
+        ``other`` is another reference, a ``Poly`` or zero (None); 0 when it
+        always holds."""
+        index, negated = ref
+        if type(other) is tuple:
+            j, opposite = other[0], negated != other[1]
+            if j == index:
+                if not opposite:
+                    return 0
+                key = (index, None, False)  # v == -v: v is zero
+            else:
+                key = (min(index, j), max(index, j), opposite)
+        elif other is None or not other._terms:
+            key = (index, None, False)
+        else:
+            key = (index, -other if negated else other, False)
+        return 1 << self.conditions.setdefault(key, len(self.conditions))
+
+    def units(self, cert: PairCertificate, monomials: tuple, value: tuple, template):
+        """The :class:`_Units` of a pair whose expected bracket is ``value``
+        on each of ``monomials``."""
+        zero = Poly._raw(cert.actual.alg.ctx, {})
+        actual = cert.actual._terms
+        inside = set(monomials)
+        on = tuple(actual.get(m, zero) for m in monomials)
+        off = tuple({p: None for m, p in actual.items() if m not in inside})
+        exact = None
+        if not off and all(p == on[0] for p in on):
+            exact = self.condition(value, on[0])
+        matched = low = 0
+        if template is not None:
+            for m, ref in template:
+                matched |= self.condition(ref, value if m in inside else None)
+                if sum(m) > 1:
+                    low |= self.condition(ref)
+            if not inside.issubset(m for m, _ in template):
+                matched |= self.condition(value)  # the expected bracket is zero
+        return _Units(value, monomials, exact, matched, low, on, off)
 
 
 def _plan(certificate: ClosureCertificate, target: LieAlgebra) -> _Plan:
@@ -572,17 +739,7 @@ def _plan(certificate: ClosureCertificate, target: LieAlgebra) -> _Plan:
         )
     alg = certificate.alg
     elements = certificate.generators.elements
-    coefficients: dict = {}  # Poly -> (index, index of its negative or None)
-
-    def indexed(p: Poly) -> int:
-        entry = coefficients.get(p)
-        if entry is None:
-            negative = coefficients.get(-p)
-            entry = coefficients[p] = (
-                len(coefficients), None if negative is None else negative[0]
-            )
-        return entry[0]
-
+    compiler = _Compiler()
     unit = {alg.ctx.zero: 1}
     verdicts = []
     checks = []
@@ -619,12 +776,14 @@ def _plan(certificate: ClosureCertificate, target: LieAlgebra) -> _Plan:
         verdicts.append(None)
         template = None
         if cert.template is not None:
-            template = tuple((m, indexed(p)) for m, p in cert.template._terms.items())
-        products = tuple((elements[names[k]], indexed(c)) for k, c in row.items())
+            template = tuple(
+                (m, compiler.ref(p)) for m, p in cert.template._terms.items()
+            )
+        products = tuple((elements[names[k]], compiler.ref(c)) for k, c in row.items())
         terms = [el._terms for el, _ in products]
         units = None
-        if len(terms) == 1 and all(c._terms == unit for c in terms[0].values()):
-            units = tuple(terms[0])
+        if len(terms) == 1 and terms[0] and all(c._terms == unit for c in terms[0].values()):
+            units = compiler.units(cert, tuple(terms[0]), products[0][1], template)
         linear = all(sum(m) <= 1 for t in terms for m in t)
         checks.append(_Check(index, cert, products, units, linear, template, None))
     plan = _Plan(
@@ -632,13 +791,52 @@ def _plan(certificate: ClosureCertificate, target: LieAlgebra) -> _Plan:
         certificate.generators,
         tuple(verdicts),
         tuple(checks),
-        tuple((p, negates) for p, (_, negates) in coefficients.items()),
+        tuple(compiler.coefficients),
+        tuple(compiler.conditions),
         tuple(sorted(certificate.generators.fixed_set)),
     )
     if len(plans) == _PLANS_PER_TARGET:
         del plans[next(iter(plans))]
     plans[key] = plan
     return plan
+
+
+def _check_units(
+    alg, cert, units, template, values, facts, reduced, reductions
+) -> PairVerdict:
+    """The verdict of a compiled pair (:class:`_Units`) from the witness's
+    coefficient ``values`` and the ``facts`` of the plan's conditions;
+    with power rules ``reductions``, ``reduced`` holds the values reduced
+    and the facts at them, else it is None.  Its elements are recipes:
+    nothing here builds or compares an element."""
+    exact = units.exact
+    if exact is not None and facts & exact == exact:
+        # the commutator is the expected bracket: render the certificate's
+        return PairVerdict(cert.pair, "exact_zero", "n/a", cert.actual)
+    expected = (_units_element, alg, units.monomials, units.value, values)
+    if reduced is not None:
+        # the rules reduce the commutator's coefficients as they reduce values
+        values, facts = reduced
+        value = _value(values, units.value)._terms
+        if all(
+            _reduce_poly(p, reductions)._terms == value for p in units.on
+        ) and not any(_reduce_poly(p, reductions)._terms for p in units.off):
+            return PairVerdict(cert.pair, "exact_zero", "n/a", expected)
+    if template is None:
+        return PairVerdict(
+            cert.pair, "mismatch", "n/a", expected,
+            residual=(_residual, cert.actual, reductions),
+        )
+    # phase 2: scalarise the template with the witness; phase 3: compare it
+    # with the expected bracket, value by value
+    matched = facts & units.matched == units.matched
+    scal = (_template_element, alg, template, values)
+    p1_ok = not cert.phase1._terms
+    if p1_ok and matched and facts & units.low == units.low:
+        return PairVerdict(cert.pair, "template_match", "pass", expected, scal)
+    # phase 3's residual, zero when it passed, or the phase-1 residual
+    residual = (_residual, "_scalarized", reductions) if p1_ok else cert.phase1
+    return PairVerdict(cert.pair, "mismatch", cert.phase1_text, expected, scal, residual)
 
 
 def verify_closure(
@@ -663,44 +861,58 @@ def verify_closure(
     :class:`PairVerdict`, shared read-only by every call.  For the other
     pairs the plan collects their rows and the distinct coefficients of
     their rows and templates, a coefficient that is another's negative
-    standing as that one's negation.  A certificate whose ``pairs`` or
+    standing as that one's negation.  A pair whose row is one structure
+    constant on an element with only unit coefficients (every curvature
+    pair of the drivers) has its comparisons compiled into comparisons of
+    coefficient values (:class:`_Units`).  A certificate whose ``pairs`` or
     ``generators`` were replaced gets a plan of its own.
 
     Per witness, the witness is validated against the constraints: an
     exactly satisfied constraint is consumed, an open one (single free
     constant) becomes a power-reduction rule.  Each distinct coefficient is
-    substituted once.  Each checked pair's expected bracket is built, as one
-    sum, from the expanded elements times the target structure constants at
-    the witness; a row of one constant whose element has only unit
-    coefficients gives it without a product.  A pair whose commutator
-    equals it is an ``exact_zero``.  Otherwise its template is scalarised at
-    the witness (phase 2) and compared with the expected bracket (phase 3);
-    the pair is a ``template_match`` only if the certificate's phase-1
-    residual is zero and the scalarised template has degree at most 1,
-    known without a look when it equals an expected bracket of linear
-    elements, and a ``mismatch`` otherwise or when it has no template.
-    Only power rules make a difference worth forming to decide a verdict:
-    with none, ``actual - expected`` and ``scalarised - expected`` are
-    nonzero exactly when their operands differ, so a mismatch's residual is
-    given to its :class:`PairVerdict` as a pair, and formed when read.
-    With power rules, each unequal pair's difference is formed and reduced,
-    the plan's constant-row mismatches too.  No commutator, product or text
-    is computed here: a call makes verdicts only for the pairs its witness
-    decides, and each verdict renders its texts when read.
+    substituted once, and, with power rules, reduced once.  A compiled pair
+    is decided from those values alone: it is an ``exact_zero`` when the
+    commutator equals the expected bracket, or, with power rules, when their
+    reduced coefficients agree; otherwise its template, scalarised at the
+    witness (phase 2), is compared with the expected bracket (phase 3)
+    value by value.  Another pair's expected bracket is built, as one sum,
+    from the expanded elements times the target structure constants at the
+    witness, and compared with the commutator and the scalarised template
+    as elements, with each unequal difference formed and reduced when there
+    are power rules, the plan's constant-row mismatches too.  A pair is a
+    ``template_match`` only if the certificate's phase-1 residual is zero,
+    phase 3 passes and the scalarised template has degree at most 1, and a
+    ``mismatch`` otherwise or when it has no template.  Without power rules
+    ``actual - expected`` and ``scalarised - expected`` are nonzero exactly
+    when their operands differ, so no difference is formed to decide a
+    verdict.  No commutator, product or text is computed here, and a
+    compiled pair's expected bracket, scalarised template and residual are
+    recipes its :class:`PairVerdict` follows when read: a round whose pairs
+    all compile builds and compares no element.
     """
     plan = _plan(certificate, target)
     alg = certificate.alg
     witness = dict(witness or {})
     # the witness is validated once; each distinct coefficient is
-    # substituted once per call
+    # substituted once per call, and each condition decided once
     substitute = substitution(alg.ctx, witness)
-    reductions = _analyze_constraints(constraints, substitute)
-    values = []
-    for p, negates in plan.coefficients:
-        values.append(substitute(p) if negates is None else -values[negates])
+    reductions = tuple(_analyze_constraints(constraints, substitute))
+    values = [substitute(p) for p in plan.coefficients]
+    facts = _facts(plan.conditions, values)
+    reduced = None
+    if reductions:
+        reduced_values = [_reduce_poly(v, reductions) for v in values]
+        reduced = (reduced_values, _facts(plan.conditions, reduced_values))
     pairs = list(plan.verdicts)
     mismatches = []
     for index, cert, row, units, linear, template, constant in plan.checks:
+        if units is not None:
+            verdict = pairs[index] = _check_units(
+                alg, cert, units, template, values, facts, reduced, reductions
+            )
+            if verdict._verdict == "mismatch":
+                mismatches.append(cert.pair)
+            continue
         if constant is not None:
             if not reductions:
                 # the plan's mismatch: only a power rule could reduce it
@@ -708,13 +920,9 @@ def verify_closure(
                 continue
             expected = constant
         else:
-            if units is None:
-                expected = _expected_bracket(alg, [(el, values[i]) for el, i in row])
-            else:
-                value = values[row[0][1]]  # the row's one constant
-                expected = UEAElement._raw(
-                    alg, dict.fromkeys(units, value) if value._terms else {}
-                )
+            expected = _expected_bracket(
+                alg, [(el, _value(values, ref)) for el, ref in row]
+            )
             if cert.actual == expected:
                 # render the certificate's element: the verdict keeps no copy
                 pairs[index] = PairVerdict(cert.pair, "exact_zero", "n/a", cert.actual)
@@ -725,7 +933,7 @@ def verify_closure(
                 pairs[index] = PairVerdict(cert.pair, "exact_zero", "n/a", expected)
                 continue
         else:
-            exact_res = (cert.actual, expected)  # nonzero, formed when read
+            exact_res = (_residual, cert.actual)  # nonzero, formed when read
         if template is None:
             pairs[index] = PairVerdict(
                 cert.pair, "mismatch", "n/a", expected, residual=exact_res
@@ -733,10 +941,7 @@ def verify_closure(
             mismatches.append(cert.pair)
             continue
         # phase 2: scalarise the template with the witness
-        scal = UEAElement._raw(
-            alg, {m: values[i] for m, i in template if values[i]._terms}
-        )
-        scal = _reduce_element(scal, reductions)
+        scal = _reduce_element(_template_element(None, alg, template, values), reductions)
         # phase 3: compare with the target structure constants; equal to an
         # expected bracket of linear elements, the template is linear too
         if scal == expected:
@@ -747,7 +952,7 @@ def verify_closure(
                 p3_res = None
             low_degree = scal.degree() <= 1
         else:
-            p3_res, low_degree = (scal, expected), False  # formed when read
+            p3_res, low_degree = (_residual, "_scalarized"), False  # formed when read
         p1_ok = cert.phase1.is_zero()
         if p1_ok and p3_res is None and low_degree:
             pairs[index] = PairVerdict(
@@ -770,9 +975,9 @@ def verify_closure(
         initial=alg.name,
         target=target.name,
         fixed_set=plan.fixed_set,
-        constraints=_constraint_texts(tuple(constraints)),
+        constraints=_constraint_texts(constraints),
         witness=witness,
-        reductions=tuple(reductions),
+        reductions=reductions,
         pairs=tuple(pairs),
         passed=not mismatches,
         mismatches=tuple(mismatches),

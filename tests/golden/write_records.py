@@ -102,6 +102,8 @@ RUNS = (
     ("alg-unknown-generator", ["check-jacobi", "alg/unknown_generator.alg"]),
     ("alg-repeated-bracket", ["bracket", "alg/repeated_bracket.alg", "A", "B"]),
     ("alg-missing-generator", ["check-jacobi", "alg/missing_generator.alg"]),
+    ("alg-empty-bracket", ["check-jacobi", "alg/empty_bracket.alg"]),
+    ("alg-trailing-plus", ["check-jacobi", "alg/trailing_plus.alg"]),
     ("alg-negative-power", ["check-jacobi", "alg/negative_power.alg"]),
     ("alg-wrong-family", ["casimir-check", "alg/wrong_family.alg"]),
     ("alg-not-lie", ["check-jacobi", "alg/not_lie.alg"]),

@@ -185,6 +185,23 @@ class TestParsing:
             parse_algebra_text(text)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize(
+        "rhs", ["", "   ", "2*C +", "+ 2*C", "2*C + + 1*C", "(1 + t)*C +"]
+    )
+    def test_empty_bracket_term_is_refused(self, rhs):
+        text = f"name toy\nparameters t\ngenerators A B C\n\nbracket A B = {rhs}\n"
+        with pytest.raises(AlgebraFileError) as exc:
+            parse_algebra_text(text)
+        assert exc.value.line == 5
+        assert str(exc.value).startswith("line 5: empty bracket term")
+        assert "write 0 for a zero bracket" in str(exc.value)
+
+    def test_zero_bracket_is_written_0(self):
+        alg = parse_algebra_text("name toy\ngenerators A B C\nbracket A B = 0\n")
+        assert alg.bracket_pair(0, 1) == {}
+        two = parse_algebra_text("name toy\ngenerators A B C\nbracket A B = 0 + 2*C\n")
+        assert two.bracket_pair(0, 1) == {2: Poly.const(two.ctx, 2)}
+
     def test_missing_equals(self):
         with pytest.raises(AlgebraFileError):
             parse_algebra_text("name toy\ngenerators A B\nbracket A B 1*A\n")

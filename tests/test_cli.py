@@ -54,6 +54,11 @@ BAD_FILES = {
     + "9" * 700 + "*" + "9" * 700 + "*C\n",
     # a bracket term that ends at its '*'
     "missing_generator": "name toy\ngenerators A B C\nbracket A B = 2*\n",
+    # empty bracket terms: an empty right-hand side, a '+' with no term
+    # after it, and two '+' in a row (a zero bracket is written 0)
+    "empty_bracket": "name toy\ngenerators A B C\nbracket A B =\n",
+    "trailing_plus": "name toy\ngenerators A B C\nbracket A B = 2*C +\n",
+    "double_plus": "name toy\ngenerators A B C\nbracket A B = 2*C + + 1*C\n",
     # contracting eps diverges: the structure constant has eps^-1
     "eps_inverse": "name toy\nparameters eps\nlaurent eps\n"
     "generators A B C\nbracket A B = eps^-1*C\n",
@@ -216,6 +221,9 @@ class TestExitContract:
             ["normal-form", "poincare", "H*"],
             ["normal-form", "poincare", "H^"],
             ["check-jacobi", "{missing_generator}"],
+            ["check-jacobi", "{empty_bracket}"],
+            ["check-jacobi", "{trailing_plus}"],
+            ["bracket", "{double_plus}", "A", "B"],
             # parameters of the context that the target's witness never reads
             ["expand", "poincare", "--witness", "kappa=3", "--witness", "eps=0"],
         ],

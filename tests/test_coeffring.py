@@ -279,6 +279,88 @@ class TestSubstituteAgainstOracle:
             assert type(exc.value) is error
 
 
+class TestEvaluatorAgainstOracle:
+    """``substitution``, the one evaluator, against the multiply-out oracle:
+    fully assigned polynomials are summed in integers, partly assigned ones
+    keep their other parameters, on one map applied to many polynomials."""
+
+    def assert_same(self, apply, p, assignment):
+        got = apply(p)
+        want = oracle_substitute.substitute(p, assignment)
+        assert got == want, (p, assignment)
+        assert {e: type(c) for e, c in got.terms.items()} == {
+            e: type(c) for e, c in want.terms.items()
+        }
+        assert all(e is CTX.zero for e in got.terms if e == CTX.zero)
+        return got
+
+    def full(self, rng, value):
+        a = {name: value(rng) for name in CTX.names if name != "eps"}
+        a["eps"] = nonzero_rational(rng) if rng.random() < 0.5 else rng.choice((2, -1))
+        return a
+
+    def test_full_assignments_give_constants(self, rng):
+        for value in (random_rational, nonzero_rational, lambda r: r.randint(-4, 4)):
+            for _ in range(60):
+                a = self.full(rng, value)
+                apply = substitution(CTX, a)
+                for _ in range(4):
+                    p = laurent_poly(rng)
+                    assert self.assert_same(apply, p, a).is_constant()
+
+    def test_full_assignments_with_integral_fractions(self, rng):
+        for _ in range(100):
+            a = self.full(rng, lambda r: r.choice((Fraction(4, 2), r.randint(-3, 3))))
+            apply = substitution(CTX, a)
+            p = laurent_poly(rng).scale(Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+            self.assert_same(apply, p, a)
+
+    def test_cancelling_terms_give_zero(self, rng):
+        for _ in range(50):
+            a = self.full(rng, nonzero_rational)
+            p = laurent_poly(rng)
+            value = substitution(CTX, a)(p)
+            assert substitution(CTX, a)(p - value) == Poly(CTX)
+
+    def test_partial_assignments(self, rng):
+        names = [n for n in CTX.names if n != "eps"]
+        for _ in range(200):
+            a = {n: random_rational(rng) for n in rng.sample(names, rng.randint(1, 7))}
+            if rng.random() < 0.5:
+                a["eps"] = nonzero_rational(rng)
+            apply = substitution(CTX, a)
+            for _ in range(3):
+                self.assert_same(apply, laurent_poly(rng), a)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ({"a1": 0.5}, TypeError),
+            ({"nope": 1}, ContextMismatchError),
+            ({"a1": Poly.var(ParamContext(("a1",)), "a1")}, ContextMismatchError),
+            ({"eps": 0}, ZeroDivisionError),
+            ({"eps": Poly.var(CTX, "m")}, ValueError),
+        ],
+        ids=[
+            "float",
+            "unknown-name",
+            "foreign-context",
+            "zero-into-negative",
+            "poly-into-negative",
+        ],
+    )
+    def test_errors_match_the_oracle_on_full_assignments(self, rng, bad, error):
+        p = var("a1") * Poly.var(CTX, "eps", -2) + var("m") * var("c2")
+        a = {**self.full(rng, nonzero_rational), **bad}
+        for substitute in (
+            lambda a: substitution(CTX, a)(p),
+            lambda a: oracle_substitute.substitute(p, a),
+        ):
+            with pytest.raises(error) as exc:
+                substitute(a)
+            assert type(exc.value) is error
+
+
 class TestGrammar:
     @pytest.mark.parametrize(
         "text",

@@ -494,6 +494,79 @@ def _eager_pairs(certificate, target, constraints, witness) -> list:
     return out
 
 
+def _random_compiled_case(rng):
+    """A certificate and target whose every pair compiles, at random.
+
+    Each target row is one structure constant, drawn with its sign from a
+    small pool, on an expanded element of one or two unit monomials of
+    degree 1 or 2.  A pair's commutator is zero, or the element times a
+    constant from the pool, possibly with a monomial dropped or another
+    added; its template, if any, carries pool constants on some of the
+    element's monomials and possibly on another; its phase 1 sometimes
+    fails.  The witness takes values from a small set, so that pool values
+    often coincide, and with power rules leaves a1 open.
+    """
+    alg = catalog("galilei")
+    ctx = alg.ctx
+
+    def g(name):
+        return UEAElement.generator(alg, name)
+
+    monomials = [g("H"), g("P1"), g("K2"), g("J3"), g("H") * g("P1"), g("K1") * g("J2")]
+    a1, m, omega, kappa = (Poly.var(ctx, n) for n in ("a1", "m", "omega", "kappa"))
+    pool = [omega, kappa, omega * m, a1 * a1 * m, Poly.const(ctx, 2)]
+
+    def constant():
+        return rng.choice(pool).scale(rng.choice((1, -1)))
+
+    names = ["A", "B", "C", "D"]
+    elements = {
+        n: sum(rng.sample(monomials, rng.randint(1, 2)), UEAElement.zero(alg))
+        for n in names
+    }
+    brackets = {}
+    pairs = []
+    for i, j in ((i, j) for i in range(4) for j in range(i + 1, 4)):
+        k = rng.randrange(4)
+        brackets[i, j] = {k: constant()}
+        units = list(elements[names[k]].terms)
+        kind = rng.randrange(4)
+        actual = UEAElement.zero(alg)
+        if kind:
+            kept = units if kind != 3 or len(units) == 1 else units[1:]
+            c = constant()
+            actual = UEAElement(alg, {u: c for u in kept})
+            if kind == 2:
+                actual = actual + rng.choice(monomials).smul(constant())
+        template = phase1 = None
+        text = "n/a"
+        if rng.random() < 0.7:
+            terms = {u: constant() for u in units if rng.random() < 0.8}
+            if rng.random() < 0.4:
+                extra = rng.choice(monomials)
+                terms = {**terms, **{u: constant() for u in extra.terms}}
+            template = UEAElement(alg, terms)
+            phase1 = UEAElement.zero(alg) if rng.random() < 0.8 else g("H")
+            text = "pass" if phase1.is_zero() else format_element(phase1)
+        pairs.append(
+            expansion.PairCertificate(
+                (names[i], names[j]), actual, template, phase1, text, None
+            )
+        )
+    target = expansion.LieAlgebra("toy", names, ctx, brackets)
+    gens = expansion.ExpandedGenerators(elements, frozenset())
+    certificate = expansion.ClosureCertificate(alg, gens, tuple(pairs))
+    values = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
+    witness = {n: rng.choice(values) for n in ("omega", "kappa", "m", "a1")}
+    constraints = ()
+    if rng.random() < 0.3:
+        del witness["a1"]  # a1^2 -> -kappa
+        constraints = (a1 * a1 + kappa,)
+    elif rng.random() < 0.2:
+        del witness[rng.choice(sorted(witness))]  # one parameter stays open
+    return certificate, target, constraints, witness
+
+
 class TestWarmRound:
     """A witness round on a built certificate does only rational arithmetic,
     and its verdict texts are rendered when read, as the eager path would."""
@@ -602,6 +675,74 @@ class TestWarmRound:
         assert verdicts == {"exact_zero", "template_match", "mismatch"}
         assert cases[-1][0].mismatches and cases[-2][0].mismatches
 
+    def test_a_warm_round_builds_and_compares_no_element(self, monkeypatch):
+        # every checked pair of the drivers compiles to conditions on
+        # coefficient values: its expected bracket, scalarised template and
+        # residual are recipes that its verdict follows only when read
+        for driver in DRIVERS.values():
+            driver()
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(UEAElement, "__eq__", counted("eq", UEAElement.__eq__))
+        monkeypatch.setattr(
+            UEAElement, "_raw", classmethod(counted("raw", UEAElement._raw.__func__))
+        )
+        monkeypatch.setattr(
+            expansion, "_expected_bracket", counted("expected", expansion._expected_bracket)
+        )
+        for module in (expansion, uea):
+            monkeypatch.setattr(module, "format_element", counted("format", format_element))
+        rng = random.Random(13)
+        runs = []
+        for _ in range(5):
+            witnesses = _witnesses_on_the_varieties(rng)
+            runs += [driver(witnesses[name]) for name, driver in WITNESS_DRIVERS.items()]
+        runs.append(run_negative_nh())
+        assert [run.ok for run in runs] == [True] * 16
+        assert calls == []
+        # reading a verdict builds its elements, once
+        mismatch = next(
+            p for p in runs[-1].report.pairs
+            if p.verdict == "mismatch" and type(p._residual) is tuple
+        )
+        assert type(mismatch._expected) is tuple
+        assert mismatch.residual and "raw" in calls and "format" in calls
+        assert type(mismatch._expected) is UEAElement
+        assert type(mismatch._residual) is UEAElement
+        del calls[:]
+        assert mismatch.residual and mismatch.target and calls == ["format"]
+        match = next(p for p in runs[0].report.pairs if p.verdict == "template_match")
+        assert match == match and "raw" in calls
+        assert type(match._expected) is type(match._scalarized) is UEAElement
+
+    def test_compiled_pairs_equal_the_eager_path_on_random_tables(self):
+        # value conditions against elements built and subtracted: equal and
+        # opposite coefficients, missing and extra monomials, monomials of
+        # degree 2, failed phase 1s, open parameters and power rules
+        rng = random.Random(17)
+        verdicts = set()
+        rules = 0
+        for _ in range(300):
+            args = _random_compiled_case(rng)
+            report = verify_closure(*args)
+            plan = expansion._plan(args[0], args[1])
+            # a constant row without a template is decided by the plan
+            assert all(c.units or c.constant is not None for c in plan.checks)
+            assert [p.to_dict() for p in report.pairs] == _eager_pairs(*args)
+            mismatches = [p.pair for p in report.pairs if p.verdict == "mismatch"]
+            assert list(report.mismatches) == mismatches
+            verdicts.update(p.verdict for p in report.pairs)
+            rules += bool(report.reductions)
+        assert verdicts == {"exact_zero", "template_match", "mismatch"}
+        assert rules > 50
+
     def test_a_changed_constant_row_takes_the_full_path(self):
         # poincare's table with the sign of [P1, J2] = P3 flipped: the row
         # differs from the one the certificate decided against, so the pair
@@ -648,8 +789,10 @@ class TestWarmRound:
         assert not any(
             id(a) in decided_actuals or id(b) in decided_actuals for a, b in compared
         )
-        # each pair left to the witness compares its commutator once
-        assert sum(id(a) in actuals for a, _ in compared) == 6 + 6 + 3
+        # a pair left to the witness is decided on coefficient values: no
+        # commutator, and no other element, is compared
+        assert sum(id(a) in actuals for a, _ in compared) == 0
+        assert compared == []
 
     def test_a_round_without_power_rules_subtracts_nothing(self, monkeypatch):
         for driver in DRIVERS.values():
@@ -707,12 +850,12 @@ class TestWarmRound:
                     shared += 1
                 else:
                     assert type(p._residual) is tuple and type(q._residual) is tuple
-                minuend = cert.actual if cert.template is None else p._scalarized
-                residual = minuend - p._expected
+                # the expected bracket and scalarised template are recipes too
+                expected, scal = p._element("_expected"), p._element("_scalarized")
+                minuend = cert.actual if cert.template is None else scal
+                residual = minuend - expected
                 assert not residual.is_zero()
-                eager = PairVerdict(
-                    p.pair, p.verdict, p.phase1, p._expected, p._scalarized, residual
-                )
+                eager = PairVerdict(p.pair, p.verdict, p.phase1, expected, scal, residual)
                 assert p == eager and eager == q
                 assert p.residual == q.residual == format_element(residual)
                 checked += 1

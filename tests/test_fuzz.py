@@ -28,7 +28,7 @@ TOKENS = (
     "99999999999999999999", "name", "generators", "bracket", "params",
     "H", "P1", "K2", "J3", "Xi", "x", "eps", "omega", "kappa", "a1", "m",
     "<C1>", "<W2>", "<Q>", "$", "é", "\x00", "((H^16)^16)^4", "(" * 300,
-    "1e5000", "(((2^16)^16)^16)^16",
+    "1e5000", "(((2^16)^16)^16)^16", "= +", "+ +",
 )
 
 EXPRESSIONS = (
