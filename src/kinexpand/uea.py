@@ -9,15 +9,23 @@ algebras of solvable type, after Kandri-Rody and Weispfenning).  Write
 ``m = m'*x_k`` with ``x_k`` the last generator present in ``m``.  If
 ``k <= g`` the product is a *bump*: the monomial with the exponent of ``g``
 raised by one.  Every caller tests for a bump inline and adds it to its sum
-in place, so only a true reorder reaches :func:`_product`::
+in place, so only a true reorder reaches :func:`_add_product`.  It splits
+``m = low*t``, with ``low`` the letters of ``m`` up to ``g`` and ``t`` the
+letters after it, and only the tail product ``t*x_g`` is memoised
+(:func:`_product`); with ``t = t'*x_k``::
 
-    m*x_g = (m'*x_g)*x_k + sum_l c_l (m'*x_l),   [x_k, x_g] = sum_l c_l x_l
+    t*x_g = (t'*x_g)*x_k + sum_l c_l (t'*x_l),   [x_k, x_g] = sum_l c_l x_l
 
 Every product on the right has a monomial of lower degree, or is a bump, so
 the recursion terminates, and by the PBW theorem the result is the
-canonical representative.  Multiplying a sum of terms by one generator is
-one pass of bump-or-lookup over the terms (:func:`_times_letter`), and every
-normal form is built from such passes: a word is the unit multiplied by its
+canonical representative.  Then ``m*x_g = low*(t*x_g)`` takes each term
+with no letter before the last letter of ``low`` as one bump onto ``low``,
+among them the leading term ``x_g*t``, and folds any other into ``low``
+(:func:`_fold`) without storing it.  This is how Plural builds the products
+of a G-algebra from a small table (Levandovskyy and Schönemann, ISSAC
+2003).  Multiplying a sum of terms by one generator is one pass of
+bump-or-product over the terms (:func:`_times_letter`), and every normal
+form is built from such passes: a word is the unit multiplied by its
 letters in turn, and every product, of two elements or inside a commutator,
 is one routine (:func:`_mul_into`) that folds its whole left factor through
 the letters of each right monomial (:func:`_fold`).
@@ -51,9 +59,10 @@ with one adjoint pass over ``x`` per ``j``, ``Y_j*[x, x_j]`` the product
 routine below, and ``[x, Y_j]`` the same recursion times ``x_j`` in one
 pass.
 
-Per algebra the kernel memoises the product primitive and ``ad`` per
-generator, keyed by monomial; no word, no product of two monomials and no
-bracket of two monomials is stored.
+Per algebra the kernel memoises the tail products per generator, keyed by
+tail, and ``ad`` per generator, keyed by monomial; no word, no product of
+two monomials, no product with letters up to the generator and no bracket
+of two monomials is stored.
 
 **Packed keys.**  Inside the kernel a term ``c * params^e * x^m`` is one
 entry ``key: c`` of a flat dict, where ``key`` is a single ``int`` that
@@ -97,17 +106,20 @@ by one and changes each parameter exponent by at most ``s``.  A bump keeps
 the degree.  So every term has degree at most ``D = d1 + d2``, whence every
 monomial field is at most ``D``, and at most ``D`` steps lie on the way to
 it, whence every parameter field is at most ``p1 + p2 + D*s`` in absolute
-value.  A stored table entry for ``m*x_g`` or ``[m, x_g]`` obeys the same
-bound with the degree of ``m`` plus one.  The check asks ``D <=``
+value.  A stored table entry for ``t*x_g`` or ``[m, x_g]`` obeys the same
+bound with the degree of ``t`` or ``m`` plus one.  The check asks ``D <=``
 :data:`MAX_DEGREE` and ``p1 + p2 + D*s < 2^(W-1)``.  A word of length ``n``
 in :func:`normal_form` is the case ``D = n``.
 
 ``MAX_DEGREE = 256`` lies far below the ``2^W - 1`` a field holds, because
 the memo misses recurse: :func:`_product`, :func:`_ad` and :func:`_commute`
 each go one degree lower per call, so a miss at degree ``D`` stacks about
-``D + 8`` Python frames.  Under the interpreter's default limit of 1000
-frames, that leaves room for the frames of the caller, among them four per
-nesting level of the expression parser, whose nesting is bounded too
+``D + 10`` Python frames: at most ``D + 11`` on fresh tables, over the
+products ``a^n*b^n*x_g`` and brackets ``[a^n*b^n, x_g]`` of the catalog
+algebras at ``D = 25``, and of the deepest of them up to ``D = 256``.
+Under the interpreter's default limit of 1000 frames, that leaves room for
+the frames of the caller, among them four per nesting level of the
+expression parser, whose nesting is bounded too
 (:data:`kinexpand.coeffring.MAX_NESTING`).
 
 The tables belong to the kernel, held weakly per algebra, and
@@ -115,13 +127,18 @@ The tables belong to the kernel, held weakly per algebra, and
 :data:`MAX_KERNEL_ENTRIES` entries; a miss that would store one more empties
 them and raises :class:`KernelBoundError`, so a runaway normal form ends with
 an error instead of exhausting memory, and the next call starts from empty
-tables.  With them the kernel keeps the algebra's Lie generating set
-(:func:`lie_generating_set`), on which :func:`is_central`
-certifies centrality: ``[x, -]`` is a derivation, the coefficient ring is a
-domain and the enveloping algebra is free over it (PBW), so an element that
-commutes with a generating set commutes with everything.  A failure names
-the first basis generator, in basis order, that the element does not
-commute with, the witness a scan of the whole basis gives.
+tables.  A left-multiplication is not stored, so time has its own bound:
+one product, commutator or normal form computes at most
+:data:`MAX_CALL_PRODUCTS` products (tail misses and left-multiplications)
+and raises :class:`KernelBoundError` past it, leaving the tables as they
+are, since every stored entry is complete.  With them the kernel keeps the
+algebra's Lie generating set (:func:`lie_generating_set`), on which
+:func:`is_central` certifies centrality: ``[x, -]`` is a derivation, the
+coefficient ring is a domain and the enveloping algebra is free over it
+(PBW), so an element that commutes with a generating set commutes with
+everything.  A failure names the first basis generator, in basis order,
+that the element does not commute with, the witness a scan of the whole
+basis gives.
 """
 
 from __future__ import annotations
@@ -150,10 +167,16 @@ _FIELD = (1 << FIELD_BITS) - 1
 _SIGN = 1 << (FIELD_BITS - 1)
 
 # Most entries the kernel tables of one algebra hold together.  An entry
-# takes about 0.5 KiB (the tables after <C2>^3 centrality on poincare hold
-# 475 B per entry), so full tables take about 95 MiB: the normal form of
-# <C2>^4 on poincare stops at the cap with a peak RSS of 128 MiB.
+# takes about 0.6 KiB (after <C2>^4 centrality on poincare the tables hold
+# 95,496 entries in 56 MiB), so full tables take about 120 MiB.
 MAX_KERNEL_ENTRIES = 200_000
+
+# Most products one product, commutator or normal form computes: tail
+# misses plus left-multiplications (:func:`_product`, :func:`_add_product`).
+# On poincare the largest call of <C2>^4 (C2^3*C2) computes 1.15M and its
+# centrality 0.24M, C2*(C2*(C2*C2)) 2.03M and (C2^2)*(C2^2) 3.79M, about
+# 3 us each; <C2>^5 stops at the budget after about 12 s.
+MAX_CALL_PRODUCTS = 3_000_000
 
 # Largest degree sum of the operands of one product, commutator or word: the
 # kernel's recursions take about one Python frame per degree (module
@@ -170,8 +193,9 @@ GROUPED_LEVELS = 3
 
 class KernelBoundError(ValueError):
     """A normal form the kernel cannot compute within its bounds: an exponent
-    that does not fit a packed field, or more table entries than
-    :data:`MAX_KERNEL_ENTRIES`."""
+    that does not fit a packed field, more table entries than
+    :data:`MAX_KERNEL_ENTRIES`, or more products in one call than
+    :data:`MAX_CALL_PRODUCTS`."""
 
 
 def _pack(fields) -> int:
@@ -200,7 +224,8 @@ class _Tables:
 
     __slots__ = (
         "dim", "ctx", "bits", "mask", "mono_struct", "unit", "after",
-        "max_exp", "brackets", "products", "ads", "entries", "generating",
+        "max_exp", "brackets", "products", "ads", "entries", "budget",
+        "generating",
     )
 
     def __init__(self, alg: LieAlgebra):
@@ -234,9 +259,11 @@ class _Tables:
              for exps in p._terms for e in exps),
             default=0,
         )
-        self.products = [{} for _ in range(dim)]  # [g][m] -> normal form of m*x_g
+        # [g][t] -> normal form of t*x_g, for t with letters after g only
+        self.products = [{} for _ in range(dim)]
         self.ads = [{} for _ in range(dim)]  # [g][m] -> normal form of [m, x_g]
         self.entries = 0  # stored in the two tables, against MAX_KERNEL_ENTRIES
+        self.budget = MAX_CALL_PRODUCTS  # products left to the current call
         self.generating = lie_generating_set(alg)
 
     def pack_exps(self, exps: tuple) -> int:
@@ -327,6 +354,13 @@ class _Tables:
         table[key] = value
 
 
+def _over_budget() -> KernelBoundError:
+    return KernelBoundError(
+        f"normal ordering needs more than {MAX_CALL_PRODUCTS} kernel products "
+        "in one call"
+    )
+
+
 _TABLES: "weakref.WeakKeyDictionary[LieAlgebra, _Tables]" = weakref.WeakKeyDictionary()
 
 def _tables(alg: LieAlgebra) -> _Tables:
@@ -396,40 +430,83 @@ def _group(tables: _Tables, flat: dict) -> dict:
     return {mono(m): Poly._raw(ctx, terms) for m, terms in grouped.items()}
 
 
-def _product(tables: _Tables, mono: int, g: int) -> dict:
-    """Normal form of mono * x_g as a flat dict, memoised, for a packed
-    monomial with a generator after ``g``.  Do not mutate.
+def _product(tables: _Tables, tail: int, g: int) -> dict:
+    """Normal form of tail * x_g as a flat dict, memoised, for a packed
+    monomial whose letters all come after ``g``.  Do not mutate.
 
-    A bump, ``mono`` with no generator after ``g``, is never passed here:
-    every caller adds ``mono + x_g`` in place.  With ``mono = m'*x_k``, the
-    products ``m'*x_g``, ``(m'*x_g)*x_k`` and ``m'*x_l`` are each a bump or
-    a call on a monomial of lower degree.
+    With ``tail = t'*x_k``, the product ``t'*x_g`` is a tail product of
+    lower degree, and ``(t'*x_g)*x_k`` and each ``t'*x_l`` are a bump or a
+    product of lower degree (:func:`_add_product`).  The leading term,
+    ``x_g*tail``, has no letter before ``g``.
     """
+    tables.budget -= 1
+    if tables.budget < 0:
+        raise _over_budget()
     memo = tables.products[g]
-    out = memo.get(mono)
-    if out is not None:
-        return out
-    k = (mono.bit_length() - 1) // FIELD_BITS
-    lower = mono - tables.unit[k]
-    if lower >= tables.after[g]:
+    k = (tail.bit_length() - 1) // FIELD_BITS
+    lower = tail - tables.unit[k]
+    if lower:
         out = {}
         _times_letter(tables, memo.get(lower) or _product(tables, lower, g), k, out)
     else:
-        # m'*x_g is a bump, and so is (m'*x_g)*x_k, as g < k
-        out = {mono + tables.unit[g]: 1}
+        # tail is x_k: x_k*x_g = x_g*x_k + [x_k, x_g]
+        out = {tail + tables.unit[g]: 1}
     _add_brackets(tables, out, lower, tables.brackets[k][g])
-    tables.store(memo, mono, out)
+    tables.store(memo, tail, out)
     return out
+
+
+def _add_product(
+    tables: _Tables, out: dict, mono: int, g: int, shift: int, c
+) -> None:
+    """out += c * t * mono*x_g on flat dicts, for a packed monomial with a
+    generator after ``g`` and the parameter term t with packed exponents
+    ``shift``.
+
+    A bump, ``mono`` with no generator after ``g``, is never passed here:
+    every caller adds ``mono + x_g`` in place.  With ``low`` the letters of
+    ``mono`` up to ``g`` and ``tail`` the letters after it, ``mono*x_g =
+    low*(tail*x_g)``, and only the tail product is memoised
+    (:func:`_product`).  A term of it with no letter before the last letter
+    of ``low`` is one bump onto ``low``; any other is folded into ``low``
+    (:func:`_fold`), and not stored.
+    """
+    low = mono & (tables.after[g] - 1)
+    tail = mono - low
+    prod = tables.products[g].get(tail) or _product(tables, tail, g)
+    if not low:
+        _add_into(out, prod, shift, c)
+        return
+    tables.budget -= 1
+    if tables.budget < 0:
+        raise _over_budget()
+    mask = tables.mask
+    before = tables.unit[(low.bit_length() - 1) // FIELD_BITS] - 1
+    step = shift + low
+    get = out.get
+    for key, c2 in prod.items():
+        if key & before:
+            u = key & mask
+            _add_into(out, _fold(tables, {low: 1}, u), key - u + shift, c * c2)
+            continue
+        key += step
+        v = get(key, 0) + c * c2
+        if not v:
+            del out[key]
+        elif type(v) is Fraction and v.denominator == 1:
+            out[key] = v.numerator
+        else:
+            out[key] = v
 
 
 def _add_brackets(tables: _Tables, out: dict, lower: int, triples) -> None:
     """out += lower * sum_l c_l x_l over the (l, packed exponents, c)
     triples of one structure constant ``[x_k, x_g]``: each ``lower*x_l`` a
-    bump or a memoised :func:`_product`."""
-    products, after = tables.products, tables.after
+    bump or a product (:func:`_add_product`)."""
+    after = tables.after
     for l, e, c in triples:
         if lower >= after[l]:
-            _add_into(out, products[l].get(lower) or _product(tables, lower, l), e, c)
+            _add_product(tables, out, lower, l, e, c)
         else:
             _add_term(out, lower + tables.unit[l] + e, c)
 
@@ -440,15 +517,14 @@ def _times_letter(
     """out += scale * t * flat * x_g on flat dicts, for the parameter term t
     with packed exponents ``shift``, in one pass over the terms: a term with
     no generator after ``g`` is a bump, added in place, and any other is a
-    memoised :func:`_product`."""
-    mask, memo = tables.mask, tables.products[g]
+    product (:func:`_add_product`)."""
+    mask = tables.mask
     step, limit = tables.unit[g] + shift, tables.after[g]
     get = out.get
     for key, c in flat.items():
         m = key & mask
         if m >= limit:
-            prod = memo.get(m) or _product(tables, m, g)
-            _add_into(out, prod, key - m + shift, c * scale)
+            _add_product(tables, out, m, g, key - m + shift, c * scale)
             continue
         key += step
         v = get(key, 0) + c * scale
@@ -481,12 +557,12 @@ def _fold(tables: _Tables, flat: dict, mono: int) -> dict:
         if not mono:
             _times_letter(tables, flat, g, out)
             return out
-        limit, memo = tables.after[g], tables.products[g]
+        limit = tables.after[g]
         acc: dict = {}
         for key, c in flat.items():
             m = key & mask
             if m >= limit:
-                _add_into(acc, memo.get(m) or _product(tables, m, g), key - m, c)
+                _add_product(tables, acc, m, g, key - m, c)
             else:
                 _add_term(out, key + rest, c)
         if not acc:
@@ -754,6 +830,7 @@ class UEAElement:
         left, d1, p1 = tables.packed(self)
         right, d2, p2 = tables.packed(other)
         tables.check_bound(d1 + d2, p1 + p2)
+        tables.budget = MAX_CALL_PRODUCTS
         flat: dict = {}
         _mul_into(tables, _flat(left), right, flat)
         return UEAElement._raw(self.alg, _group(tables, flat))
@@ -777,6 +854,7 @@ class UEAElement:
         x, d1, p1 = tables.packed(self)
         y, d2, p2 = tables.packed(other)
         tables.check_bound(d1 + d2, p1 + p2)
+        tables.budget = MAX_CALL_PRODUCTS
         flat: dict = {}
         _commute(tables, _flat(x), _flat(y), flat, {})
         return UEAElement._raw(self.alg, _group(tables, flat))
@@ -798,6 +876,7 @@ def normal_form(alg: LieAlgebra, words: Iterable[tuple]) -> UEAElement:
     a Poly / rational; any other letter raises ``ValueError``.
     """
     tables = _tables(alg)
+    tables.budget = MAX_CALL_PRODUCTS
     flat: dict = {}
     seen: dict = {}
     for letters, coeff in words:

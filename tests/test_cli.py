@@ -4,6 +4,7 @@ import collections
 import functools
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -526,3 +527,15 @@ class TestReport:
         assert {d["driver"] for d in doc["expansions"]} == {
             "theorem1", "euclid", "theorem2", "negative_nh",
         }
+
+
+def test_readme_cli_examples_parse():
+    # global options such as --format and --seed come before the subcommand
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.strip()]
+    assert any("--seed" in line for line in lines)
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "kinexpand"
+        assert cli.build_parser().parse_args(argv[1:]).command, line

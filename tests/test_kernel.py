@@ -4,6 +4,7 @@ coefficients), the Casimir-power path on an algebra loaded from a file, the
 centrality certificate on a Lie generating set, the flat tables on packed
 integer keys, and the kernel's bounds."""
 
+import inspect
 import os
 import random
 import subprocess
@@ -802,7 +803,9 @@ class TestFlatKernel:
         for m1 in monomials:
             for g in range(alg.dim):
                 if m1 >> uea.FIELD_BITS * (g + 1):
-                    assert_flat(tables, uea._product(tables, m1, g))
+                    out = {}
+                    uea._add_product(tables, out, m1, g, 0, 1)
+                    assert_flat(tables, out)
                 out = {}
                 uea._times_letter(tables, {m1: 1}, g, out)
                 assert_flat(tables, out)
@@ -830,6 +833,82 @@ def random_exponents(rng, ctx):
         rng.randint(-3, 3) if name == ctx.laurent else rng.choice((0, 0, 1, 2, 3))
         for name in ctx.names
     )
+
+
+class TestTailMemo:
+    """The product memo holds ``t*x_g`` under the letters ``t`` of a monomial
+    after ``g``; ``m*x_g`` is the letters of ``m`` up to ``g`` times it."""
+
+    def test_every_key_is_a_tail(self):
+        alg = parse_algebra_file(DATA_DIR / "poincare.alg")
+        assert is_central(alg, parse_expression("<C2>^2", alg)) == (True, None)
+        tables = uea._tables(alg)
+        checked = 0
+        for g, memo in enumerate(tables.products):
+            for m in memo:
+                # no letter at or before g, and some letter after it
+                assert m >= tables.after[g], (g, tables.unpack_mono(m))
+                assert not m & (tables.after[g] - 1), (g, tables.unpack_mono(m))
+                checked += 1
+        assert checked == kernel_stats(alg)["products"] > 0
+
+    @pytest.mark.parametrize("name", list(catalog_names()))
+    def test_split_products_against_the_oracle(self, seed, name):
+        # fresh tables: every tail product is computed here, not read
+        alg = load(f"{name}.alg")
+        tables = uea._tables(alg)
+        rng = random.Random(f"{seed}-split-{name}")
+        checked = 0
+        for mono in random_monomials(rng, alg.dim, per_degree=6, max_degree=6):
+            m = uea._pack(mono)
+            for g, gen in enumerate(alg.generators):
+                low = m & (tables.after[g] - 1)
+                if not (low and m - low):
+                    continue
+                coeff = rng.choice((1, multi_term_coefficient(rng, alg.ctx)))
+                left = UEAElement(alg, {mono: coeff})
+                x = UEAElement.generator(alg, gen.name)
+                assert left * x == oracle_kernel.product(left, x), (mono, gen.name)
+                checked += 1
+        assert checked > 20
+        for g, memo in enumerate(tables.products):
+            assert all(not m & (tables.after[g] - 1) for m in memo)
+
+    def test_left_multiplication_at_the_degree_bound(self):
+        # K3^128*J2^127*K2: [K3, K2] = -omega*J1 puts a letter before K3
+        # into the tail products, so the left factor takes folds at every
+        # depth; fresh tables, so every recursion runs to its full depth
+        def power(alg, k3, j2):
+            mono = [0] * alg.dim
+            mono[alg.gen_index["K3"]] = k3
+            mono[alg.gen_index["J2"]] = j2
+            return UEAElement(alg, {tuple(mono): 1})
+
+        small = power(load("poincare.alg"), 10, 9)
+        k2 = UEAElement.generator(small.alg, "K2")
+        assert small * k2 == oracle_kernel.product(small, k2)
+        alg = load("poincare.alg")
+        k2 = UEAElement.generator(alg, "K2")
+        top = uea.MAX_DEGREE
+        # the module docstring's frame count, with a few frames to spare
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + top + 16)
+        try:
+            product = power(alg, top // 2, top // 2 - 1) * k2
+            # the adjoint route, on fresh tables too
+            fresh = load("poincare.alg")
+            bracket = power(fresh, top // 2, top // 2 - 1).commutator(
+                UEAElement.generator(fresh, "K2")
+            )
+        finally:
+            sys.setrecursionlimit(limit)
+        assert product.degree() == top and len(product.terms) == top // 2 + 1
+        # K2 comes before K3 and J2, so K2*K3^128*J2^127 is one monomial
+        bump = [0] * alg.dim
+        bump[alg.gen_index["K2"]] = 1
+        bump[alg.gen_index["K3"]] = top // 2
+        bump[alg.gen_index["J2"]] = top // 2 - 1
+        assert product - UEAElement(alg, {tuple(bump): 1}) == bracket
 
 
 class TestPackedKeys:
@@ -1020,7 +1099,7 @@ class TestKernelBounds:
     def test_c2_squared_entry_counts(self):
         alg = parse_algebra_file(DATA_DIR / "poincare.alg")
         assert is_central(alg, parse_expression("<C2>^2", alg)) == (True, None)
-        assert kernel_stats(alg) == {"products": 3960, "ads": 724}
+        assert kernel_stats(alg) == {"products": 393, "ads": 724}
 
     def test_c2_cubed_is_under_the_cap(self):
         # the --slow benchmark row, in a process of its own
@@ -1034,7 +1113,7 @@ class TestKernelBounds:
         proc = run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (
-            "(True, None) {'products': 62576, 'ads': 9196}\n"
+            "(True, None) {'products': 3523, 'ads': 9196}\n"
         )
 
     def test_galilei_tables_after_certificate_and_report(self):
@@ -1057,18 +1136,32 @@ class TestKernelBounds:
         proc = run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (
-            "{'products': 640, 'ads': 160}\n{'products': 1008, 'ads': 190}\n"
+            "{'products': 157, 'ads': 160}\n{'products': 244, 'ads': 190}\n"
         )
 
-    def test_c2_to_the_fourth_exits_2_within_seconds(self):
+    def test_c2_to_the_fourth_is_central(self):
+        # a process of its own: about 110 MiB at its peak
+        script = (
+            "from kinexpand.algfile import parse_algebra_file\n"
+            "from kinexpand.exprparse import parse_expression\n"
+            "from kinexpand.uea import is_central\n"
+            f"alg = parse_algebra_file({str(DATA_DIR / 'poincare.alg')!r})\n"
+            "x = parse_expression('<C2>^4', alg)\n"
+            "print(len(x.terms), x.degree(), is_central(alg, x))\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "33751 16 (True, None)\n"
+
+    def test_c2_to_the_fifth_exits_2_at_the_budget(self):
         start = time.monotonic()
-        proc = run_python("-m", "kinexpand.cli", "normal-form", "poincare", "<C2>^4")
+        proc = run_python("-m", "kinexpand.cli", "normal-form", "poincare", "<C2>^5")
         elapsed = time.monotonic() - start
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == (
             f"kinexpand normal-form: normal ordering needs more than "
-            f"{uea.MAX_KERNEL_ENTRIES} kernel table entries\n"
+            f"{uea.MAX_CALL_PRODUCTS} kernel products in one call\n"
         )
         assert elapsed < 60, elapsed
 
@@ -1106,7 +1199,8 @@ class TestKernelBounds:
         # starts from empty tables and gets its answer; the tables never
         # pass the cap
         alg = parse_algebra_file(DATA_DIR / "poincare.alg")
-        cap = 2000
+        # <C2>^2 stores 238 entries
+        cap = 200
         monkeypatch.setattr(uea, "MAX_KERNEL_ENTRIES", cap)
         sizes = []
         store = uea._Tables.store
@@ -1124,3 +1218,67 @@ class TestKernelBounds:
         assert got.terms == oracle_kernel.normal_form_word(alg, word)
         assert sizes and max(sizes) <= cap
         assert 0 < sum(kernel_stats(alg).values()) <= cap
+
+    def test_budget_counts_misses_and_left_multiplications(self, monkeypatch):
+        # fresh tables, so C2*C2 computes tail products and left-multiplies
+        alg = parse_algebra_file(DATA_DIR / "poincare.alg")
+        c2 = named_element(alg, "C2")
+        tables = uea._tables(alg)
+        counts = {"misses": 0, "left": 0}
+        product, add_product = uea._product, uea._add_product
+
+        def counting_product(tables, tail, g):
+            counts["misses"] += 1
+            return product(tables, tail, g)
+
+        def counting_add_product(tables, out, mono, g, shift, c):
+            if mono & (tables.after[g] - 1):
+                counts["left"] += 1
+            add_product(tables, out, mono, g, shift, c)
+
+        monkeypatch.setattr(uea, "_product", counting_product)
+        monkeypatch.setattr(uea, "_add_product", counting_add_product)
+        square = c2 * c2
+        spent = uea.MAX_CALL_PRODUCTS - tables.budget
+        assert spent == counts["misses"] + counts["left"]
+        assert counts["misses"] and counts["left"]
+        assert square == oracle_kernel.product(c2, c2)
+
+    def test_budget_is_per_call(self, monkeypatch):
+        def fresh():
+            alg = parse_algebra_file(DATA_DIR / "poincare.alg")
+            return alg, named_element(alg, "C2"), UEAElement.generator(alg, "H")
+
+        alg, c2, h = fresh()
+        square = c2 * c2
+        spent = uea.MAX_CALL_PRODUCTS - uea._tables(alg).budget
+        # exactly the budget C2*C2 needs: it passes, and so does each
+        # following call, which starts with the whole budget again
+        alg, c2, h = fresh()
+        monkeypatch.setattr(uea, "MAX_CALL_PRODUCTS", spent)
+        assert c2 * c2 == square
+        assert c2 * c2 == square
+        assert c2.commutator(h).is_zero()
+        assert normal_form(alg, [(("K3", "P1", "H"), 1)]).terms == (
+            oracle_kernel.normal_form_word(alg, (6, 1, 0))
+        )
+        # one product less: C2*C2 raises, and leaves exact tables behind
+        alg, c2, h = fresh()
+        monkeypatch.setattr(uea, "MAX_CALL_PRODUCTS", spent - 1)
+        with pytest.raises(uea.KernelBoundError) as raised:
+            c2 * c2
+        assert str(raised.value) == (
+            f"normal ordering needs more than {spent - 1} kernel products in "
+            "one call"
+        )
+        assert sum(kernel_stats(alg).values()) > 0
+        monkeypatch.setattr(uea, "MAX_CALL_PRODUCTS", spent)
+        assert c2 * c2 == square
+        # a commutator and a normal form stop at the budget too
+        alg, c2, h = fresh()
+        square = c2 * c2
+        monkeypatch.setattr(uea, "MAX_CALL_PRODUCTS", 10)
+        with pytest.raises(uea.KernelBoundError):
+            square.commutator(h)
+        with pytest.raises(uea.KernelBoundError):
+            normal_form(alg, [(("J3",) * 4 + ("K1",) * 4 + ("P2",) * 4, 1)])
