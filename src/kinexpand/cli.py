@@ -137,6 +137,8 @@ def _parse_witness(pairs):
             )
         if name not in KINEMATIC_CONTEXT.index:
             raise InputError(f"unknown witness parameter {_quoted(name)}")
+        if name in witness:
+            raise InputError(f"witness parameter {name} is given more than once")
         if _witness_digits(value) > MAX_WITNESS_DIGITS:
             raise InputError(
                 f"witness value {_quoted(value)} for {name} has more than "

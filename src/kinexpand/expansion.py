@@ -7,32 +7,32 @@ expanded generators as the seed's adjoint action, keeping generators the seed
 commutes with; (iv) verify that the expanded generators close onto the target
 bracket table.
 
-Closure verification is split in two.  The witness-free *certificate*
-(:func:`closure_certificate`) holds, per target generator pair, the actual
-commutator of the expanded generators; where the pair has a central
-template, the phase-1 residual: the template is written with scalar
-stand-ins c1, c2, xi for central factors (Casimirs, the central generator),
-and the stand-ins are expanded to their defining elements and compared
-exactly; and where the pair's target row has only constant coefficients,
-whether the commutator equals the expected bracket, which is then the same
-at every witness.  The *witness check* (:func:`verify_closure`) then takes a
-rational witness.  Once per (certificate, target) pair it makes a plan: the
-pair-order check, one shared verdict for each pair decided without a
-witness (the certificate's ``exact_zero`` pairs for that row, and the
-constant-row pairs without a template), and, for the rest, each pair's
-target row and the distinct coefficients left to the witness; a pair whose
-row is one structure constant on unit coefficients, as every curvature
-pair's is, has its comparisons compiled into conditions on those
-coefficients' values.  Per witness it validates the witness against the
-closure constraint equations (a constraint the witness leaves open, with
-one free constant, becomes a power-substitution rule), evaluates each
-distinct coefficient once, and decides the checked pairs: a compiled pair
-from the values alone, another by building its expected bracket from the
-target structure constants, accepting an exactly equal pair, and otherwise
-scalarising the template with the witness (phase 2) and comparing it with
-the target (phase 3).  The certificate depends only on the seed, so each
-driver family builds it once per process and every witness reuses it; what
-it shares is read-only (NamedTuple records, mappings, element terms).  A
+Closure verification is split in two.  The *certificate*
+(:func:`closure_certificate`) holds, per target generator pair, the facts
+that do not depend on the target: the actual commutator of the expanded
+generators and, where the pair has a central template, the phase-1
+residual: the template is written with scalar stand-ins c1, c2, xi for
+central factors (Casimirs, the central generator), and the stand-ins are
+expanded to their defining elements and compared exactly.  The *witness
+check* (:func:`verify_closure`) then takes a rational witness.  Once per
+(certificate, target) pair it makes a plan, which makes every verdict that
+needs no witness: the pair-order check, and one shared verdict for each
+pair whose target row has only constant coefficients and whose commutator
+equals the expected bracket (``exact_zero``) or differs from it with no
+template (``mismatch``); for the rest, each pair's target row and the
+distinct coefficients left to the witness; a pair whose row is one
+structure constant on unit coefficients, as every curvature pair's is, has
+its comparisons compiled into conditions on those coefficients' values.
+Per witness it validates the witness against the closure constraint
+equations (a constraint the witness leaves open, with one free constant,
+becomes a power-substitution rule), evaluates each distinct coefficient
+once, and decides the checked pairs: a compiled pair from the values
+alone, another by building its expected bracket from the target structure
+constants, accepting an exactly equal pair, and otherwise scalarising the
+template with the witness (phase 2) and comparing it with the target
+(phase 3).  The certificate depends only on the seed, so each driver
+family builds it once per process and every witness reuses it; what it
+shares is read-only (NamedTuple records, mappings, element terms).  A
 witness check is rational arithmetic that compares and does not subtract:
 without power rules a residual is nonzero exactly when its operands
 differ, so a mismatch's residual is formed, like every text, only when it
@@ -433,21 +433,14 @@ def _central_map(alg: LieAlgebra) -> dict:
 
 
 class PairCertificate(NamedTuple):
-    """The witness-free part of one pair's closure check.
+    """The target-independent part of one pair's closure check.
 
     ``actual`` is the commutator of the pair's expanded generators.  For a
     pair with a template, ``phase1`` is ``actual - expand_central(template)``
     and ``phase1_text`` is ``"pass"`` when it is zero, else its text; for a
     pair without one, ``phase1`` is None and ``phase1_text`` is ``"n/a"``.
-
-    ``exact_for`` is the witness-free verdict.  When the pair's target row
-    has only constant coefficients, its expected bracket is the same at
-    every witness, so it is built once; if ``actual`` equals it,
-    ``exact_for`` is ``(row, actual)``: the pair is an ``exact_zero`` for
-    that row and that commutator at any witness, and each
-    :func:`verify_closure` plan for a target with that row shares one
-    verdict for it.  Otherwise it is None; an unequal pair without a
-    template is then decided by the plan, once per target.
+    No verdict is kept here: every verdict that needs no witness is made by
+    the :func:`verify_closure` plan of a target.
     """
 
     pair: tuple
@@ -455,7 +448,6 @@ class PairCertificate(NamedTuple):
     template: UEAElement | None
     phase1: UEAElement | None
     phase1_text: str
-    exact_for: tuple | None
 
 
 class ClosureCertificate(NamedTuple):
@@ -494,18 +486,15 @@ def closure_certificate(
     target: LieAlgebra,
     templates: Mapping[tuple, UEAElement] | None = None,
 ) -> ClosureCertificate:
-    """Compute every commutator, phase-1 identity and verdict that needs no
-    witness.
+    """Compute every commutator and phase-1 identity of a generator set.
 
     For each pair of target generators, in target basis order, the actual
     commutator of the expanded generators is formed once; where the pair
     has a central template, the template with its stand-ins expanded is
-    subtracted from it exactly (phase 1).  Where the pair's row in
-    ``target`` has only constant coefficients, the expected bracket does
-    not depend on the witness: it is built once here and compared with the
-    commutator, and an equal pair records the row it was decided against
-    (:attr:`PairCertificate.exact_for`).  ``templates`` maps ordered name
-    pairs (target basis order) to elements of the initial algebra's UEA
+    subtracted from it exactly (phase 1).  None of it depends on the
+    target's structure constants, which only :func:`verify_closure` reads:
+    ``target`` gives the pairs and their order.  ``templates`` maps ordered
+    name pairs (target basis order) to elements of the initial algebra's UEA
     whose coefficients may involve the stand-ins c1, c2, xi.
     """
     templates = templates or {}
@@ -514,45 +503,13 @@ def closure_certificate(
     pairs = []
     for na, nb in combinations(names, 2):
         actual = gens.elements[na].commutator(gens.elements[nb])
-        row = target.bracket_pair(target.gen_index[na], target.gen_index[nb])
-        exact_for = None
-        if all(c.is_constant() for c in row.values()):
-            # a constant structure constant is its own value at any witness
-            products = [(gens.elements[names[k]], c) for k, c in row.items()]
-            expected = _expected_bracket(alg, products)
-            if actual == expected:
-                exact_for = (row, actual)
         template = templates.get((na, nb))
-        if template is None:
-            pairs.append(
-                PairCertificate((na, nb), actual, None, None, "n/a", exact_for)
-            )
-            continue
-        phase1 = actual - expand_central(template, central_map)
-        text = "pass" if phase1.is_zero() else format_element(phase1)
-        pairs.append(
-            PairCertificate((na, nb), actual, template, phase1, text, exact_for)
-        )
+        phase1, text = None, "n/a"
+        if template is not None:
+            phase1 = actual - expand_central(template, central_map)
+            text = "pass" if phase1.is_zero() else format_element(phase1)
+        pairs.append(PairCertificate((na, nb), actual, template, phase1, text))
     return ClosureCertificate(alg, gens, tuple(pairs))
-
-
-# Constraint texts per constraints tuple, kept with the tuple so that its
-# identity stays the key: each family's drivers pass the family's tuple.
-_CONSTRAINT_TEXTS: dict = {}
-_CONSTRAINT_TEXTS_KEPT = 16
-
-
-def _constraint_texts(constraints: Sequence[Poly]) -> tuple:
-    """The texts of ``constraints``, formatted once per constraints tuple."""
-    entry = _CONSTRAINT_TEXTS.get(id(constraints))
-    if entry is not None and entry[0] is constraints:
-        return entry[1]
-    texts = tuple(format_poly(c) for c in constraints)
-    if type(constraints) is tuple:
-        if len(_CONSTRAINT_TEXTS) == _CONSTRAINT_TEXTS_KEPT:
-            del _CONSTRAINT_TEXTS[next(iter(_CONSTRAINT_TEXTS))]
-        _CONSTRAINT_TEXTS[id(constraints)] = (constraints, texts)
-    return texts
 
 
 def _facts(conditions: tuple, values: list) -> int:
@@ -746,33 +703,27 @@ def _plan(certificate: ClosureCertificate, target: LieAlgebra) -> _Plan:
     for index, cert in enumerate(certificate.pairs):
         na, nb = cert.pair
         row = target.bracket_pair(target.gen_index[na], target.gen_index[nb])
-        # the stored verdict holds for the row and commutator it was decided
-        # for; a replaced commutator or another row is decided here or per
-        # witness
-        if cert.exact_for is not None:
-            decided_row, decided_actual = cert.exact_for
-            if decided_actual is cert.actual and decided_row == row:
-                verdicts.append(PairVerdict(cert.pair, "exact_zero", "n/a", cert.actual))
-                continue
-        if cert.template is None and all(c.is_constant() for c in row.values()):
+        if all(c.is_constant() for c in row.values()):
+            # a constant structure constant is its own value at any witness
             products = [(elements[names[k]], c) for k, c in row.items()]
             expected = _expected_bracket(alg, products)
             if cert.actual == expected:
                 verdicts.append(PairVerdict(cert.pair, "exact_zero", "n/a", cert.actual))
                 continue
-            verdicts.append(
-                PairVerdict(
-                    cert.pair, "mismatch", "n/a", expected,
-                    residual=cert.actual - expected,
+            if cert.template is None:
+                verdicts.append(
+                    PairVerdict(
+                        cert.pair, "mismatch", "n/a", expected,
+                        residual=cert.actual - expected,
+                    )
                 )
-            )
-            checks.append(
-                _Check(
-                    index, cert, row=(), units=None, linear=False, template=None,
-                    constant=expected,
+                checks.append(
+                    _Check(
+                        index, cert, row=(), units=None, linear=False,
+                        template=None, constant=expected,
+                    )
                 )
-            )
-            continue
+                continue
         verdicts.append(None)
         template = None
         if cert.template is not None:
@@ -849,23 +800,19 @@ def verify_closure(
 
     Once per (certificate, target) pair, a plan is made and kept: it checks
     that the target's generator pairs are the certificate's, in the same
-    order, and decides every pair it can without a witness.  A pair whose
-    certificate holds a witness-free verdict for the very row ``target``
-    gives it (the row compares equal to the recorded one, and the commutator
-    is the one it was decided for: ``euclid4`` shares the ``poincare`` rows,
-    so it shares those verdicts) is an ``exact_zero``.  A pair without a
-    template whose row has only constant coefficients has the same expected
-    bracket at every witness: the plan builds it and gives an
-    ``exact_zero`` when the commutator equals it, else a ``mismatch`` that
-    holds at every witness with no power rule.  Each decided pair gets one
-    :class:`PairVerdict`, shared read-only by every call.  For the other
-    pairs the plan collects their rows and the distinct coefficients of
-    their rows and templates, a coefficient that is another's negative
-    standing as that one's negation.  A pair whose row is one structure
-    constant on an element with only unit coefficients (every curvature
-    pair of the drivers) has its comparisons compiled into comparisons of
-    coefficient values (:class:`_Units`).  A certificate whose ``pairs`` or
-    ``generators`` were replaced gets a plan of its own.
+    order, and makes every verdict that needs no witness.  A pair whose row
+    has only constant coefficients has the same expected bracket at every
+    witness: the plan builds it once and gives an ``exact_zero`` when the
+    commutator equals it, with a template or without, else, without a
+    template, a ``mismatch`` that holds at every witness with no power rule.
+    Each decided pair gets one :class:`PairVerdict`, shared read-only by
+    every call.  For the other pairs the plan collects their rows and the
+    distinct coefficients of their rows and templates, a coefficient that
+    is another's negative standing as that one's negation.  A pair whose row
+    is one structure constant on an element with only unit coefficients
+    (every curvature pair of the drivers) has its comparisons compiled into
+    comparisons of coefficient values (:class:`_Units`).  A certificate
+    whose ``pairs`` or ``generators`` were replaced gets a plan of its own.
 
     Per witness, the witness is validated against the constraints: an
     exactly satisfied constraint is consumed, an open one (single free
@@ -975,7 +922,7 @@ def verify_closure(
         initial=alg.name,
         target=target.name,
         fixed_set=plan.fixed_set,
-        constraints=_constraint_texts(constraints),
+        constraints=tuple(constraints),
         witness=witness,
         reductions=reductions,
         pairs=tuple(pairs),
@@ -1304,7 +1251,7 @@ def run_theorem1(witness: Mapping[str, Fraction] | None = None) -> ExpansionRun:
     The witness must fix omega < 0; a ``ConstraintViolationError`` is
     raised otherwise.
     """
-    witness = dict(witness or DEFAULT_WITNESSES["poincare"])
+    witness = witness or DEFAULT_WITNESSES["poincare"]
     _require_curvature("poincare", witness, "omega", "< 0")
     return _run("theorem1", "worldline", "poincare", witness)
 
@@ -1315,7 +1262,7 @@ def run_euclid(witness: Mapping[str, Fraction] | None = None) -> ExpansionRun:
     The witness must fix omega > 0; a ``ConstraintViolationError`` is
     raised otherwise.
     """
-    witness = dict(witness or DEFAULT_WITNESSES["euclid4"])
+    witness = witness or DEFAULT_WITNESSES["euclid4"]
     _require_curvature("euclid4", witness, "omega", "> 0")
     return _run("euclid", "worldline", "euclid4", witness)
 
@@ -1326,7 +1273,7 @@ def run_theorem2(witness: Mapping[str, Fraction] | None = None) -> ExpansionRun:
     The witness must fix kappa != 0 (either sign); a
     ``ConstraintViolationError`` is raised otherwise.
     """
-    witness = dict(witness or DEFAULT_WITNESSES["newton_hooke"])
+    witness = witness or DEFAULT_WITNESSES["newton_hooke"]
     _require_curvature("newton_hooke", witness, "kappa", "!= 0")
     return _run("theorem2", "spacetime", "newton_hooke", witness)
 

@@ -125,10 +125,10 @@ expression parser, whose nesting is bounded too
 The tables belong to the kernel, held weakly per algebra, and
 :func:`kernel_stats` reports their sizes.  Together they hold at most
 :data:`MAX_KERNEL_ENTRIES` entries; a miss that would store one more empties
-them and raises :class:`KernelBoundError`, so a runaway normal form ends with
-an error instead of exhausting memory, and the next call starts from empty
-tables.  A left-multiplication is not stored, so time has its own bound:
-one product, commutator or normal form computes at most
+them first and goes on, so memory stays bounded and every call still gets
+its answer.  Evicting mid-call is safe: a stored value is never mutated, and
+a caller holds the values it has read.  Time has its own bound: one
+product, commutator or normal form computes at most
 :data:`MAX_CALL_PRODUCTS` products (tail misses and left-multiplications)
 and raises :class:`KernelBoundError` past it, leaving the tables as they
 are, since every stored entry is complete.  With them the kernel keeps the
@@ -166,9 +166,10 @@ FIELD_BITS = 16
 _FIELD = (1 << FIELD_BITS) - 1
 _SIGN = 1 << (FIELD_BITS - 1)
 
-# Most entries the kernel tables of one algebra hold together.  An entry
-# takes about 0.6 KiB (after <C2>^4 centrality on poincare the tables hold
-# 95,496 entries in 56 MiB), so full tables take about 120 MiB.
+# Most entries the kernel tables of one algebra hold together; a miss that
+# would store one more empties them first.  An entry takes about 0.6 KiB
+# (after <C2>^4 centrality on poincare the tables hold 95,496 entries in
+# 56 MiB), so full tables take about 120 MiB.
 MAX_KERNEL_ENTRIES = 200_000
 
 # Most products one product, commutator or normal form computes: tail
@@ -192,10 +193,9 @@ GROUPED_LEVELS = 3
 
 
 class KernelBoundError(ValueError):
-    """A normal form the kernel cannot compute within its bounds: an exponent
-    that does not fit a packed field, more table entries than
-    :data:`MAX_KERNEL_ENTRIES`, or more products in one call than
-    :data:`MAX_CALL_PRODUCTS`."""
+    """A normal form the kernel cannot compute within its bounds: a degree
+    past :data:`MAX_DEGREE`, an exponent that does not fit a packed field,
+    or more products in one call than :data:`MAX_CALL_PRODUCTS`."""
 
 
 def _pack(fields) -> int:
@@ -342,14 +342,10 @@ class _Tables:
 
     def store(self, table: dict, key: int, value: dict) -> None:
         if self.entries >= MAX_KERNEL_ENTRIES:
-            # a cache: empty it, so the next call starts afresh
+            # a cache: evict everything and go on
             for memo in (*self.products, *self.ads):
                 memo.clear()
             self.entries = 0
-            raise KernelBoundError(
-                f"normal ordering needs more than {MAX_KERNEL_ENTRIES} "
-                "kernel table entries"
-            )
         self.entries += 1
         table[key] = value
 

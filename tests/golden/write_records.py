@@ -56,6 +56,10 @@ RUNS = (
         "expand-unread-witness",
         ["expand", "poincare", "--witness", "kappa=3", "--witness", "eps=0"],
     ),
+    (
+        "expand-repeated-witness",
+        ["expand", "poincare", "--witness", "omega=-1", "--witness", "omega=-2"],
+    ),
     ("expand-unknown-target", ["expand", "nosuch"]),
     ("corpus", ["corpus"]),
     *((f"casimir-check-{a}", ["casimir-check", a]) for a in CATALOG),

@@ -227,6 +227,8 @@ class TestExitContract:
             ["bracket", "{double_plus}", "A", "B"],
             # parameters of the context that the target's witness never reads
             ["expand", "poincare", "--witness", "kappa=3", "--witness", "eps=0"],
+            # a parameter given twice
+            ["expand", "poincare", "--witness", "omega=-1", "--witness", "omega=-2"],
         ],
         ids=lambda argv: " ".join(
             a if len(a) <= 20 else f"{len(a)}x{a[0]}" for a in argv

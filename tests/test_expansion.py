@@ -213,6 +213,23 @@ class TestDrivers:
         }
         assert run_theorem1(witness).ok
 
+    @pytest.mark.parametrize(
+        "driver, witness",
+        [
+            (run_theorem1, THEOREM1_WITNESS),
+            (run_euclid, EUCLID_WITNESS),
+            (run_theorem2, THEOREM2_WITNESS),
+        ],
+        ids=["theorem1", "euclid", "theorem2"],
+    )
+    def test_a_run_keeps_its_own_copy_of_the_witness(self, driver, witness):
+        given = dict(witness)
+        run = driver(given)
+        given["a1"] = Fraction(99)
+        del given["kappa" if "kappa" in given else "omega"]
+        assert run.report.witness == dict(witness)
+        assert run.ok
+
     def test_default_witnesses_satisfy_constraints(self):
         w = THEOREM1_WITNESS
         assert w["a1"] * w["c1"] + w["a2"] * w["c2"] == 0
@@ -386,6 +403,36 @@ class TestSharedCertificate:
         monkeypatch.setattr(expansion, "_certificate", fresh.__getitem__)
         assert one_pass() == memoised
 
+    @pytest.mark.parametrize(
+        "family, count", [("worldline", 30), ("spacetime", 39), ("negative", 45)]
+    )
+    def test_pairs_with_a_fixed_generator_follow_from_jacobi(self, family, count):
+        # for a fixed f, [f, seed] = 0, so Jacobi gives [f, Y'] = [seed, [f, Y]]
+        # for a moved Y: with [A, B] = sum c_l x_l in the initial algebra,
+        # [A', B'] is sum c_l x_l' over the moved l; for two fixed
+        # generators it is [A, B] itself.  Built from structure constants
+        # and the expanded generators alone, with no product formed.
+        entry = expansion._certificate(family)
+        alg = entry.certificate.alg
+        elements = entry.generators.elements
+        fixed = entry.generators.fixed_set
+        checked = 0
+        for cert in entry.certificate.pairs:
+            a, b = cert.pair
+            if a not in fixed and b not in fixed:
+                continue
+            row = alg.bracket_pair(alg.gen_index[a], alg.gen_index[b])
+            want = UEAElement.zero(alg)
+            for l, c in row.items():
+                name = alg.generators[l].name
+                if a in fixed and b in fixed:
+                    want = want + gen(alg, name).smul(c)
+                elif name not in fixed:
+                    want = want + elements[name].smul(c)
+            assert cert.actual == want, cert.pair
+            checked += 1
+        assert checked == count
+
     def test_shared_objects_are_read_only(self):
         run = run_theorem1()
         with pytest.raises(TypeError):
@@ -410,7 +457,8 @@ class TestSharedCertificate:
             )
             for _ in range(2)
         )
-        decided = [p.exact_for is not None for p in entry.certificate.pairs]
+        plan = expansion._plan(entry.certificate, catalog("poincare"))
+        decided = [v is not None for v in plan.verdicts]
         assert decided.count(False) == 6
         for is_decided, p, q in zip(decided, first.pairs, second.pairs):
             assert (p is q) == is_decided, p.pair
@@ -550,7 +598,7 @@ def _random_compiled_case(rng):
             text = "pass" if phase1.is_zero() else format_element(phase1)
         pairs.append(
             expansion.PairCertificate(
-                (names[i], names[j]), actual, template, phase1, text, None
+                (names[i], names[j]), actual, template, phase1, text
             )
         )
     target = expansion.LieAlgebra("toy", names, ctx, brackets)
@@ -744,9 +792,9 @@ class TestWarmRound:
         assert rules > 50
 
     def test_a_changed_constant_row_takes_the_full_path(self):
-        # poincare's table with the sign of [P1, J2] = P3 flipped: the row
-        # differs from the one the certificate decided against, so the pair
-        # is checked against the new row, and mismatches
+        # poincare's table with the sign of [P1, J2] = P3 flipped: the plan
+        # for that table decides the pair against the new row, and it
+        # mismatches
         text = (DATA_DIR / "poincare.alg").read_text(encoding="utf-8")
         flipped_text = text.replace("bracket P1 J2 = 1*P3", "bracket P1 J2 = (-1)*P3")
         assert flipped_text != text
@@ -762,19 +810,26 @@ class TestWarmRound:
     def test_witness_free_pairs_build_no_expected_bracket(self, monkeypatch):
         for driver in DRIVERS.values():
             driver()
-        certificates = [
-            expansion._certificate(family).certificate
-            for family in ("worldline", "spacetime")
+        plans = [
+            expansion._plan(expansion._certificate(family).certificate, catalog(target))
+            for family, target in (
+                ("worldline", "poincare"), ("worldline", "euclid4"),
+                ("spacetime", "newton_hooke"),
+            )
         ]
         decided = [
-            [p for p in certificate.pairs if p.exact_for is not None]
-            for certificate in certificates
+            [(p, v) for p, v in zip(plan.pairs, plan.verdicts) if v is not None]
+            for plan in plans
         ]
-        # only the curvature pairs are left to the witness
-        assert [len(pairs) for pairs in decided] == [39, 42]
-        assert all(p.exact_for[1] is p.actual for pairs in decided for p in pairs)
-        decided_actuals = {id(p.actual) for pairs in decided for p in pairs}
-        actuals = {id(p.actual) for c in certificates for p in c.pairs}
+        # only the curvature pairs are left to the witness; each pair the
+        # plan decides is an exact_zero sharing the certificate's commutator
+        assert [len(pairs) for pairs in decided] == [39, 39, 42]
+        assert all(
+            v.verdict == "exact_zero" and v._expected is p.actual
+            for pairs in decided for p, v in pairs
+        )
+        decided_actuals = {id(p.actual) for pairs in decided for p, _ in pairs}
+        actuals = {id(p.actual) for plan in plans for p in plan.pairs}
         compared = []
         eq = UEAElement.__eq__
 
