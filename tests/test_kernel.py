@@ -1165,7 +1165,39 @@ class TestKernelBounds:
         )
         assert elapsed < 60, elapsed
 
-    def test_eviction_at_the_cap_leaves_results_unchanged(self, monkeypatch):
+    def test_cap_is_checked_where_a_miss_stores(self, monkeypatch):
+        def raw(element):
+            return {m: p._terms for m, p in element.terms.items()}
+
+        free = parse_algebra_file(DATA_DIR / "poincare.alg")
+        free_c2 = named_element(free, "C2")
+        square = free_c2 * free_c2
+        alg = parse_algebra_file(DATA_DIR / "poincare.alg")
+        c2 = named_element(alg, "C2")
+        h = UEAElement.generator(alg, "H")
+        c2_h = c2 * h
+        cap = sum(kernel_stats(alg).values())
+        monkeypatch.setattr(uea, "MAX_KERNEL_ENTRIES", cap)
+        # full tables: a product made only of hits stores nothing and passes
+        assert c2 * h == c2_h
+        assert sum(kernel_stats(alg).values()) == cap
+        # ten entries of room: storing reaches exactly the cap, then the
+        # next store empties the tables first and the product goes on
+        cap += 10
+        monkeypatch.setattr(uea, "MAX_KERNEL_ENTRIES", cap)
+        sizes = []
+        store = uea._Tables.store
+
+        def counting_store(tables, table, key, value):
+            store(tables, table, key, value)
+            sizes.append(sum(kernel_stats(alg).values()))
+
+        monkeypatch.setattr(uea._Tables, "store", counting_store)
+        assert raw(c2 * c2) == raw(square)
+        assert sizes[:11] == list(range(cap - 9, cap + 1)) + [1]
+        assert max(sizes) <= cap
+
+    def test_cap_releases_the_tables(self, monkeypatch):
         # <C2>^2 and its centrality store 1,117 entries: at a cap of 200 the
         # tables are emptied mid-call and the call goes on; they never pass
         # the cap, and every result equals the uncapped one term for term
