@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from itertools import compress
+from itertools import combinations, compress
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Exponents = tuple  # one int per context parameter
 
@@ -162,7 +162,7 @@ def _accumulate(out: dict, exps: Exponents, c) -> None:
         del out[exps]
 
 
-class Poly:
+class Poly(Frozen):
     """Sparse multivariate polynomial with exact rational coefficients.
 
     ``terms`` maps exponent tuples to nonzero exact rationals, ``int`` when
@@ -170,13 +170,13 @@ class Poly:
     dict, which the package's own arithmetic reads directly.  Use the
     constructors :meth:`const`, :meth:`var` and the operators; the raw
     constructor normalises (drops zeros, stores integral values as ``int``)
-    and validates the negative-exponent rule.
+    and validates the negative-exponent rule.  ``ctx`` and the terms refuse
+    assignment and deletion.
     """
 
     __slots__ = ("ctx", "_terms")
 
     def __init__(self, ctx: ParamContext, terms: Mapping[Exponents, ScalarLike] = ()):
-        self.ctx = ctx
         clean: dict = {}
         n = len(ctx)
         for exps, coeff in dict(terms).items():
@@ -192,7 +192,8 @@ class Poly:
                         f"negative exponent for parameter {ctx.names[i]!r}"
                     )
             clean[ctx.zero if exps == ctx.zero else exps] = c
-        self._terms = clean
+        _set_ctx(self, ctx)
+        _set_terms(self, clean)
 
     @property
     def terms(self) -> Mapping[Exponents, ScalarLike]:
@@ -310,9 +311,12 @@ class Poly:
     def _raw(cls, ctx: ParamContext, terms: dict) -> "Poly":
         # internal: terms already normalised
         p = cls.__new__(cls)
-        p.ctx = ctx
-        p._terms = terms
+        _set_ctx(p, ctx)
+        _set_terms(p, terms)
         return p
+
+    def __reduce__(self):
+        return Poly, (self.ctx, self._terms)
 
     # -- comparison / hashing --------------------------------------------
 
@@ -357,10 +361,58 @@ class Poly:
                 coeff = coeff * v ** q
                 exps = exps[:i] + (r,) + exps[i + 1 :]
             _accumulate(out, exps, coeff)
-        zero = self.ctx.zero
-        return Poly._raw(
-            self.ctx, {zero if e == zero else e: _fold(c) for e, c in out.items()}
-        )
+        return _normalised(self.ctx, out)
+
+    def reduce(self, basis: Sequence["Poly"], order: Sequence[str] = ()) -> tuple:
+        """Divide by ``basis``: ``(remainder, quotients)``, one quotient per
+        basis element, with ``self == remainder + sum(q_i * g_i)``.
+
+        Multivariate division (Cox, Little and O'Shea, *Ideals, Varieties,
+        and Algorithms*, ch. 2, section 3) under the lex order of ``order``,
+        parameter names from the most significant; parameters it leaves out
+        follow in context order.  The leading terms of ``basis`` must be
+        pairwise coprime, which makes it a Groebner basis (Buchberger's first
+        criterion): the remainder is then the unique normal form, zero
+        exactly when ``self`` lies in the ideal of ``basis``.  A zero basis
+        element, two leading terms with a common parameter and a negative
+        exponent raise ``ValueError``.  Coefficients stay exact.
+        """
+        ctx = self.ctx
+        rank = [ctx.index[name] for name in order]
+        rank += [i for i in range(len(ctx.names)) if i not in rank]
+
+        def key(exps):
+            return [exps[i] for i in rank]
+
+        leads = []
+        for g in basis:
+            self._check(g)
+            if not g._terms:
+                raise ValueError("a zero polynomial has no leading term")
+            lead = max(g._terms, key=key)
+            leads.append((lead, g._terms[lead], g))
+        for (a, _, g), (b, _, h) in combinations(leads, 2):
+            if any(x and y for x, y in zip(a, b)):
+                raise ValueError(f"the leading terms of {g} and {h} are not coprime")
+        if any(e < 0 for p in (self, *basis) for exps in p._terms for e in exps):
+            raise ValueError("division needs nonnegative exponents")
+        rest = dict(self._terms)
+        remainder: dict = {}
+        quotients = [{} for _ in leads]
+        while rest:
+            exps = max(rest, key=key)
+            for (lead, lc, g), q in zip(leads, quotients):
+                shift = tuple([e - l for e, l in zip(exps, lead)])
+                if all(s >= 0 for s in shift):
+                    break
+            else:
+                remainder[exps] = rest.pop(exps)
+                continue
+            f = Fraction(rest[exps], lc)
+            _accumulate(q, shift, f)
+            for e, c in g._terms.items():
+                _accumulate(rest, tuple([a + b for a, b in zip(e, shift)]), -f * c)
+        return _normalised(ctx, remainder), tuple(_normalised(ctx, q) for q in quotients)
 
     def limit_contraction(self) -> "Poly":
         """Send the contraction parameter to zero.
@@ -378,6 +430,16 @@ class Poly:
             raise DivergenceError(worst)
         out = {e: c for e, c in self._terms.items() if e[i] == 0}
         return Poly._raw(ctx, out)
+
+
+_set_ctx = Poly.ctx.__set__
+_set_terms = Poly._terms.__set__
+
+
+def _normalised(ctx: ParamContext, out: dict) -> Poly:
+    """A polynomial of the unfolded, nonzero sums in ``out``."""
+    zero = ctx.zero
+    return Poly._raw(ctx, {zero if e == zero else e: _fold(c) for e, c in out.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -744,9 +806,7 @@ def substitution(ctx: ParamContext, assignment: Mapping[str, Union[ScalarLike, P
             if not out:
                 return Poly._raw(ctx, {zero: constant})
             _accumulate(out, zero, constant)
-        return Poly._raw(
-            ctx, {zero if e == zero else e: _fold(c) for e, c in out.items()}
-        )
+        return _normalised(ctx, out)
 
     return apply
 

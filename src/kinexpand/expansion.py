@@ -13,31 +13,20 @@ that do not depend on the target: the actual commutator of the expanded
 generators and, where the pair has a central template, the phase-1
 residual: the template is written with scalar stand-ins c1, c2, xi for
 central factors (Casimirs, the central generator), and the stand-ins are
-expanded to their defining elements and compared exactly.  The *witness
-check* (:func:`verify_closure`) then takes a rational witness.  Once per
-(certificate, target) pair it makes a plan, which makes every verdict that
-needs no witness: the pair-order check, and one shared verdict for each
-pair whose target row has only constant coefficients and whose commutator
-equals the expected bracket (``exact_zero``) or differs from it with no
-template (``mismatch``); for the rest, each pair's target row and the
-distinct coefficients left to the witness; a pair whose row is one
-structure constant on unit coefficients, as every curvature pair's is, has
-its comparisons compiled into conditions on those coefficients' values.
-Per witness it validates the witness against the closure constraint
-equations (a constraint the witness leaves open, with one free constant,
-becomes a power-substitution rule), evaluates each distinct coefficient
-once, and decides the checked pairs: a compiled pair from the values
-alone, another by building its expected bracket from the target structure
-constants, accepting an exactly equal pair, and otherwise scalarising the
-template with the witness (phase 2) and comparing it with the target
-(phase 3).  The certificate depends only on the seed, so each driver
-family builds it once per process and every witness reuses it; what it
-shares is read-only (NamedTuple records, mappings, element terms).  A
-witness check is rational arithmetic that compares and does not subtract:
-without power rules a residual is nonzero exactly when its operands
-differ, so a mismatch's residual is formed, like every text, only when it
-is read, and a compiled pair's expected bracket and scalarised template
-are built only then too.
+expanded to their defining elements and compared exactly.  The *closure
+check* (:func:`verify_closure`) then decides every pair on the whole
+constraint variety, once per (certificate, target, constraints) in a plan
+that is kept: it builds the expected bracket from the target's structure
+constants with their parameters left symbolic and reduces the
+coefficients of ``actual - expected``, and of ``template - expected``,
+modulo the constraints by multivariate division (:meth:`Poly.reduce`).
+The certificate depends only on the seed, so each driver family builds it
+once per process, and the plan depends on no witness, so every witness
+reuses both; what they share is read-only (NamedTuple records, mappings,
+element terms).  A witness is only validated and rendered: it must satisfy
+the constraints (a constraint it leaves open, with one free constant,
+becomes a power-substitution rule), and the texts of a pair whose expected
+bracket or scalarised template reads it are built from it when read.
 """
 
 from __future__ import annotations
@@ -280,30 +269,25 @@ def _rendered(slot: str, empty):
     return property(text)
 
 
-def _value(values: list, ref: tuple) -> Poly:
-    """The value a coefficient reference ``(index, negated)`` points to."""
-    index, negated = ref
-    return -values[index] if negated else values[index]
+def _expected_at(verdict, alg, row, substitute) -> UEAElement:
+    """A recipe's element: the expected bracket of ``row`` (pairs of an
+    expanded element and a structure constant) with the constants at the
+    witness that ``substitute`` applies."""
+    return _expected_bracket(alg, [(element, substitute(c)) for element, c in row])
 
 
-def _units_element(verdict, alg, monomials, ref, values) -> UEAElement:
-    """A recipe's element: the value ``ref`` points to on each of ``monomials``."""
-    value = _value(values, ref)
-    return UEAElement._raw(alg, dict.fromkeys(monomials, value) if value._terms else {})
-
-
-def _template_element(verdict, alg, template, values) -> UEAElement:
-    """A recipe's element: the template scalarised, each of its monomials
-    carrying the value its coefficient reference points to."""
+def _scalarized_at(verdict, template, substitute, reductions) -> UEAElement:
+    """A recipe's element: the template with its coefficients at the witness
+    and reduced by the power rules ``reductions`` (phase 2)."""
     terms = {}
-    for m, ref in template:
-        value = _value(values, ref)
+    for m, p in template._terms.items():
+        value = _reduce_poly(substitute(p), reductions)
         if value._terms:
             terms[m] = value
-    return UEAElement._raw(alg, terms)
+    return UEAElement._raw(template.alg, terms)
 
 
-def _residual(verdict, minuend, reductions=()) -> UEAElement:
+def _residual(verdict, minuend, reductions) -> UEAElement:
     """A recipe's element: ``minuend - expected``, reduced by ``reductions``;
     ``minuend`` is an element, or the name of the verdict's slot holding it."""
     if type(minuend) is str:
@@ -317,22 +301,22 @@ class PairVerdict:
     ``verdict`` is ``exact_zero``, ``template_match`` or ``mismatch``, and
     ``phase1`` is ``pass``, ``n/a`` or the phase-1 residual's text.
     ``target``, ``scalarized`` and ``residual`` are texts of the expected
-    bracket, the scalarised template and the residual.  The verdict keeps
-    the elements and renders each text on first read, into a slot of its
-    own, so a caller that only reads verdicts formats nothing.  Each element
-    may also be given as a recipe, a tuple ``(function, *args)``: the element
-    is then ``function(verdict, *args)``, made on the first read of its text
-    or of the verdict's equality and kept in its place.  A witness round
-    gives its expected brackets and scalarised templates as recipes
-    (:func:`_units_element`, :func:`_template_element`) and its residuals as
-    :func:`_residual`, which reads the expected bracket from the verdict, so
-    a verdict nobody reads builds no element.  It is read-only: every field
-    is a property over a private slot.  A verdict decided without a witness
-    is made once per :func:`verify_closure` plan and shared by every call
-    on it, with any residual already formed, so that only its texts are
-    filled in when first read; a verdict a witness decides is made by the
-    call.  Two verdicts are equal when their fields and elements are; the
-    texts play no part.
+    bracket, the scalarised template and the residual.  The verdict and
+    ``phase1`` hold on the whole constraint variety; the texts are those at
+    the witness of the :func:`verify_closure` call.  The verdict keeps the
+    elements and renders each text on first read, into a slot of its own,
+    so a caller that only reads verdicts formats nothing.  Each element may
+    also be given as a recipe, a tuple ``(function, *args)``: the element is
+    then ``function(verdict, *args)``, made on the first read of its text or
+    of the verdict's equality and kept in its place.  A call gives the
+    elements that read its witness as recipes (:func:`_expected_at`,
+    :func:`_scalarized_at` and :func:`_residual`, which reads the expected
+    bracket from the verdict), so a verdict nobody reads builds no element.
+    It is read-only: every field is a property over a private slot.  A
+    verdict whose texts need no witness is made once per plan and shared by
+    every call on it, with any residual already formed, so that only its
+    texts are filled in when first read.  Two verdicts are equal when their
+    fields and elements are; the texts play no part.
     """
 
     __slots__ = (
@@ -439,8 +423,8 @@ class PairCertificate(NamedTuple):
     pair with a template, ``phase1`` is ``actual - expand_central(template)``
     and ``phase1_text`` is ``"pass"`` when it is zero, else its text; for a
     pair without one, ``phase1`` is None and ``phase1_text`` is ``"n/a"``.
-    No verdict is kept here: every verdict that needs no witness is made by
-    the :func:`verify_closure` plan of a target.
+    No verdict is kept here: every verdict is made by the
+    :func:`verify_closure` plan of a target and its constraints.
     """
 
     pair: tuple
@@ -512,183 +496,117 @@ def closure_certificate(
     return ClosureCertificate(alg, gens, tuple(pairs))
 
 
-def _facts(conditions: tuple, values: list) -> int:
-    """The plan's conditions that hold at these coefficient values, as a
-    bit mask: bit ``k`` is set when condition ``k`` holds."""
-    facts = 0
-    for k, (index, other, opposite) in enumerate(conditions):
-        terms = values[index]._terms
-        if other is None:
-            holds = not terms
-        elif type(other) is int:
-            other = values[other]
-            holds = terms == (-other if opposite else other)._terms
-        else:
-            holds = terms == other._terms
-        if holds:
-            facts |= 1 << k
-    return facts
-
-
-class _Units(NamedTuple):
-    """A checked pair compiled to conditions on coefficient values.
-
-    The pair's target row is one structure constant, the coefficient
-    ``value`` (a reference ``(index, negated)`` into
-    :attr:`_Plan.coefficients`), on an element whose coefficients are all 1:
-    the expected bracket is that value on each of ``monomials``.  ``exact``,
-    ``matched`` and ``low`` are sets of the plan's conditions
-    (:attr:`_Plan.conditions`), as bit masks.  The commutator equals the
-    expected bracket exactly when every condition of ``exact`` holds;
-    ``exact`` is None when no value makes them equal.  The scalarised
-    template equals it exactly when every condition of ``matched`` holds,
-    and has degree at most 1 exactly when every condition of ``low`` does.
-    ``on`` holds the commutator's coefficient on each monomial (zero where
-    it has none) and ``off`` its distinct coefficients on other monomials:
-    power rules reduce these as they reduce values.
-    """
-
-    value: tuple
-    monomials: tuple
-    exact: int | None
-    matched: int
-    low: int
-    on: tuple
-    off: tuple
-
-
 class _Check(NamedTuple):
-    """A pair :func:`verify_closure` checks at each witness.
+    """A pair whose verdict the plan makes and whose texts read the witness.
 
     ``row`` holds, per structure constant of the pair's target row, the
-    expanded element and a reference ``(index, negated)`` to the constant
-    in :attr:`_Plan.coefficients`; ``template`` holds the template's
-    monomials with references to their coefficients, or is None.
-    ``units`` is the pair compiled to conditions on values
-    (:class:`_Units`) when its row is one structure constant on an element
-    with only unit coefficients, as every curvature pair's is; otherwise it
-    is None, and the pair is checked on elements.  ``linear`` is True when
-    the row's elements have degree at most 1, and so has any template equal
-    to the expected bracket.  ``constant`` is None, or, for a pair without
-    a template whose constant row's expected bracket differs from the
-    commutator, that bracket: the plan's ``mismatch`` then holds at every
-    witness that gives no power rule.
+    expanded element and the constant (a ``Poly``); ``verdict`` and
+    ``phase1`` are the plan's.
     """
 
     index: int
     cert: PairCertificate
     row: tuple
-    units: _Units | None
-    linear: bool
-    template: tuple | None
-    constant: UEAElement | None
+    verdict: str
+    phase1: str
 
 
 class _Plan(NamedTuple):
-    """What :func:`verify_closure` knows of one (certificate, target) pair
-    before it sees a witness.
+    """The verdicts of one (certificate, target, constraints) triple.
 
-    ``verdicts`` has one entry per pair, in target basis order: the
-    shared, read-only :class:`PairVerdict` of a pair decided without a
-    witness, None for a pair only a witness decides.  ``checks`` holds the
-    pairs a witness decides, and the constant-row mismatches, which only a
-    power rule could reduce.  ``coefficients`` are the structure constants
-    and template coefficients of the checked pairs, distinct up to sign:
-    each is substituted once per witness, and a coefficient that is
-    another's negative is referred to as that one, negated.
-    ``conditions`` are the distinct comparisons the compiled pairs need,
-    each ``(index, other, opposite)``: the value of coefficient ``index``
-    is zero (``other`` None), equals the value of coefficient ``other``
-    (an index; its negative when ``opposite``), or equals the ``Poly``
-    ``other``.  ``pairs`` and ``generators`` are the certificate's, kept so
-    that the key they give stays theirs.
+    ``verdicts`` has one entry per pair, in target basis order: a shared,
+    read-only :class:`PairVerdict` for a pair whose texts need no witness,
+    None for one whose expected bracket or scalarised template reads it;
+    ``checks`` describes the None entries.  ``reducible`` holds the shared
+    mismatches of constant rows, whose residuals only a power rule of the
+    witness changes.  ``mismatches`` are the mismatching pairs.  ``pairs``,
+    ``generators`` and ``constraints`` are kept so that the key their
+    identities give stays theirs.
     """
 
     pairs: tuple
     generators: ExpandedGenerators
+    constraints: tuple
     verdicts: tuple
     checks: tuple
-    coefficients: tuple
-    conditions: tuple
+    reducible: tuple
+    mismatches: tuple
     fixed_set: tuple
 
 
 # Plans per target algebra, held weakly as ``uea._TABLES`` holds the kernel
-# tables, and per certificate by the identity of its pairs and generators:
-# a certificate made with ``_replace`` gets a plan of its own.  A target
-# keeps its most recent few plans.
+# tables, and per certificate by the identity of its pairs and generators
+# and of the constraints, or their value: a certificate made with
+# ``_replace`` gets a plan of its own.  A target keeps its most recent few
+# plans.
 _PLANS: "weakref.WeakKeyDictionary[LieAlgebra, dict]" = weakref.WeakKeyDictionary()
 _PLANS_PER_TARGET = 8
 
 
-class _Compiler:
-    """The coefficients and conditions of one plan, as they are collected."""
+def _membership(constraints: tuple, target: LieAlgebra) -> Callable:
+    """The test "``p`` lies in the ideal of ``constraints``", memoised.
 
-    def __init__(self):
-        self.coefficients: dict = {}  # Poly -> index
-        self.conditions: dict = {}  # (index, other, opposite) -> index
+    The term order is lex with the parameters of the target's structure
+    constants first (``omega``, ``kappa``), then the context order, so
+    that each curvature is the leading term of the rule that fixes it.
+    """
+    if not constraints:
+        return lambda p: not p._terms
+    used = {
+        target.ctx.names[i] for row in target.brackets.values() for c in row.values()
+        for exps in c._terms for i, e in enumerate(exps) if e
+    }
+    order = [name for name in constraints[0].ctx.names if name in used]
+    # refuses a basis whose leading terms share a parameter
+    constraints[0].reduce(constraints, order)
+    memo: dict = {}
 
-    def ref(self, p: Poly) -> tuple:
-        """The reference ``(index, negated)`` of coefficient ``p``."""
-        index = self.coefficients.get(p)
-        if index is not None:
-            return index, False
-        index = self.coefficients.get(-p)
-        if index is not None:
-            return index, True
-        index = self.coefficients[p] = len(self.coefficients)
-        return index, False
+    def in_ideal(p: Poly) -> bool:
+        found = memo.get(p)
+        if found is None:
+            found = memo[p] = not p.reduce(constraints, order)[0]._terms
+        return found
 
-    def condition(self, ref: tuple, other=None) -> int:
-        """The condition "the value of ``ref`` is ``other``", as a bit mask:
-        ``other`` is another reference, a ``Poly`` or zero (None); 0 when it
-        always holds."""
-        index, negated = ref
-        if type(other) is tuple:
-            j, opposite = other[0], negated != other[1]
-            if j == index:
-                if not opposite:
-                    return 0
-                key = (index, None, False)  # v == -v: v is zero
-            else:
-                key = (min(index, j), max(index, j), opposite)
-        elif other is None or not other._terms:
-            key = (index, None, False)
-        else:
-            key = (index, -other if negated else other, False)
-        return 1 << self.conditions.setdefault(key, len(self.conditions))
-
-    def units(self, cert: PairCertificate, monomials: tuple, value: tuple, template):
-        """The :class:`_Units` of a pair whose expected bracket is ``value``
-        on each of ``monomials``."""
-        zero = Poly._raw(cert.actual.alg.ctx, {})
-        actual = cert.actual._terms
-        inside = set(monomials)
-        on = tuple(actual.get(m, zero) for m in monomials)
-        off = tuple({p: None for m, p in actual.items() if m not in inside})
-        exact = None
-        if not off and all(p == on[0] for p in on):
-            exact = self.condition(value, on[0])
-        matched = low = 0
-        if template is not None:
-            for m, ref in template:
-                matched |= self.condition(ref, value if m in inside else None)
-                if sum(m) > 1:
-                    low |= self.condition(ref)
-            if not inside.issubset(m for m, _ in template):
-                matched |= self.condition(value)  # the expected bracket is zero
-        return _Units(value, monomials, exact, matched, low, on, off)
+    return in_ideal
 
 
-def _plan(certificate: ClosureCertificate, target: LieAlgebra) -> _Plan:
-    """The (certificate, target) plan, built on first use."""
+def _decide(cert: PairCertificate, expected: UEAElement, in_ideal) -> tuple:
+    """The verdict and phase-1 text of a pair, on the variety of the ideal
+    that ``in_ideal`` tests: ``exact_zero`` when every coefficient of
+    ``actual - expected`` lies in the ideal, ``template_match`` when phase 1
+    passed and every coefficient of ``template - expected``, and of the
+    template's monomials of degree above 1, does, else ``mismatch``."""
+    if all(map(in_ideal, (cert.actual - expected)._terms.values())):
+        return "exact_zero", "n/a"
+    template = cert.template
+    if template is None:
+        return "mismatch", "n/a"
+    if cert.phase1._terms or not all(
+        map(in_ideal, (template - expected)._terms.values())
+    ) or not all(in_ideal(p) for m, p in template._terms.items() if sum(m) > 1):
+        return "mismatch", cert.phase1_text
+    return "template_match", "pass"
+
+
+def _plan(
+    certificate: ClosureCertificate, target: LieAlgebra, constraints: tuple
+) -> _Plan:
+    """The (certificate, target, constraints) plan, built on first use."""
     plans = _PLANS.get(target)
     if plans is None:
         plans = _PLANS[target] = {}
-    key = (id(certificate.pairs), id(certificate.generators))
+    key = (id(certificate.pairs), id(certificate.generators), id(constraints))
     plan = plans.get(key)
     if plan is not None:
         return plan
+    for plan in plans.values():
+        # equal constraints in another tuple, such as one made from a list
+        if (
+            plan.pairs is certificate.pairs
+            and plan.generators is certificate.generators
+            and plan.constraints == constraints
+        ):
+            return plan
     names = [g.name for g in target.generators]
     if tuple(combinations(names, 2)) != tuple(p.pair for p in certificate.pairs):
         raise ValueError(
@@ -696,54 +614,47 @@ def _plan(certificate: ClosureCertificate, target: LieAlgebra) -> _Plan:
         )
     alg = certificate.alg
     elements = certificate.generators.elements
-    compiler = _Compiler()
-    unit = {alg.ctx.zero: 1}
-    verdicts = []
-    checks = []
+    in_ideal = _membership(constraints, target)
+    verdicts, checks, reducible, mismatches = [], [], [], []
     for index, cert in enumerate(certificate.pairs):
         na, nb = cert.pair
         row = target.bracket_pair(target.gen_index[na], target.gen_index[nb])
-        if all(c.is_constant() for c in row.values()):
-            # a constant structure constant is its own value at any witness
-            products = [(elements[names[k]], c) for k, c in row.items()]
-            expected = _expected_bracket(alg, products)
-            if cert.actual == expected:
-                verdicts.append(PairVerdict(cert.pair, "exact_zero", "n/a", cert.actual))
-                continue
-            if cert.template is None:
-                verdicts.append(
-                    PairVerdict(
-                        cert.pair, "mismatch", "n/a", expected,
-                        residual=cert.actual - expected,
-                    )
-                )
-                checks.append(
-                    _Check(
-                        index, cert, row=(), units=None, linear=False,
-                        template=None, constant=expected,
-                    )
-                )
-                continue
-        verdicts.append(None)
-        template = None
-        if cert.template is not None:
-            template = tuple(
-                (m, compiler.ref(p)) for m, p in cert.template._terms.items()
+        products = tuple((elements[names[k]], c) for k, c in row.items())
+        expected = _expected_bracket(alg, products)
+        same = cert.actual == expected
+        if same:
+            verdict, phase1 = "exact_zero", "n/a"
+        else:
+            verdict, phase1 = _decide(cert, expected, in_ideal)
+        if verdict == "mismatch":
+            mismatches.append(cert.pair)
+        check = _Check(index, cert, products, verdict, phase1)
+        if any(not c.is_constant() for c in row.values()) or (
+            cert.template is not None and verdict != "exact_zero"
+        ):
+            # the expected bracket or the scalarised template reads the witness
+            verdicts.append(None)
+            checks.append(check)
+        elif verdict == "exact_zero":
+            # share the certificate's element when it is the expected one
+            verdicts.append(
+                PairVerdict(cert.pair, verdict, phase1, cert.actual if same else expected)
             )
-        products = tuple((elements[names[k]], compiler.ref(c)) for k, c in row.items())
-        terms = [el._terms for el, _ in products]
-        units = None
-        if len(terms) == 1 and terms[0] and all(c._terms == unit for c in terms[0].values()):
-            units = compiler.units(cert, tuple(terms[0]), products[0][1], template)
-        linear = all(sum(m) <= 1 for t in terms for m in t)
-        checks.append(_Check(index, cert, products, units, linear, template, None))
+        else:
+            verdicts.append(
+                PairVerdict(
+                    cert.pair, verdict, phase1, expected, residual=cert.actual - expected
+                )
+            )
+            reducible.append(check)
     plan = _Plan(
         certificate.pairs,
         certificate.generators,
+        constraints,
         tuple(verdicts),
         tuple(checks),
-        tuple(compiler.coefficients),
-        tuple(compiler.conditions),
+        tuple(reducible),
+        tuple(mismatches),
         tuple(sorted(certificate.generators.fixed_set)),
     )
     if len(plans) == _PLANS_PER_TARGET:
@@ -752,182 +663,79 @@ def _plan(certificate: ClosureCertificate, target: LieAlgebra) -> _Plan:
     return plan
 
 
-def _check_units(
-    alg, cert, units, template, values, facts, reduced, reductions
-) -> PairVerdict:
-    """The verdict of a compiled pair (:class:`_Units`) from the witness's
-    coefficient ``values`` and the ``facts`` of the plan's conditions;
-    with power rules ``reductions``, ``reduced`` holds the values reduced
-    and the facts at them, else it is None.  Its elements are recipes:
-    nothing here builds or compares an element."""
-    exact = units.exact
-    if exact is not None and facts & exact == exact:
-        # the commutator is the expected bracket: render the certificate's
-        return PairVerdict(cert.pair, "exact_zero", "n/a", cert.actual)
-    expected = (_units_element, alg, units.monomials, units.value, values)
-    if reduced is not None:
-        # the rules reduce the commutator's coefficients as they reduce values
-        values, facts = reduced
-        value = _value(values, units.value)._terms
-        if all(
-            _reduce_poly(p, reductions)._terms == value for p in units.on
-        ) and not any(_reduce_poly(p, reductions)._terms for p in units.off):
-            return PairVerdict(cert.pair, "exact_zero", "n/a", expected)
-    if template is None:
-        return PairVerdict(
-            cert.pair, "mismatch", "n/a", expected,
-            residual=(_residual, cert.actual, reductions),
-        )
-    # phase 2: scalarise the template with the witness; phase 3: compare it
-    # with the expected bracket, value by value
-    matched = facts & units.matched == units.matched
-    scal = (_template_element, alg, template, values)
-    p1_ok = not cert.phase1._terms
-    if p1_ok and matched and facts & units.low == units.low:
-        return PairVerdict(cert.pair, "template_match", "pass", expected, scal)
-    # phase 3's residual, zero when it passed, or the phase-1 residual
-    residual = (_residual, "_scalarized", reductions) if p1_ok else cert.phase1
-    return PairVerdict(cert.pair, "mismatch", cert.phase1_text, expected, scal, residual)
-
-
 def verify_closure(
     certificate: ClosureCertificate,
     target: LieAlgebra,
     constraints: Sequence[Poly] = (),
     witness: Mapping[str, Fraction] | None = None,
 ) -> ClosureReport:
-    """Check a closure certificate against the target bracket table at a witness.
+    """Check a closure certificate against the target bracket table.
 
-    Once per (certificate, target) pair, a plan is made and kept: it checks
-    that the target's generator pairs are the certificate's, in the same
-    order, and makes every verdict that needs no witness.  A pair whose row
-    has only constant coefficients has the same expected bracket at every
-    witness: the plan builds it once and gives an ``exact_zero`` when the
-    commutator equals it, with a template or without, else, without a
-    template, a ``mismatch`` that holds at every witness with no power rule.
-    Each decided pair gets one :class:`PairVerdict`, shared read-only by
-    every call.  For the other pairs the plan collects their rows and the
-    distinct coefficients of their rows and templates, a coefficient that
-    is another's negative standing as that one's negation.  A pair whose row
-    is one structure constant on an element with only unit coefficients
-    (every curvature pair of the drivers) has its comparisons compiled into
-    comparisons of coefficient values (:class:`_Units`).  A certificate
-    whose ``pairs`` or ``generators`` were replaced gets a plan of its own.
+    Every verdict holds on the whole constraint variety, and is made once
+    per (certificate, target, constraints) in a plan that is kept.  The
+    plan checks that the target's generator pairs are the certificate's, in
+    the same order.  Per pair it builds the expected bracket from the
+    target's structure constants, with their parameters left symbolic, and
+    reduces coefficients modulo the constraints by multivariate division
+    (:meth:`Poly.reduce`): the pair is an ``exact_zero`` when every
+    coefficient of ``actual - expected`` lies in the ideal; a
+    ``template_match`` when the certificate's phase-1 residual is zero and
+    every coefficient of ``template - expected`` lies in it, and the
+    template has degree at most 1 once its coefficients are reduced (the
+    ``(K_i, K_j)`` templates carry a degree-3 term whose coefficient is in
+    the ideal); a ``mismatch`` otherwise.  Without constraints the ideal
+    is zero and a verdict holds for every value of the parameters.  The
+    term order is lex with the parameters of the target's structure
+    constants first (:func:`_membership`), and constraints whose leading
+    terms are not pairwise coprime raise ``ValueError``.  A certificate
+    whose ``pairs`` or ``generators`` were replaced, or other constraints,
+    get a plan of their own.
 
-    Per witness, the witness is validated against the constraints: an
-    exactly satisfied constraint is consumed, an open one (single free
-    constant) becomes a power-reduction rule.  Each distinct coefficient is
-    substituted once, and, with power rules, reduced once.  A compiled pair
-    is decided from those values alone: it is an ``exact_zero`` when the
-    commutator equals the expected bracket, or, with power rules, when their
-    reduced coefficients agree; otherwise its template, scalarised at the
-    witness (phase 2), is compared with the expected bracket (phase 3)
-    value by value.  Another pair's expected bracket is built, as one sum,
-    from the expanded elements times the target structure constants at the
-    witness, and compared with the commutator and the scalarised template
-    as elements, with each unequal difference formed and reduced when there
-    are power rules, the plan's constant-row mismatches too.  A pair is a
-    ``template_match`` only if the certificate's phase-1 residual is zero,
-    phase 3 passes and the scalarised template has degree at most 1, and a
-    ``mismatch`` otherwise or when it has no template.  Without power rules
-    ``actual - expected`` and ``scalarised - expected`` are nonzero exactly
-    when their operands differ, so no difference is formed to decide a
-    verdict.  No commutator, product or text is computed here, and a
-    compiled pair's expected bracket, scalarised template and residual are
-    recipes its :class:`PairVerdict` follows when read: a round whose pairs
-    all compile builds and compares no element.
+    The witness is only validated and rendered.  It is substituted into the
+    constraints: an exactly satisfied constraint is consumed, an open one
+    (single free constant) becomes a power-reduction rule, and any other
+    raises :class:`ConstraintViolationError`.  A pair whose texts need no
+    witness, a constant row decided ``exact_zero`` or a mismatch without
+    template, keeps the plan's shared :class:`PairVerdict`; any other pair
+    gets a verdict of its own, with the plan's verdict and, as recipes its
+    verdict follows when read, the expected bracket with the structure
+    constants at the witness, the template scalarised at the witness and
+    reduced by the power rules, and the residual (``actual - expected``,
+    ``scalarised - expected``, or the phase-1 residual) reduced by them.
+    A round builds and compares no element.
     """
-    plan = _plan(certificate, target)
+    constraints = tuple(constraints)
+    plan = _plan(certificate, target, constraints)
     alg = certificate.alg
     witness = dict(witness or {})
-    # the witness is validated once; each distinct coefficient is
-    # substituted once per call, and each condition decided once
     substitute = substitution(alg.ctx, witness)
     reductions = tuple(_analyze_constraints(constraints, substitute))
-    values = [substitute(p) for p in plan.coefficients]
-    facts = _facts(plan.conditions, values)
-    reduced = None
-    if reductions:
-        reduced_values = [_reduce_poly(v, reductions) for v in values]
-        reduced = (reduced_values, _facts(plan.conditions, reduced_values))
     pairs = list(plan.verdicts)
-    mismatches = []
-    for index, cert, row, units, linear, template, constant in plan.checks:
-        if units is not None:
-            verdict = pairs[index] = _check_units(
-                alg, cert, units, template, values, facts, reduced, reductions
-            )
-            if verdict._verdict == "mismatch":
-                mismatches.append(cert.pair)
-            continue
-        if constant is not None:
-            if not reductions:
-                # the plan's mismatch: only a power rule could reduce it
-                mismatches.append(cert.pair)
-                continue
-            expected = constant
-        else:
-            expected = _expected_bracket(
-                alg, [(el, _value(values, ref)) for el, ref in row]
-            )
-            if cert.actual == expected:
-                # render the certificate's element: the verdict keeps no copy
-                pairs[index] = PairVerdict(cert.pair, "exact_zero", "n/a", cert.actual)
-                continue
-        if reductions:
-            exact_res = _reduce_element(cert.actual - expected, reductions)
-            if exact_res.is_zero():
-                pairs[index] = PairVerdict(cert.pair, "exact_zero", "n/a", expected)
-                continue
-        else:
-            exact_res = (_residual, cert.actual)  # nonzero, formed when read
-        if template is None:
-            pairs[index] = PairVerdict(
-                cert.pair, "mismatch", "n/a", expected, residual=exact_res
-            )
-            mismatches.append(cert.pair)
-            continue
-        # phase 2: scalarise the template with the witness
-        scal = _reduce_element(_template_element(None, alg, template, values), reductions)
-        # phase 3: compare with the target structure constants; equal to an
-        # expected bracket of linear elements, the template is linear too
-        if scal == expected:
-            p3_res, low_degree = None, linear or scal.degree() <= 1
-        elif reductions:
-            p3_res = _reduce_element(scal - expected, reductions)
-            if p3_res.is_zero():
-                p3_res = None
-            low_degree = scal.degree() <= 1
-        else:
-            p3_res, low_degree = (_residual, "_scalarized"), False  # formed when read
-        p1_ok = cert.phase1.is_zero()
-        if p1_ok and p3_res is None and low_degree:
-            pairs[index] = PairVerdict(
-                cert.pair, "template_match", "pass", expected, scal
-            )
-        else:
-            if p3_res is None:
-                p3_res = UEAElement.zero(alg)
-            pairs[index] = PairVerdict(
-                cert.pair,
-                "mismatch",
-                cert.phase1_text,
-                expected,
-                scal,
-                p3_res if p1_ok else cert.phase1,
-            )
-            mismatches.append(cert.pair)
-
+    for index, cert, row, verdict, phase1 in (
+        plan.checks + plan.reducible if reductions else plan.checks
+    ):
+        scal = residual = None
+        if verdict != "exact_zero" and cert.template is not None:
+            scal = (_scalarized_at, cert.template, substitute, reductions)
+        if verdict == "mismatch":
+            if scal is None:
+                residual = (_residual, cert.actual, reductions)
+            elif cert.phase1._terms:
+                residual = cert.phase1
+            else:
+                residual = (_residual, "_scalarized", reductions)
+        expected = (_expected_at, alg, row, substitute)
+        pairs[index] = PairVerdict(cert.pair, verdict, phase1, expected, scal, residual)
     return ClosureReport(
         initial=alg.name,
         target=target.name,
         fixed_set=plan.fixed_set,
-        constraints=tuple(constraints),
+        constraints=constraints,
         witness=witness,
         reductions=reductions,
         pairs=tuple(pairs),
-        passed=not mismatches,
-        mismatches=tuple(mismatches),
+        passed=not plan.mismatches,
+        mismatches=plan.mismatches,
     )
 
 

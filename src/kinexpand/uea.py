@@ -149,7 +149,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
-from .coeffring import ContextMismatchError, Poly, format_poly, grlex_key
+from .coeffring import ContextMismatchError, Frozen, Poly, format_poly, grlex_key
 from .liealg import _CYCLIC, LieAlgebra
 
 # A PBW monomial: exponent tuple over the generator basis; () handled as the
@@ -322,7 +322,8 @@ class _Tables:
             out.append((_pack(mono), coeffs))
             degree = max(degree, sum(mono))
             spread = max(spread, s)
-        cached = el._packed = (tuple(out), degree, spread)
+        cached = (tuple(out), degree, spread)
+        _set_packed(el, cached)
         return cached
 
     def check_bound(self, degree: int, spread: int) -> None:
@@ -702,20 +703,19 @@ def _coefficient(alg: LieAlgebra, value: CoeffLike) -> Poly:
     return value
 
 
-class UEAElement:
+class UEAElement(Frozen):
     """Linear combination of PBW monomials with Poly coefficients.
 
     ``terms``, {monomial: nonzero Poly}, is a read-only view of a private
     dict that the package reads directly, so a shared element cannot be
-    changed through it.  The constructor checks that each monomial has
-    ``dim`` nonnegative ``int`` exponents and raises ``ValueError`` if not.
+    changed through it; ``alg`` and the terms refuse assignment and
+    deletion.  The constructor checks that each monomial has ``dim``
+    nonnegative ``int`` exponents and raises ``ValueError`` if not.
     """
 
     __slots__ = ("alg", "_terms", "_packed")
 
     def __init__(self, alg: LieAlgebra, terms=()):
-        self.alg = alg
-        self._packed = None
         clean: dict = {}
         for mono, coeff in dict(terms).items():
             mono = tuple(mono)
@@ -726,7 +726,9 @@ class UEAElement:
             coeff = _coefficient(alg, coeff)
             if not coeff.is_zero():
                 clean[mono] = coeff
-        self._terms = clean
+        _set_alg(self, alg)
+        _set_terms(self, clean)
+        _set_packed(self, None)
 
     @property
     def terms(self) -> Mapping[Monomial, Poly]:
@@ -735,9 +737,9 @@ class UEAElement:
     @classmethod
     def _raw(cls, alg: LieAlgebra, terms: dict) -> "UEAElement":
         el = cls.__new__(cls)
-        el.alg = alg
-        el._terms = terms
-        el._packed = None
+        _set_alg(el, alg)
+        _set_terms(el, terms)
+        _set_packed(el, None)
         return el
 
     @classmethod
@@ -862,6 +864,11 @@ class UEAElement:
 
     def __str__(self) -> str:
         return format_element(self)
+
+
+_set_alg = UEAElement.alg.__set__
+_set_terms = UEAElement._terms.__set__
+_set_packed = UEAElement._packed.__set__
 
 
 def normal_form(alg: LieAlgebra, words: Iterable[tuple]) -> UEAElement:

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -463,3 +464,162 @@ class TestRingAxioms:
     def test_substitution_is_homomorphism(self, rng):
         failures = check_substitution_homomorphism(rng, CTX, samples=100)
         assert failures == []
+
+
+def to_sympy(p: Poly, sympy):
+    """``p`` as a sympy expression in symbols named after its context."""
+    symbols = sympy.symbols(p.ctx.names)
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*(s**e for s, e in zip(symbols, exps)))
+        for exps, c in p.terms.items()
+    ))
+
+
+WORLDLINE = ("a1*c1 + a2*c2", "4*a2^2*c1*c2 + omega")
+SPACETIME = ("4*a1^2*m^2*xi^2 + kappa",)
+
+
+def basis(texts):
+    return [parse_poly(t, CTX) for t in texts]
+
+
+def check_division(p, gs, order):
+    """``p.reduce(gs, order)``, with its identity re-multiplied and every
+    coefficient exact."""
+    remainder, quotients = p.reduce(gs, order)
+    assert len(quotients) == len(gs)
+    total = remainder
+    for q, g in zip(quotients, gs):
+        total = total + q * g
+    assert total == p
+    for r in (remainder, *quotients):
+        assert r.ctx is CTX
+        assert all(type(c) in (int, Fraction) for c in r.terms.values())
+        assert all(c.denominator != 1 for c in r.terms.values() if type(c) is Fraction)
+    return remainder, quotients
+
+
+class TestReduce:
+    """Multivariate division by a basis with pairwise coprime leading terms."""
+
+    def test_identity_and_exactness_on_random_polynomials(self, rng):
+        for texts, order in ((WORLDLINE, ["omega"]), (SPACETIME, ["kappa"])):
+            gs = basis(texts)
+            for _ in range(100):
+                p = random_poly(rng, CTX, max_terms=5, max_deg=5)
+                p = p + random_poly(rng, CTX) * gs[rng.randrange(len(gs))]
+                check_division(p, gs, order)
+
+    def test_ideal_members_reduce_to_zero(self, rng):
+        gs = basis(WORLDLINE)
+        for _ in range(50):
+            p = sum(
+                (random_poly(rng, CTX, max_terms=4, max_deg=3) * g for g in gs),
+                Poly(CTX),
+            )
+            assert check_division(p, gs, ["omega"])[0].is_zero()
+        # the residual coefficients of the worldline closure pairs
+        for text in ("-4*a2^2*c1*c2 - omega", "-8*a2*(a1*c1 + a2*c2)"):
+            assert check_division(parse_poly(text, CTX), gs, ["omega"])[0].is_zero()
+        assert not check_division(parse_poly("16*a2^2", CTX), gs, ["omega"])[0].is_zero()
+
+    def test_the_derived_orders_make_the_closure_bases_coprime(self):
+        # lex with the curvature first: the leading terms are omega and
+        # a1*c1, and kappa; each is a basis element's only term it divides
+        gs = basis(WORLDLINE)
+        r, _ = check_division(var("omega"), gs, ["omega"])
+        assert r == parse_poly("-4*a2^2*c1*c2", CTX)
+        r, _ = check_division(var("a1") * var("c1"), gs, ["omega"])
+        assert r == -var("a2") * var("c2")
+        r, _ = check_division(var("kappa"), basis(SPACETIME), ["kappa"])
+        assert r == parse_poly("-4*a1^2*m^2*xi^2", CTX)
+        # in context order a1 leads: a1*c1 and a2^2*c1*c2 share c1
+        with pytest.raises(ValueError, match="not coprime"):
+            var("a1").reduce(gs, ())
+
+    def test_a_basis_that_is_not_coprime_is_refused(self):
+        with pytest.raises(ValueError, match="not coprime"):
+            var("m").reduce(basis(("a1*m + 1", "a1^2 + xi")), ["a1"])
+        with pytest.raises(ValueError, match="leading term"):
+            var("m").reduce([Poly(CTX)], ())
+        with pytest.raises(ValueError, match="nonnegative"):
+            Poly.var(CTX, "eps", -1).reduce(basis(SPACETIME), ["kappa"])
+
+    def test_a_unit_basis_reduces_everything_to_zero(self, rng):
+        for unit in (const(1), const(Fraction(2, 3))):
+            gs = [unit, var("kappa") + var("m")]
+            for _ in range(30):
+                p = random_poly(rng, CTX, max_terms=4, max_deg=3)
+                assert check_division(p, gs, ["kappa"])[0].is_zero()
+
+    def test_an_empty_basis_leaves_the_polynomial(self, rng):
+        p = random_poly(rng, CTX, max_terms=4)
+        assert p.reduce([], ()) == (p, ())
+
+    def test_against_sympy_reduced(self, rng):
+        sympy = pytest.importorskip("sympy")
+        for texts, order in ((WORLDLINE, ["omega"]), (SPACETIME, ["kappa"])):
+            gs = basis(texts)
+            names = order + [n for n in CTX.names if n not in order]
+            gens = sympy.symbols(names)
+            for _ in range(40):
+                p = random_poly(rng, CTX, max_terms=5, max_deg=5)
+                remainder, quotients = p.reduce(gs, order)
+                want_q, want_r = sympy.reduced(
+                    to_sympy(p, sympy), [to_sympy(g, sympy) for g in gs],
+                    *gens, order="lex",
+                )
+                assert sympy.expand(to_sympy(remainder, sympy) - want_r) == 0
+                for q, w in zip(quotients, want_q):
+                    assert sympy.expand(to_sympy(q, sympy) - w) == 0
+
+
+class TestFrozenPoly:
+    def test_attributes_refuse_assignment_and_deletion(self):
+        p = var("a1") + const(1)
+        for name in ("ctx", "_terms"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, getattr(p, name))
+            with pytest.raises(AttributeError):
+                delattr(p, name)
+        with pytest.raises(AttributeError):
+            p.note = "changed"
+        assert p == var("a1") + const(1) and p.ctx is CTX
+
+
+def test_the_plan_reductions_agree_with_sympy(monkeypatch):
+    # every coefficient the four closure plans reduce, against sympy.reduced
+    # under the same lex order
+    sympy = pytest.importorskip("sympy")
+    from kinexpand import expansion
+    from kinexpand.liealg import catalog
+
+    monkeypatch.setattr(expansion, "_PLANS", weakref.WeakKeyDictionary())
+    calls = []
+    reduce = Poly.reduce
+
+    def recording(p, basis, order=()):
+        out = reduce(p, basis, order)
+        calls.append((p, tuple(basis), list(order), out))
+        return out
+
+    monkeypatch.setattr(Poly, "reduce", recording)
+    for family, target in (
+        ("worldline", "poincare"), ("worldline", "euclid4"),
+        ("spacetime", "newton_hooke"), ("negative", "newton_hooke"),
+    ):
+        entry = expansion._certificate(family)
+        expansion._plan(entry.certificate, catalog(target), entry.constraints)
+    assert len(calls) > 10
+    zero = 0
+    for p, gs, order, (remainder, quotients) in calls:
+        gens = sympy.symbols(order + [n for n in CTX.names if n not in order])
+        want_q, want_r = sympy.reduced(
+            to_sympy(p, sympy), [to_sympy(g, sympy) for g in gs], *gens, order="lex"
+        )
+        assert sympy.expand(to_sympy(remainder, sympy) - want_r) == 0
+        for q, w in zip(quotients, want_q):
+            assert sympy.expand(to_sympy(q, sympy) - w) == 0
+        zero += remainder.is_zero()
+    assert zero

@@ -348,9 +348,10 @@ class TestSharedCertificate:
             run_theorem1(bad)
 
     def test_reduction_applies_to_a_pairs_residual(self):
-        # at kappa > 0, a1 stays formal and a1^2 -> -1 reduces the residual
-        # actual - expected; (a1^2 + 1)*K1 added to a pair without a template
-        # reduces to zero, so the pair stays exact
+        # verdicts hold on the variety: K1 times the spacetime constraint,
+        # added to a pair without a template, reduces to zero modulo it, so
+        # the pair stays exact; a1^2*K1 does not, and at kappa > 0, where a1
+        # stays formal, the power rule a1^2 -> -1 reduces its residual text
         entry = expansion._certificate("spacetime")
         cert = entry.certificate
         target = catalog("newton_hooke")
@@ -365,20 +366,27 @@ class TestSharedCertificate:
         alg = cert.alg
         a1 = Poly.var(alg.ctx, "a1")
         pair = cert.pairs[index]
-        extra = gen(alg, "K1").smul(a1 * a1 + Poly.const(alg.ctx, 1))
-        pairs = list(cert.pairs)
-        pairs[index] = pair._replace(actual=pair.actual + extra)
-        shifted = cert._replace(pairs=tuple(pairs))
-        again = verify_closure(
-            shifted, target, entry.constraints, THEOREM2_POSITIVE_WITNESS
-        )
-        assert again.pairs[index].verdict == "exact_zero", pair.pair
-        assert again.passed
-        # without the reduction rule the same residual is a mismatch
-        unreduced = verify_closure(
-            shifted, target, (), {**THEOREM2_POSITIVE_WITNESS}
-        )
+
+        def shifted_by(coefficient):
+            pairs = list(cert.pairs)
+            extra = gen(alg, "K1").smul(coefficient)
+            pairs[index] = pair._replace(actual=pair.actual + extra)
+            return cert._replace(pairs=tuple(pairs))
+
+        (constraint,) = entry.constraints
+        in_ideal = shifted_by(constraint * a1)
+        for witness in (THEOREM2_POSITIVE_WITNESS, THEOREM2_WITNESS):
+            again = verify_closure(in_ideal, target, entry.constraints, witness)
+            assert again.pairs[index].verdict == "exact_zero", pair.pair
+            assert again.passed
+        # without the constraint the same residual is a mismatch
+        unreduced = verify_closure(in_ideal, target, (), {**THEOREM2_POSITIVE_WITNESS})
         assert unreduced.pairs[index].verdict == "mismatch"
+        outside = verify_closure(
+            shifted_by(a1 * a1), target, entry.constraints, THEOREM2_POSITIVE_WITNESS
+        )
+        assert outside.mismatches == (pair.pair,)
+        assert outside.pairs[index].residual == "-K1"
 
     def test_certificate_checks_the_target_pairs(self):
         certificate = expansion._certificate("worldline").certificate
@@ -457,7 +465,9 @@ class TestSharedCertificate:
             )
             for _ in range(2)
         )
-        plan = expansion._plan(entry.certificate, catalog("poincare"))
+        plan = expansion._plan(
+            entry.certificate, catalog("poincare"), entry.constraints
+        )
         decided = [v is not None for v in plan.verdicts]
         assert decided.count(False) == 6
         for is_decided, p, q in zip(decided, first.pairs, second.pairs):
@@ -542,82 +552,107 @@ def _eager_pairs(certificate, target, constraints, witness) -> list:
     return out
 
 
-def _random_compiled_case(rng):
-    """A certificate and target whose every pair compiles, at random.
+class TestVariety:
+    """Verdicts decided on the constraint variety, by division modulo the
+    closure constraints."""
 
-    Each target row is one structure constant, drawn with its sign from a
-    small pool, on an expanded element of one or two unit monomials of
-    degree 1 or 2.  A pair's commutator is zero, or the element times a
-    constant from the pool, possibly with a monomial dropped or another
-    added; its template, if any, carries pool constants on some of the
-    element's monomials and possibly on another; its phase 1 sometimes
-    fails.  The witness takes values from a small set, so that pool values
-    often coincide, and with power rules leaves a1 open.
-    """
-    alg = catalog("galilei")
-    ctx = alg.ctx
-
-    def g(name):
-        return UEAElement.generator(alg, name)
-
-    monomials = [g("H"), g("P1"), g("K2"), g("J3"), g("H") * g("P1"), g("K1") * g("J2")]
-    a1, m, omega, kappa = (Poly.var(ctx, n) for n in ("a1", "m", "omega", "kappa"))
-    pool = [omega, kappa, omega * m, a1 * a1 * m, Poly.const(ctx, 2)]
-
-    def constant():
-        return rng.choice(pool).scale(rng.choice((1, -1)))
-
-    names = ["A", "B", "C", "D"]
-    elements = {
-        n: sum(rng.sample(monomials, rng.randint(1, 2)), UEAElement.zero(alg))
-        for n in names
-    }
-    brackets = {}
-    pairs = []
-    for i, j in ((i, j) for i in range(4) for j in range(i + 1, 4)):
-        k = rng.randrange(4)
-        brackets[i, j] = {k: constant()}
-        units = list(elements[names[k]].terms)
-        kind = rng.randrange(4)
-        actual = UEAElement.zero(alg)
-        if kind:
-            kept = units if kind != 3 or len(units) == 1 else units[1:]
-            c = constant()
-            actual = UEAElement(alg, {u: c for u in kept})
-            if kind == 2:
-                actual = actual + rng.choice(monomials).smul(constant())
-        template = phase1 = None
-        text = "n/a"
-        if rng.random() < 0.7:
-            terms = {u: constant() for u in units if rng.random() < 0.8}
-            if rng.random() < 0.4:
-                extra = rng.choice(monomials)
-                terms = {**terms, **{u: constant() for u in extra.terms}}
-            template = UEAElement(alg, terms)
-            phase1 = UEAElement.zero(alg) if rng.random() < 0.8 else g("H")
-            text = "pass" if phase1.is_zero() else format_element(phase1)
-        pairs.append(
-            expansion.PairCertificate(
-                (names[i], names[j]), actual, template, phase1, text
+    def test_flipped_curvature_rules_give_the_negative_control(self):
+        # omega - 4*a2^2*c1*c2 and kappa - 4*a1^2*m^2*xi^2: every curvature
+        # pair mismatches, and nothing else does
+        worldline = expansion._certificate("worldline")
+        spacetime = expansion._certificate("spacetime")
+        ctx = worldline.certificate.alg.ctx
+        names = ("a1", "a2", "c1", "c2", "omega", "kappa", "m", "xi")
+        a1, a2, c1, c2, omega, kappa, m, xi = (Poly.var(ctx, n) for n in names)
+        flipped = (a1 * c1 + a2 * c2, omega - (a2 * a2 * c1 * c2).scale(4))
+        witness = {**THEOREM1_WITNESS, "omega": Fraction(1)}
+        curvature_pairs = [(f"P{i}", f"K{i}") for i in (1, 2, 3)] + [
+            ("K1", "K2"), ("K1", "K3"), ("K2", "K3")
+        ]
+        for target in ("poincare", "euclid4"):
+            report = verify_closure(
+                worldline.certificate, catalog(target), flipped, witness
             )
+            assert sorted(report.mismatches) == sorted(curvature_pairs)
+            others = {p.verdict for p in report.pairs if p.pair not in curvature_pairs}
+            assert others == {"exact_zero"}
+            kept = verify_closure(
+                worldline.certificate, catalog(target), worldline.constraints,
+                THEOREM1_WITNESS if target == "poincare" else EUCLID_WITNESS,
+            )
+            assert kept.passed
+        flipped = (kappa - (a1 * a1 * m * m * xi * xi).scale(4),)
+        witness = {**THEOREM2_WITNESS, "kappa": Fraction(1)}
+        report = verify_closure(
+            spacetime.certificate, catalog("newton_hooke"), flipped, witness
         )
-    target = expansion.LieAlgebra("toy", names, ctx, brackets)
-    gens = expansion.ExpandedGenerators(elements, frozenset())
-    certificate = expansion.ClosureCertificate(alg, gens, tuple(pairs))
-    values = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
-    witness = {n: rng.choice(values) for n in ("omega", "kappa", "m", "a1")}
-    constraints = ()
-    if rng.random() < 0.3:
-        del witness["a1"]  # a1^2 -> -kappa
-        constraints = (a1 * a1 + kappa,)
-    elif rng.random() < 0.2:
-        del witness[rng.choice(sorted(witness))]  # one parameter stays open
-    return certificate, target, constraints, witness
+        assert report.mismatches == (("H", "P1"), ("H", "P2"), ("H", "P3"))
+
+    @pytest.mark.parametrize("degree, verdict", [(1, "template_match"), (2, "mismatch")])
+    def test_a_template_match_needs_degree_at_most_one(self, degree, verdict):
+        # [B, C] = omega*A, and the template -4*a2^2*c1*c2*A equals the
+        # expected bracket on the worldline variety; a template of degree 2
+        # still mismatches, with a residual that is zero at the witness
+        alg = catalog("galilei")
+        ctx = alg.ctx
+        a2, c1, c2 = (Poly.var(ctx, n) for n in ("a2", "c1", "c2"))
+        element = gen(alg, "H") if degree == 1 else gen(alg, "H") * gen(alg, "P1")
+        elements = {"A": element, "B": gen(alg, "P2"), "C": gen(alg, "K1")}
+        target = expansion.LieAlgebra(
+            "toy", list(elements), ctx, {(1, 2): {0: Poly.var(ctx, "omega")}}
+        )
+        zero = UEAElement.zero(alg)
+        template = element.smul((a2 * a2 * c1 * c2).scale(-4))
+        pairs = (
+            expansion.PairCertificate(("A", "B"), zero, None, None, "n/a"),
+            expansion.PairCertificate(("A", "C"), zero, None, None, "n/a"),
+            expansion.PairCertificate(("B", "C"), zero, template, zero, "pass"),
+        )
+        gens = expansion.ExpandedGenerators(elements, frozenset())
+        certificate = expansion.ClosureCertificate(alg, gens, pairs)
+        worldline = expansion._certificate("worldline")
+        args = (certificate, target, worldline.constraints, THEOREM1_WITNESS)
+        report = verify_closure(*args)
+        assert report.pairs[2].verdict == verdict
+        assert [p.to_dict() for p in report.pairs] == _eager_pairs(*args)
+        if verdict == "mismatch":
+            assert report.pairs[2].residual == "0"
+
+    def test_constraints_given_as_a_list_reuse_the_plan(self, monkeypatch):
+        # the plan is found by the constraints' value when their tuple is new
+        worldline = expansion._certificate("worldline")
+        target = catalog("poincare")
+        run_theorem1()
+        decided = []
+        decide = expansion._decide
+        monkeypatch.setattr(
+            expansion, "_decide", lambda *args: decided.append(args) or decide(*args)
+        )
+        reports = [
+            verify_closure(
+                worldline.certificate, target, list(worldline.constraints),
+                THEOREM1_WITNESS,
+            )
+            for _ in range(2 * expansion._PLANS_PER_TARGET)
+        ]
+        assert decided == []
+        assert all(r == run_theorem1().report for r in reports)
+
+    def test_the_curvature_leads_the_term_order(self):
+        # against galilei, whose table has no curvature, the order is the
+        # context's: a1*c1 and a2^2*c1*c2 lead, and they share c1
+        worldline = expansion._certificate("worldline")
+        with pytest.raises(ValueError, match="not coprime"):
+            verify_closure(
+                worldline.certificate, catalog("galilei"), worldline.constraints,
+                THEOREM1_WITNESS,
+            )
 
 
 class TestWarmRound:
-    """A witness round on a built certificate does only rational arithmetic,
-    and its verdict texts are rendered when read, as the eager path would."""
+    """A witness round on a built certificate only validates its witness
+    against the constraints, and its verdict texts are rendered when read,
+    as the eager path would."""
 
     def witness_runs(self):
         rng = random.Random(11)
@@ -665,10 +700,10 @@ class TestWarmRound:
         assert mismatch.target and mismatch.residual and len(formatted) == 2
         assert mismatch.scalarized == "" and len(formatted) == 2
 
-    def test_one_validation_and_one_substitution_per_coefficient(self, monkeypatch):
+    def test_a_warm_round_substitutes_only_the_constraints(self, monkeypatch):
         for driver in DRIVERS.values():
             driver()
-        made, applied = [], []
+        made, applied, calls = [], [], []
         substitution = expansion.substitution
 
         def counting(ctx, witness):
@@ -676,19 +711,34 @@ class TestWarmRound:
             apply = substitution(ctx, witness)
 
             def counted(p):
-                applied.append((len(made), p))
+                applied.append(p)
                 return apply(p)
 
             return counted
 
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
         monkeypatch.setattr(expansion, "substitution", counting)
+        monkeypatch.setattr(UEAElement, "__eq__", counted("eq", UEAElement.__eq__))
+        monkeypatch.setattr(UEAElement, "__sub__", counted("sub", UEAElement.__sub__))
+        monkeypatch.setattr(
+            UEAElement, "_raw", classmethod(counted("raw", UEAElement._raw.__func__))
+        )
+        monkeypatch.setattr(Poly, "reduce", counted("reduce", Poly.reduce))
         runs = self.witness_runs()
         assert [run.ok for run in runs] == [True] * 5
+        # one validated witness per call, each constraint substituted once,
+        # and no element built, compared or subtracted, no division made
         assert made == [dict(run.report.witness) for run in runs]
-        # within a call, a coefficient is substituted once, whatever the
-        # number of pairs and templates that carry it
-        assert len(set(applied)) == len(applied)
-        assert len(applied) > len(made)
+        constraints = [c for run in runs for c in run.report.constraints]
+        assert len(applied) == len(constraints) == 2 + 2 + 1 + 1
+        assert all(a is c for a, c in zip(applied, constraints))
+        assert calls == []
 
     def test_rendered_texts_equal_the_eager_path(self):
         # 25 seeded rounds give 50 worldline and 25 spacetime witnesses on
@@ -724,9 +774,9 @@ class TestWarmRound:
         assert cases[-1][0].mismatches and cases[-2][0].mismatches
 
     def test_a_warm_round_builds_and_compares_no_element(self, monkeypatch):
-        # every checked pair of the drivers compiles to conditions on
-        # coefficient values: its expected bracket, scalarised template and
-        # residual are recipes that its verdict follows only when read
+        # every verdict is the plan's: a checked pair's expected bracket,
+        # scalarised template and residual are recipes that its verdict
+        # follows only when read
         for driver in DRIVERS.values():
             driver()
         calls = []
@@ -770,26 +820,56 @@ class TestWarmRound:
         assert match == match and "raw" in calls
         assert type(match._expected) is type(match._scalarized) is UEAElement
 
-    def test_compiled_pairs_equal_the_eager_path_on_random_tables(self):
-        # value conditions against elements built and subtracted: equal and
-        # opposite coefficients, missing and extra monomials, monomials of
-        # degree 2, failed phase 1s, open parameters and power rules
-        rng = random.Random(17)
-        verdicts = set()
-        rules = 0
-        for _ in range(300):
-            args = _random_compiled_case(rng)
-            report = verify_closure(*args)
-            plan = expansion._plan(args[0], args[1])
-            # a constant row without a template is decided by the plan
-            assert all(c.units or c.constant is not None for c in plan.checks)
-            assert [p.to_dict() for p in report.pairs] == _eager_pairs(*args)
-            mismatches = [p.pair for p in report.pairs if p.verdict == "mismatch"]
+    def test_verdicts_on_the_variety_equal_the_eager_path(self):
+        # the plan's verdicts, with texts rendered at the witness, against
+        # the subtract-first check at 75 witnesses solved onto the
+        # varieties, the default witnesses and kappa = 1, where a1 stays
+        # formal; every field of every pair
+        rng = random.Random(28)
+        families = {
+            "theorem1": "worldline", "euclid": "worldline",
+            "theorem2": "spacetime", "negative": "negative",
+        }
+        runs = []
+        for _ in range(25):
+            witnesses = _witnesses_on_the_varieties(rng)
+            runs += [
+                (name, driver(witnesses[name]))
+                for name, driver in WITNESS_DRIVERS.items()
+            ]
+        runs += [(name, driver()) for name, driver in WITNESS_DRIVERS.items()]
+        positive = override_witness("newton_hooke", {"kappa": Fraction(1)})
+        runs.append(("theorem2", run_theorem2(positive)))
+        runs.append(("negative", run_negative_nh()))
+        verdicts = {}
+        for name, run in runs:
+            report = run.report
+            entry = expansion._certificate(families[name])
+            want = _eager_pairs(
+                entry.certificate, catalog(report.target), entry.constraints,
+                report.witness,
+            )
+            assert [p.to_dict() for p in report.pairs] == want, (name, report.witness)
+            mismatches = [tuple(p["pair"]) for p in want if p["verdict"] == "mismatch"]
             assert list(report.mismatches) == mismatches
-            verdicts.update(p.verdict for p in report.pairs)
-            rules += bool(report.reductions)
-        assert verdicts == {"exact_zero", "template_match", "mismatch"}
-        assert rules > 50
+            for p in want:
+                verdicts[p["verdict"]] = verdicts.get(p["verdict"], 0) + 1
+        assert len(runs) == 75 + 3 + 2
+        assert runs[-2][1].report.reductions
+        assert verdicts == {
+            "exact_zero": 39 * 50 + 42 * 25 + 39 * 2 + 42 * 2 + 39,
+            "template_match": 6 * 50 + 3 * 25 + 6 * 2 + 3 * 2,
+            "mismatch": 6,
+        }
+        # off the variety the witness is refused, with the same message
+        off = {**THEOREM1_WITNESS, "omega": Fraction(-5)}
+        message = (
+            "witness leaves constraint 4*a2^2*c1*c2 + omega = 0 unsatisfied "
+            "(residual -4)"
+        )
+        with pytest.raises(ConstraintViolationError) as raised:
+            run_theorem1(off)
+        assert str(raised.value) == message
 
     def test_a_changed_constant_row_takes_the_full_path(self):
         # poincare's table with the sign of [P1, J2] = P3 flipped: the plan
@@ -811,7 +891,10 @@ class TestWarmRound:
         for driver in DRIVERS.values():
             driver()
         plans = [
-            expansion._plan(expansion._certificate(family).certificate, catalog(target))
+            expansion._plan(
+                expansion._certificate(family).certificate, catalog(target),
+                expansion._certificate(family).constraints,
+            )
             for family, target in (
                 ("worldline", "poincare"), ("worldline", "euclid4"),
                 ("spacetime", "newton_hooke"),
@@ -973,8 +1056,10 @@ class TestWarmRound:
         target, kappa_one = catalog("newton_hooke"), {"kappa": Fraction(1)}
         args = (negative, target, rule, kappa_one)
         cases.append((verify_closure(*args), args))
-        # [H, K1] = -P1 + (a1^2 + 1)*K1: a mismatch the plan decides, which
-        # a1^2 -> -1 reduces to an exact zero
+        # [H, K1] = -P1 + (a1^2 + 1)*K1: an exact zero on the variety of
+        # a1^2 + 1, and a constant-row mismatch without constraints; on the
+        # variety of a1^2*kappa + 1, where a1^2 + 1 vanishes only at
+        # kappa = 1, it is a mismatch at every witness
         index = next(i for i, p in enumerate(negative.pairs) if p.pair == ("H", "K1"))
         pairs = list(negative.pairs)
         pairs[index] = pairs[index]._replace(
@@ -984,9 +1069,21 @@ class TestWarmRound:
         shifted = negative._replace(pairs=tuple(pairs))
         unreduced = verify_closure(shifted, target, (), kappa_one)
         assert unreduced.pairs[index].verdict == "mismatch"
-        args = (shifted, target, rule, kappa_one)
+        assert verify_closure(shifted, target, rule, kappa_one).pairs[index].verdict == (
+            "mismatch"
+        )
+        args = (shifted, target, (a1 * a1 + Poly.const(ctx, 1),), kappa_one)
         cases.append((verify_closure(*args), args))
+        assert cases[-1][0].reductions
         assert cases[-1][0].pairs[index].verdict == "exact_zero"
+        # [H, K1] = a1^2*K1: a constant-row mismatch on the variety of
+        # a1^2*kappa + 1, whose residual text a1^2 -> -1 reduces
+        pairs[index] = pairs[index]._replace(
+            actual=gen(negative.alg, "K1").smul(a1 * a1)
+        )
+        args = (negative._replace(pairs=tuple(pairs)), target, rule, kappa_one)
+        cases.append((verify_closure(*args), args))
+        assert cases[-1][0].pairs[index].residual == "P1 - K1"
         text = (DATA_DIR / "poincare.alg").read_text(encoding="utf-8")
         flipped = parse_algebra_text(
             text.replace("bracket P1 J2 = 1*P3", "bracket P1 J2 = (-1)*P3"),

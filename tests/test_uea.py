@@ -104,6 +104,21 @@ class TestAlgebraIdentity:
         with pytest.raises(ContextMismatchError):
             normal_form(alg, [(("H", "P1"), foreign)])
 
+    def test_attributes_refuse_assignment_and_deletion(self):
+        # a shared element (a driver's generator, a named element) cannot be
+        # rebound to another algebra or other terms
+        alg = catalog("galilei")
+        el = gen(alg, "H") * gen(alg, "P1")
+        for name in ("alg", "_terms", "_packed"):
+            with pytest.raises(AttributeError):
+                setattr(el, name, getattr(el, name))
+            with pytest.raises(AttributeError):
+                delattr(el, name)
+        with pytest.raises(AttributeError):
+            el.note = "changed"
+        assert el.alg is alg and format_element(el) == "H*P1"
+        assert el * gen(alg, "K1") == gen(alg, "H") * gen(alg, "P1") * gen(alg, "K1")
+
 
 class TestMalformedInput:
     """A word letter that is not a generator name or an in-range ``int``, and
